@@ -1,26 +1,37 @@
 """Exact weight analysis: exhaustive minimum distance, low-weight dual
-codeword search, minimum-weight word collection and span tests.
+codeword search, codewords of a given weight and span tests.
 
 All counts are exact.  The q = 2 enumeration walks a Gray code over the
 message space with one row XOR per step on bit-packed codewords; other
 fields use an incremental odometer over coefficient digits.
+
+The dual search counts weights <= 4 with one sort-and-group kernel for
+every q, on projectively normalized int64 keys of the columns and of the
+pair combinations c_a + t c_b: B_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3
+over groups of g equal pair keys (see low_weight_dual_search).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .codes import PointEnumeration, evaluate, theoretical_params
-from .errors import RankTooLow, TooLarge, WMaxUnsupported, WordNotInCode
+from .errors import (RankTooLow, TooLarge, Unsupported, WMaxUnsupported,
+                     WordNotInCode)
 from .field import make_field
 from .monomials import Rectangle, SparsePolynomial
 
 DEFAULT_ENUM_CAP = 2 ** 24
+# Pair combinations the support search may form (2^25 int64 keys, 256 MiB).
+MAX_PAIR_COMBINATIONS = 2 ** 25
+# Digit cells of pair combinations formed per block of rows.
+_BLOCK_CELLS = 2 ** 18
 
 
 @dataclass
@@ -28,7 +39,7 @@ class WeightReport:
     min_distance: int
     min_weight_count: int
     method: str
-    enumerated: int
+    enumerated: int  # codewords walked, or pair combinations formed
     weight_counts: dict = None
 
     def to_json(self):
@@ -39,43 +50,37 @@ class WeightReport:
 
 # ---------------------------------------------------------- full enumeration
 
-def _gray_enumerate_gf2(G, collect_min=False):
+def _gray_enumerate_gf2(G, keep_weight=-1):
     """Walk all nonzero row combinations of a GF(2) matrix via a Gray code.
 
     Returns (min_weight, count, words); words holds the bit-packed
-    minimum-weight codewords when collect_min is set.
+    codewords of weight keep_weight (none by default).
     """
     rows = linalg.rows_to_ints(G)
     k = len(rows)
-    acc = 0
-    best = None
-    count = 0
-    words = []
+    acc, best, count, words = 0, None, 0, []
     for i in range(1, 1 << k):
         acc ^= rows[(i & -i).bit_length() - 1]
         w = acc.bit_count()
         if best is None or w < best:
             best, count = w, 1
-            if collect_min:
-                words = [acc]
         elif w == best:
             count += 1
-            if collect_min:
-                words.append(acc)
+        if w == keep_weight:
+            words.append(acc)
     return best, count, words
 
 
-def _odometer_enumerate(C, collect_min=False):
+def _odometer_enumerate(C, keep_weight=-1):
     """All nonzero codewords by an incremental digit odometer; a couple of
-    table-vector updates per step."""
+    table-vector updates per step.  Returns (min_weight, count, words);
+    words holds the codewords of weight keep_weight (none by default)."""
     F = C.field
     G = C.generator
     k, n = G.shape
     digits = [0] * k
     acc = np.zeros(n, dtype=np.uint8)
-    best = None
-    count = 0
-    words = []
+    best, count, words = None, 0, []
     total = F.q ** k - 1
     for _ in range(total):
         j = 0
@@ -89,12 +94,10 @@ def _odometer_enumerate(C, collect_min=False):
         w = int(np.count_nonzero(acc))
         if best is None or w < best:
             best, count = w, 1
-            if collect_min:
-                words = [acc.copy()]
         elif w == best:
             count += 1
-            if collect_min:
-                words.append(acc.copy())
+        if w == keep_weight:
+            words.append(acc.copy())
     return best, count, words
 
 
@@ -121,187 +124,177 @@ def _solve_support(cols, supp, F):
     One entry per codeword: (support, coefficient tuple), coefficients all
     nonzero.
     """
-    M = np.array([cols[j] for j in supp], dtype=np.uint8)  # w x k
-    ker = linalg.nullspace(M.T, F)
-    if ker.size == 0:
-        return []
-    sols = []
-    for coeffs in itertools.product(range(F.q), repeat=ker.shape[0]):
-        if not any(coeffs):
-            continue
-        vec = np.zeros(len(supp), dtype=np.uint8)
-        for c, row in zip(coeffs, ker):
-            if c:
-                vec = F.add(vec, F.mul(c, row))
-        if (vec != 0).all():
-            sols.append((tuple(supp), tuple(int(x) for x in vec)))
-    return sols
+    ker = linalg.nullspace(np.array([cols[j] for j in supp], dtype=np.uint8).T, F)
+    combos = np.array(list(itertools.product(range(F.q), repeat=len(ker))),
+                      dtype=np.uint8).reshape(-1, len(ker))
+    return [(tuple(supp), tuple(vec))
+            for vec in linalg.matmul(combos, ker, F).tolist() if all(vec)]
 
 
-def _search_gf2(G, w_max, collect):
-    """Column-dependency search with columns packed into ints."""
-    k, n = G.shape
-    cols = linalg.rows_to_ints(np.ascontiguousarray(G.T))
-    counts = {w: 0 for w in range(1, w_max + 1)}
-    reps = {w: [] for w in range(1, w_max + 1)}
-    examined = 0
+def _normalize(F, V):
+    """Scale each vector (last axis) so its first nonzero digit is 1.
 
-    zero_idx = [j for j, c in enumerate(cols) if c == 0]
-    counts[1] = len(zero_idx)
-    if collect:
-        reps[1] = [((j,), (1,)) for j in zero_idx]
+    Returns (scaled, lead, key): a zero vector stays zero with lead 0, and
+    the int64 key has digit 0 least significant (for q = 2, the bits).
+    """
+    lead = np.zeros(V.shape[:-1], dtype=np.uint8)
+    key = np.zeros(V.shape[:-1], dtype=np.int64)
+    for i in range(V.shape[-1] - 1, -1, -1):
+        lead = np.where(V[..., i] != 0, V[..., i], lead)
+    V = F.mul(F.inv_table[lead][..., None], V)
+    for i in range(V.shape[-1] - 1, -1, -1):
+        key = key * F.q + V[..., i]
+    return V, lead, key
 
-    col_map = {}
-    for j, c in enumerate(cols):
-        if c:
-            col_map.setdefault(c, []).append(j)
 
-    if w_max >= 2:
-        for c, idxs in col_map.items():
-            pairs = list(itertools.combinations(idxs, 2))
-            counts[2] += len(pairs)
-            if collect:
-                reps[2].extend((p, (1, 1)) for p in pairs)
+def _groups(sorted_keys):
+    """Start and size of each run of equal keys in a sorted array."""
+    edge = np.ones(len(sorted_keys), dtype=bool)
+    edge[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(edge)
+    return starts, np.diff(np.r_[starts, len(sorted_keys)])
 
-    pair_hash = {}
-    if w_max >= 3:
-        nz = [j for j in range(n) if cols[j]]
-        matches = 0
-        seen3 = set()
-        for ai, a in enumerate(nz):
-            ca = cols[a]
-            for b in nz[ai + 1:]:
-                v = ca ^ cols[b]
-                examined += 1
-                if v == 0:
-                    continue
-                if w_max >= 4:
-                    pair_hash.setdefault(v, []).append((a, b))
-                for j in col_map.get(v, ()):
-                    if j in (a, b):
-                        continue
-                    matches += 1
-                    if collect:
-                        supp = tuple(sorted((a, b, j)))
-                        if supp not in seen3:
-                            seen3.add(supp)
-                            reps[3].append((supp, (1, 1, 1)))
-        counts[3] = matches // 3
 
-    if w_max >= 4:
-        supports = set()
-        for v, pairs in pair_hash.items():
-            if len(pairs) < 2:
-                continue
-            for (a, b), (c, d) in itertools.combinations(pairs, 2):
-                if len({a, b, c, d}) == 4:
-                    supports.add(tuple(sorted((a, b, c, d))))
-        examined += len(supports)
-        counts[4] = len(supports)
+def _group_pairs(starts, sizes):
+    """Positions i < j of every pair of entries inside one run."""
+    later = np.repeat(starts + sizes, sizes) - np.arange(sizes.sum()) - 1
+    i = np.repeat(np.arange(sizes.sum()), later)
+    return i, i + 1 + np.arange(later.sum()) - np.repeat(np.cumsum(later) - later, later)
+
+
+def _sorted_supports(rows, n):
+    """The distinct rows (ascending column indices < n) as tuples in
+    lexicographic order, deduplicated on a packed int64 key."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        key = key * n + col
+    _, first = np.unique(key, return_index=True)
+    return list(map(tuple, rows[first].tolist()))
+
+
+def _pair_search(D, keys, F, w_max, collect):
+    """(B_3, B_4, {w: supports}) on the pairwise non-proportional normalized
+    columns D with keys ``keys``; the supports are listed only with collect."""
+    q, n = F.q, len(keys)
+    order = np.argsort(keys)
+    col_keys = keys[order]
+    scaled = F.mul(np.arange(1, q, dtype=np.uint8)[:, None, None], D)  # t c_b
+    total = (q - 1) * (n * (n - 1) // 2) if w_max >= 4 else 0
+    pair_keys = np.empty(total, dtype=np.int64)
+    pairs = np.empty((total if collect else 0, 2), dtype=np.int32)
+    triples, m3, filled = [np.empty((0, 3), dtype=np.int64)], 0, 0
+    rows = max(1, _BLOCK_CELLS // max(1, (q - 1) * n * D.shape[1]))
+    for lo in range(0, n, rows):
+        a, b = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
+        a += lo
+        if q == 2:
+            pk = keys[a] ^ keys[b]
+        else:
+            combos = F.add(D[a][:, None], scaled[:, b].swapaxes(0, 1))
+            pk = _normalize(F, combos)[2].ravel()
+            a, b = np.repeat(a, q - 1), np.repeat(b, q - 1)
+        pos = np.minimum(np.searchsorted(col_keys, pk), n - 1)
+        hit = col_keys[pos] == pk
+        m3 += int(np.count_nonzero(hit))
         if collect:
-            reps[4] = [(s, (1, 1, 1, 1)) for s in sorted(supports)]
-    return counts, reps, examined
-
-
-def _search_generic(G, F, w_max, collect):
-    q = F.q
-    k, n = G.shape
-    cols = [tuple(int(x) for x in G[:, j]) for j in range(n)]
-    zero = (0,) * k
-    counts = {w: 0 for w in range(1, w_max + 1)}
-    reps = {w: [] for w in range(1, w_max + 1)}
-    examined = 0
-
-    zero_idx = [j for j, c in enumerate(cols) if c == zero]
-    counts[1] = (q - 1) * len(zero_idx)
+            triples.append(np.stack([a[hit], b[hit], order[pos[hit]]], axis=1))
+        if total:
+            pair_keys[filled:filled + len(pk)] = pk
+            if collect:
+                pairs[filled:filled + len(pk)] = np.stack([a, b], axis=1)
+            filled += len(pk)
+    t3 = m3 // 3
+    supports = {3: _sorted_supports(np.sort(np.concatenate(triples), axis=1), n), 4: []}
+    if not total:
+        return (q - 1) * t3, 0, supports
     if collect:
-        reps[1] = [((j,), (1,)) for j in zero_idx]
-
-    def normalize(vec):
-        for v in vec:
-            if v:
-                s = int(F.inv_table[v])
-                return tuple(int(F.mul(s, x)) for x in vec)
-        raise ValueError("zero vector")
-
-    norm_map = {}
-    for j, c in enumerate(cols):
-        if c != zero:
-            norm_map.setdefault(normalize(c), []).append(j)
-
-    if w_max >= 2:
-        classes = 0
-        for nc, idxs in norm_map.items():
-            for pair in itertools.combinations(idxs, 2):
-                classes += 1
-                if collect:
-                    reps[2].append(_solve_support(cols, pair, F)[0])
-        counts[2] = (q - 1) * classes
-
-    pair_hash = {}
-    if w_max >= 3:
-        nz = [j for j in range(n) if cols[j] != zero]
-        arrs = {j: np.array(cols[j], dtype=np.uint8) for j in nz}
-        matches = 0
-        seen3 = set()
-        for ai, a in enumerate(nz):
-            ca = arrs[a]
-            for b in nz[ai + 1:]:
-                cb = arrs[b]
-                for t in range(1, q):
-                    v = F.add(ca, F.mul(t, cb))
-                    examined += 1
-                    if not v.any():
-                        continue
-                    nv = normalize(tuple(int(x) for x in v))
-                    if w_max >= 4:
-                        pair_hash.setdefault(nv, []).append((a, b))
-                    for j in norm_map.get(nv, ()):
-                        if j in (a, b):
-                            continue
-                        matches += 1
-                        if collect:
-                            supp = tuple(sorted((a, b, j)))
-                            if supp not in seen3:
-                                seen3.add(supp)
-                                reps[3].extend(_solve_support(cols, supp, F))
-        counts[3] = (q - 1) * matches // 3
-
-    if w_max >= 4:
-        supports = set()
-        for nv, pairs in pair_hash.items():
-            if len(pairs) < 2:
-                continue
-            for (a, b), (c, d) in itertools.combinations(pairs, 2):
-                if len({a, b, c, d}) == 4:
-                    supports.add(tuple(sorted((a, b, c, d))))
-        examined += len(supports)
-        for supp in sorted(supports):
-            sols = _solve_support(cols, supp, F)
-            counts[4] += len(sols)
-            if collect and sols:
-                reps[4].extend(sols)
-    return counts, reps, examined
+        by_key = np.argsort(pair_keys)
+        pair_keys = pair_keys[by_key]
+    else:
+        pair_keys.sort()
+    collisions = 0  # sum of C(g, 2): each key's count of equal keys before it
+    for lo in range(0, total, _BLOCK_CELLS):
+        block = pair_keys[lo:lo + _BLOCK_CELLS]
+        collisions += int((np.arange(lo, lo + len(block))
+                           - np.searchsorted(pair_keys, block)).sum())
+    if collect:
+        i, j = _group_pairs(*_groups(pair_keys))
+        quads = np.sort(np.concatenate([pairs[by_key[i]], pairs[by_key[j]]], axis=1), axis=1)
+        supports[4] = _sorted_supports(quads[(np.diff(quads, axis=1) != 0).all(axis=1)], n)
+    return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, supports
 
 
 def low_weight_dual_search(C, w_max=4, collect=False):
-    """Count dual codewords of weight 1..w_max as column dependencies of
-    C's generator matrix.
+    """Count the dual codewords of weight 1..w_max (w_max <= 4) as column
+    dependencies of C's generator matrix.
 
-    Weight 1: zero columns.  Weight 2: proportional column pairs.
-    Weight 3: pair combinations matched against normalized single columns.
-    Weight 4: hash of normalized pair combinations; candidate supports are
-    solved exactly on their four columns.  Counts are numbers of
-    codewords, so each projective solution contributes q-1.
+    With z zero columns, B_w = sum_j C(z, j) (q-1)^j B'_{w-j}, where B'
+    counts on the n' nonzero columns: B'_0 = 1, B'_1 = 0 and
+    B'_2 = (q-1) sum C(m, 2) over the projective classes of size m.  On
+    pairwise non-proportional columns the kernel keys every column and
+    every pair combination c_a + t c_b (a < b, t in F_q*), scaled so its
+    first nonzero digit is 1: bit-packed for q = 2 (where the pair key is
+    the XOR of two column keys), base-q digits otherwise.  ``enumerated``
+    is the number of pair combinations formed, (q-1) C(n', 2), and 0
+    when the kernel does not run.  If m3 pair keys equal a column key,
+    there are T3 = m3 / 3 collinear triples and B'_3 = (q-1) T3.  With g
+    the sizes of the groups of equal pair keys,
+
+        B'_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3,
+
+    since a projective weight-4 word collides once per split into two
+    pairs, and a collinear triple q-2 times per shared index.  If all
+    nonzero columns lie in one class (a level-0 code),
+    B'_w = C(n', w) ((q-1)^w + (-1)^w (q-1)) / q.  Any other proportional
+    columns raise Unsupported for w_max >= 3, as do keys above 63 bits;
+    more than MAX_PAIR_COMBINATIONS pair combinations raise TooLarge.
+
+    With collect, also returns {w: [(support, coefficients), ...]} in
+    sorted support order: one word per zero column (w = 1) and per
+    proportional pair (w = 2), every word at w >= 3.  Collecting raises
+    Unsupported when words run through zero columns (w_max >= 2) or
+    through one class (w_max >= 3).
     """
-    if w_max > 4:
-        raise WMaxUnsupported("supports at most w_max = 4")
-    if w_max < 1:
-        raise WMaxUnsupported("w_max must be at least 1")
-    if C.field.q == 2:
-        counts, reps, examined = _search_gf2(C.generator, w_max, collect)
-    else:
-        counts, reps, examined = _search_generic(C.generator, C.field, w_max, collect)
+    if not 1 <= w_max <= 4:
+        raise WMaxUnsupported(f"w_max must be in 1..4, got {w_max}")
+    F, G = C.field, C.generator
+    q, (k, n) = F.q, G.shape
+    if q ** k > 2 ** 63:
+        raise Unsupported(f"a column of {k} digits over F_{q} needs a key above 63 bits")
+    cols = G.T
+    zero = ~cols.any(axis=1)
+    z = int(zero.sum())
+    n1 = n - z
+    D, lead, keys = _normalize(F, cols[~zero])
+    order = np.argsort(keys, kind="stable")
+    starts, sizes = _groups(keys[order])
+    proportional = int((sizes * (sizes - 1) // 2).sum())
+    if collect and z and w_max >= 2:
+        raise Unsupported("collect lists no words through zero columns")
+
+    b = [1, 0] + [0] * (w_max - 1)  # B'_0 .. B'_{w_max}
+    if w_max >= 2:
+        b[2] = (q - 1) * proportional
+    examined, supports = 0, {3: [], 4: []}
+    if w_max >= 3:
+        if proportional == 0:
+            examined = (q - 1) * (n1 * (n1 - 1) // 2)
+            if examined > MAX_PAIR_COMBINATIONS:
+                raise TooLarge(f"{examined} pair combinations exceed the cap "
+                               f"{MAX_PAIR_COMBINATIONS}")
+            b3, b4, supports = _pair_search(D, keys, F, w_max, collect)
+            b[3:] = [b3, b4][:w_max - 2]
+        elif proportional == n1 * (n1 - 1) // 2:
+            if collect:
+                raise Unsupported("collect lists no words of weight >= 3 "
+                                  "on a single projective class")
+            for w in range(3, w_max + 1):
+                b[w] = math.comb(n1, w) * ((q - 1) ** w + (-1) ** w * (q - 1)) // q
+        else:
+            raise Unsupported("proportional columns outside a single class: "
+                              "weights >= 3 are not counted")
+    counts = {w: sum(math.comb(z, j) * (q - 1) ** j * b[w - j] for j in range(w + 1))
+              for w in range(1, w_max + 1)}
     d = next((w for w in range(1, w_max + 1) if counts[w]), None)
     report = WeightReport(
         min_distance=d,
@@ -309,45 +302,51 @@ def low_weight_dual_search(C, w_max=4, collect=False):
         method="support-search",
         enumerated=examined,
         weight_counts=counts)
-    if collect:
-        return report, reps
-    return report
+    if not collect:
+        return report
+    # with collect and w_max >= 2 there is no zero column, so indices into
+    # the nonzero columns are column indices
+    reps = {w: [] for w in range(1, w_max + 1)}
+    reps[1] = [((j,), (1,)) for j in np.flatnonzero(zero).tolist()]
+    if w_max >= 2:
+        i, j = _group_pairs(starts, sizes)
+        a, c = order[i], order[j]
+        coef = F.neg(F.mul(lead[c], F.inv_table[lead[a]]))
+        reps[2] = sorted(zip(zip(a.tolist(), c.tolist()),
+                             zip(coef.tolist(), itertools.repeat(1))))
+    for w in range(3, w_max + 1):  # q = 2: all ones; q > 2: every solution
+        reps[w] = ([(s, (1,) * w) for s in supports[w]] if q == 2 else
+                   [word for s in supports[w] for word in _solve_support(cols, s, F)])
+    return report, reps
 
 
 def dual_codewords_of_weight(C_primal, w):
-    """Dual codewords of the given weight as dense vectors, one
-    representative per projective class."""
+    """Dual codewords of the given weight as dense vectors, as collected by
+    low_weight_dual_search (for q = 2, every one of them)."""
     _, reps = low_weight_dual_search(C_primal, w_max=w, collect=True)
-    words = []
-    for supp, coeffs in reps[w]:
-        vec = np.zeros(C_primal.n, dtype=np.uint8)
-        for j, c in zip(supp, coeffs):
-            vec[j] = c
-        words.append(vec)
-    return words
+    words = np.zeros((len(reps[w]), C_primal.n), dtype=np.uint8)
+    if reps[w]:
+        supports, coeffs = zip(*reps[w])
+        np.put_along_axis(words, np.array(supports), np.array(coeffs, dtype=np.uint8), axis=1)
+    return list(words)
 
 
 # ------------------------------------------------- min-weight words and spans
 
 def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
-    """All codewords of weight exactly d.
+    """All codewords of weight exactly d, whether or not d is the minimum
+    weight.
 
     Uses full enumeration when feasible; falls back to the support search
-    when C is a dual code and d <= 4 (the search yields projective
-    representatives, which is enough for span questions).
+    when C is a dual code and d <= 4 (the search yields the words that
+    dual_codewords_of_weight lists, which is enough for span questions).
     """
     total = C.field.q ** C.k - 1
     if total <= cap:
         if C.field.q == 2:
-            _, _, packed = _gray_enumerate_gf2(C.generator, collect_min=True)
-            words = list(linalg.ints_to_rows(packed, C.n)) if packed else []
-            if words and int(np.count_nonzero(words[0])) != d:
-                words = []
-        else:
-            _, _, words = _odometer_enumerate(C, collect_min=True)
-            if words and int(np.count_nonzero(words[0])) != d:
-                words = []
-        return words
+            _, _, packed = _gray_enumerate_gf2(C.generator, keep_weight=d)
+            return list(linalg.ints_to_rows(packed, C.n))
+        return _odometer_enumerate(C, keep_weight=d)[2]
     primal = C.meta.get("dual_of")
     if primal is not None and d <= 4:
         return dual_codewords_of_weight(primal, d)

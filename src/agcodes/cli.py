@@ -19,7 +19,7 @@ from . import analysis, dual as dual_mod, transforms
 from .alist import export_parity_alist
 from .codes import (build_affine_grassmann, theoretical_params,
                     write_generator)
-from .errors import AGCError, TooLarge
+from .errors import AGCError, SizeOutOfRange, TooLarge
 from .monomials import Rectangle
 
 DEFAULT_MAX_COORDS = 2 ** 20
@@ -31,9 +31,12 @@ def _emit(obj, stream=None):
 
 def _coord_cap(args):
     env = os.environ.get("AGC_MAX_COORDS")
-    if env is not None:
+    if env is None:
+        return DEFAULT_MAX_COORDS
+    try:
         return int(env)
-    return DEFAULT_MAX_COORDS
+    except ValueError:
+        raise SizeOutOfRange(f"AGC_MAX_COORDS must be an integer, got {env!r}") from None
 
 
 def _check_cap(args):
@@ -172,8 +175,6 @@ def _add_common(sp, need_r=True, need_out=False):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--deep", action="store_true",
                     help="enable checks above ~1 second")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap (kernels are single-threaded)")
 
 
 def main(argv=None):
@@ -199,7 +200,7 @@ def main(argv=None):
         args.r = None
     try:
         return handlers[args.command](args)
-    except AGCError as exc:
+    except (AGCError, OSError) as exc:
         _emit({"schema": 1, "error": type(exc).__name__, "message": str(exc)},
               stream=sys.stderr)
         return 2

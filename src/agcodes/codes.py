@@ -144,8 +144,8 @@ def theoretical_params(ell, m, r, q):
     """Closed-form [n, k_r, d_r] of the level-r code; the minimum-weight
     count is only known in closed form at full level r = l."""
     ell_prime = m - ell
-    if not 0 <= r <= ell <= ell_prime:
-        raise SizeOutOfRange("need 0 <= r <= ell <= ell'")
+    if not (0 <= r <= ell <= ell_prime and ell >= 1):
+        raise SizeOutOfRange("need 0 <= r <= ell <= ell' and ell >= 1")
     delta = ell * ell_prime
     n = q ** delta
     k = sum(math.comb(ell, i) * math.comb(ell_prime, i) for i in range(r + 1))
@@ -187,8 +187,8 @@ def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
     Rank and (for r >= 1) nondegeneracy are verified on build.
     """
     ell_prime = m - ell
-    if not 0 <= r <= ell <= ell_prime:
-        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell")
+    if not (0 <= r <= ell <= ell_prime and ell >= 1):
+        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell and ell >= 1")
     F = make_field(q)
     rect = Rectangle(ell, ell_prime)
     params = theoretical_params(ell, m, r, q)

@@ -52,8 +52,8 @@ class MinorBinomial:
 
 def _params(ell, m, r, q):
     ell_prime = m - ell
-    if not 0 <= r <= ell <= ell_prime:
-        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell")
+    if not (0 <= r <= ell <= ell_prime and ell >= 1):
+        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell and ell >= 1")
     return make_field(q), Rectangle(ell, ell_prime)
 
 

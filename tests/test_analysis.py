@@ -1,16 +1,86 @@
 """Weight analysis: enumeration, support search, spans, counterexample."""
 
+import itertools
 import json
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agcodes import analysis
+from agcodes import analysis, linalg
 from agcodes.codes import (Code, build_affine_grassmann, build_reed_muller,
                            theoretical_params)
 from agcodes.dual import build_dual_code
-from agcodes.errors import RankTooLow, TooLarge, WMaxUnsupported, WordNotInCode
+from agcodes.errors import (RankTooLow, TooLarge, Unsupported,
+                            WMaxUnsupported, WordNotInCode)
 from agcodes.field import make_field
+
+
+def _brute_force_counts(C, w_max):
+    """Dual words of weight 1..w_max: every support times every nonzero
+    coefficient vector on it, checked against the generator."""
+    F, G = C.field, C.generator
+    counts = {}
+    for w in range(1, w_max + 1):
+        coeffs = np.array(list(itertools.product(range(1, F.q), repeat=w)),
+                          dtype=np.uint8)
+        counts[w] = 0
+        for supp in itertools.combinations(range(C.n), w):
+            acc = np.zeros((len(coeffs), C.k), dtype=np.uint8)
+            for c, j in zip(coeffs.T, supp):
+                acc = F.add(acc, F.mul(c[:, None], G[:, j][None, :]))
+            counts[w] += int(np.count_nonzero(~acc.any(axis=1)))
+    return counts
+
+
+def _class_name(F, col):
+    """A projective class, named by the smallest of its nonzero multiples."""
+    return min(tuple(F.mul(t, np.asarray(col, dtype=np.uint8)).tolist())
+               for t in range(1, F.q))
+
+
+def _class_sizes(C):
+    """Sizes of the projective classes of the nonzero columns."""
+    sizes = {}
+    for col in C.generator.T:
+        if col.any():
+            name = _class_name(C.field, col)
+            sizes[name] = sizes.get(name, 0) + 1
+    return list(sizes.values())
+
+
+@st.composite
+def small_generators(draw):
+    """Small generators over q <= 16: either pairwise non-proportional
+    nonzero columns plus a few zero columns, or columns that are random,
+    zero, or a nonzero multiple of an earlier column."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    F = make_field(q)
+    n_max = 7 if q >= 8 else 9
+    distinct = draw(st.booleans())
+    k = draw(st.integers(2 if distinct else 1, 4))
+    vec = st.lists(st.integers(0, q - 1), min_size=k, max_size=k)
+    if distinct:
+        cols = draw(st.lists(vec.filter(any), min_size=3, max_size=n_max,
+                             unique_by=lambda v: _class_name(F, v)))
+        cols += [[0] * k] * draw(st.integers(0, min(2, n_max - len(cols))))
+        cols = draw(st.permutations(cols))
+    else:
+        cols = []
+        for _ in range(draw(st.integers(1, n_max))):
+            kind = draw(st.sampled_from(["random", "zero", "multiple"]))
+            if kind == "zero":
+                cols.append([0] * k)
+            elif kind == "multiple" and cols:
+                t = draw(st.integers(1, q - 1))
+                cols.append(F.mul(t, np.array(draw(st.sampled_from(cols)),
+                                              dtype=np.uint8)).tolist())
+            else:
+                cols.append(draw(vec))
+    return Code(field=F, generator=np.array(cols, dtype=np.uint8).T)
 
 
 class TestExhaustiveEnumeration:
@@ -77,6 +147,77 @@ class TestLowWeightSearch:
                 hist[w] += 1
         assert rep.weight_counts == hist
 
+    @settings(max_examples=120, deadline=None)
+    @given(small_generators())
+    def test_counts_match_brute_force(self, C):
+        """Exact counts, or Unsupported only for proportional columns in
+        more than one projective class; weights <= 2 are always exact."""
+        expected = _brute_force_counts(C, 4)
+        sizes = _class_sizes(C)
+        low = analysis.low_weight_dual_search(C, w_max=2).weight_counts
+        assert low == {w: expected[w] for w in (1, 2)}
+        try:
+            rep = analysis.low_weight_dual_search(C, w_max=4)
+        except Unsupported:
+            assert len(sizes) > 1 and max(sizes) > 1
+            return
+        assert not (len(sizes) > 1 and max(sizes) > 1)
+        assert rep.weight_counts == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_generators())
+    def test_collect_yields_dual_words_of_stated_weight(self, C):
+        """Collecting raises Unsupported exactly when the generator has a
+        zero column or two proportional columns."""
+        F = C.field
+        degenerate = (not C.generator.any(axis=0).all()
+                      or max(_class_sizes(C)) > 1)
+        try:
+            rep, reps = analysis.low_weight_dual_search(C, w_max=4, collect=True)
+        except Unsupported:
+            assert degenerate
+            return
+        assert not degenerate
+        for w, words in reps.items():
+            for supp, coeffs in words:
+                assert len(supp) == len(coeffs) == w
+                assert list(supp) == sorted(set(supp))
+                x = np.zeros(C.n, dtype=np.uint8)
+                x[list(supp)] = coeffs
+                assert (x[list(supp)] != 0).all()
+                assert not linalg.matmul(C.generator, x[:, None], F).any()
+            # q = 2, and every word at w >= 3; one per class at w <= 2
+            per_word = 1 if F.q == 2 or w >= 3 else F.q - 1
+            assert len(words) * per_word == rep.weight_counts[w]
+
+    def test_level_zero_counts(self):
+        rep = analysis.low_weight_dual_search(build_affine_grassmann(2, 4, 0, 2))
+        assert rep.weight_counts == {1: 0, 2: 120, 3: 0, 4: 1820}
+        C = build_affine_grassmann(2, 4, 0, 3)
+        t0 = time.perf_counter()
+        rep = analysis.low_weight_dual_search(C, w_max=4)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.weight_counts[4] == math.comb(81, 4) * (2 ** 4 + 2) // 3
+
+    def test_mixed_proportional_columns_unsupported(self):
+        F = make_field(3)
+        G = np.array([[1, 2, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
+        C = Code(field=F, generator=G)
+        assert analysis.low_weight_dual_search(C, w_max=2).weight_counts == {1: 0, 2: 2}
+        with pytest.raises(Unsupported):
+            analysis.low_weight_dual_search(C, w_max=3)
+
+    def test_key_and_size_limits(self):
+        F = make_field(2)
+        wide = Code(field=F, generator=np.eye(64, dtype=np.uint8))
+        with pytest.raises(Unsupported):
+            analysis.low_weight_dual_search(wide, w_max=3)
+        n = 8200  # (q-1) C(n, 2) > MAX_PAIR_COMBINATIONS
+        bits = (np.arange(1, n + 1)[None, :] >> np.arange(14)[:, None]) & 1
+        long = Code(field=F, generator=bits.astype(np.uint8))
+        with pytest.raises(TooLarge):
+            analysis.low_weight_dual_search(long, w_max=3)
+
     def test_wmax_validation(self):
         C = build_affine_grassmann(2, 4, 2, 2)
         with pytest.raises(WMaxUnsupported):
@@ -130,6 +271,16 @@ class TestMinWeightWords:
         words = analysis.min_weight_codewords(C, 6)
         assert len(words) == 16
         assert all(int(np.count_nonzero(w)) == 6 for w in words)
+
+    def test_words_of_a_weight_above_the_minimum(self):
+        C = build_affine_grassmann(2, 4, 2, 2)
+        words = analysis.min_weight_codewords(C, 8)
+        assert len(words) == 30
+        assert len({w.tobytes() for w in words}) == 30
+        assert all(int(np.count_nonzero(w)) == 8 and C.contains(w) for w in words)
+        C3 = build_affine_grassmann(1, 3, 1, 3)  # minimum weight 6
+        words = analysis.min_weight_codewords(C3, 9)
+        assert [int(np.count_nonzero(w)) for w in words] == [9, 9]  # constants
 
     def test_dual_route_when_too_large(self):
         C = build_affine_grassmann(3, 6, 2, 2)

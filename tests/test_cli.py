@@ -128,6 +128,24 @@ class TestFailurePaths:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "TooLarge"
 
+    def test_non_integer_coordinate_cap_env(self):
+        res = run_cli("build", "--q", "2", "--l", "2", "--m", "4", "--r", "2",
+                      env_extra={"AGC_MAX_COORDS": "abc"})
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "SizeOutOfRange"
+
+    def test_zero_ell_exits_with_record(self):
+        res = run_cli("build", "--q", "2", "--l", "0", "--m", "4", "--r", "0")
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "SizeOutOfRange"
+
+    def test_out_into_missing_directory(self, tmp_path):
+        out = str(tmp_path / "missing" / "gen.txt")
+        res = run_cli("build", "--q", "2", "--l", "2", "--m", "4", "--r", "2",
+                      "--out", out)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "FileNotFoundError"
+
     def test_missing_subcommand(self):
         res = run_cli()
         assert res.returncode != 0
