@@ -1,9 +1,11 @@
 """Exact weight analysis: exhaustive minimum distance, low-weight dual
 codeword search, codewords of a given weight and span tests.
 
-All counts are exact.  The q = 2 enumeration walks a Gray code over the
-message space with one row XOR per step on bit-packed codewords; other
-fields use an incremental odometer over coefficient digits.
+All counts are exact.  Full enumeration yields the weight distribution
+of every nonzero message with one meet-in-the-middle kernel for every q: a
+table of all combinations of the first rows is added to each combination
+of the other rows in one array operation, and the weights of the sums are
+histogrammed (bit-packed uint64 words added by XOR for q = 2).
 
 The dual search counts weights <= 4 with one sort-and-group kernel for
 every q, on projectively normalized int64 keys of the columns and of the
@@ -30,7 +32,7 @@ from .monomials import Rectangle, SparsePolynomial
 DEFAULT_ENUM_CAP = 2 ** 24
 # Pair combinations the support search may form (2^25 int64 keys, 256 MiB).
 MAX_PAIR_COMBINATIONS = 2 ** 25
-# Digit cells of pair combinations formed per block of rows.
+# Cells of the combinations one block forms (support search, enumeration).
 _BLOCK_CELLS = 2 ** 18
 
 
@@ -40,7 +42,7 @@ class WeightReport:
     min_weight_count: int
     method: str
     enumerated: int  # codewords walked, or pair combinations formed
-    weight_counts: dict = None
+    weight_counts: dict = None  # {w: count}: every weight met, or w = 1..w_max
 
     def to_json(self):
         return json.dumps({"d": self.min_distance, "count": self.min_weight_count,
@@ -50,70 +52,79 @@ class WeightReport:
 
 # ---------------------------------------------------------- full enumeration
 
-def _gray_enumerate_gf2(G, keep_weight=-1):
-    """Walk all nonzero row combinations of a GF(2) matrix via a Gray code.
+def _messages(q, width, start, stop):
+    """Base-q digit vectors (digit 0 first) of the message indices start..stop-1."""
+    idx = np.arange(start, stop, dtype=np.int64)[:, None]
+    return (idx // q ** np.arange(width, dtype=np.int64) % q).astype(np.uint8)
 
-    Returns (min_weight, count, words); words holds the bit-packed
-    codewords of weight keep_weight (none by default).
+
+def _enumerate(C, keep_weight=-1):
+    """Weight distribution of the codewords of all q^k - 1 nonzero messages.
+
+    Returns (A, words): A[w] counts the nonzero messages whose codeword has
+    weight w, and words holds those of weight keep_weight (none by
+    default).  Meet in the middle: a table of all combinations of the
+    first lo rows (q^lo n <= _BLOCK_CELLS cells) is added, in one array
+    operation, to each combination of the other rows; those are formed in
+    blocks of about _BLOCK_CELLS / n.  For q = 2 the words are bit-packed
+    into uint64 and added by XOR.
     """
-    rows = linalg.rows_to_ints(G)
-    k = len(rows)
-    acc, best, count, words = 0, None, 0, []
-    for i in range(1, 1 << k):
-        acc ^= rows[(i & -i).bit_length() - 1]
-        w = acc.bit_count()
-        if best is None or w < best:
-            best, count = w, 1
-        elif w == best:
-            count += 1
-        if w == keep_weight:
-            words.append(acc)
-    return best, count, words
+    F, G = C.field, C.generator
+    q, (k, n) = F.q, G.shape
+    lo = 0
+    while lo < k and q ** (lo + 1) * n <= _BLOCK_CELLS:
+        lo += 1
 
+    def table(M):  # q = 2: rows bit-packed into whole uint64 words
+        if q != 2:
+            return M
+        packed = np.zeros((len(M), -(-n // 64)), dtype=np.uint64)
+        packed.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(M, axis=1)
+        return packed
 
-def _odometer_enumerate(C, keep_weight=-1):
-    """All nonzero codewords by an incremental digit odometer; a couple of
-    table-vector updates per step.  Returns (min_weight, count, words);
-    words holds the codewords of weight keep_weight (none by default)."""
-    F = C.field
-    G = C.generator
-    k, n = G.shape
-    digits = [0] * k
-    acc = np.zeros(n, dtype=np.uint8)
-    best, count, words = None, 0, []
-    total = F.q ** k - 1
-    for _ in range(total):
-        j = 0
-        while digits[j] == F.q - 1:
-            acc = F.sub(acc, F.mul(digits[j], G[j]))
-            digits[j] = 0
-            j += 1
-        acc = F.sub(acc, F.mul(digits[j], G[j]))
-        digits[j] += 1
-        acc = F.add(acc, F.mul(digits[j], G[j]))
-        w = int(np.count_nonzero(acc))
-        if best is None or w < best:
-            best, count = w, 1
-        elif w == best:
-            count += 1
-        if w == keep_weight:
-            words.append(acc.copy())
-    return best, count, words
+    low = table(linalg.matmul(_messages(q, lo, 0, q ** lo), G[:lo], F))
+    A = np.zeros(n + 1, dtype=np.int64)
+    words = []
+    step, stop = max(1, _BLOCK_CELLS // max(1, n)), q ** (k - lo)
+    for start in range(0, stop, step):
+        high = linalg.matmul(_messages(q, k - lo, start, min(start + step, stop)), G[lo:], F)
+        for h in table(high):
+            if q == 2:
+                block = low ^ h
+                w = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
+            else:
+                block = F.add(low, h)
+                w = np.count_nonzero(block, axis=1)
+            A += np.bincount(w, minlength=n + 1)
+            if keep_weight >= 0:
+                words.append(block[w == keep_weight])
+    A[0] -= 1  # the zero message
+    if keep_weight < 0:
+        return A, []
+    words = np.concatenate(words)[1 if keep_weight == 0 else 0:]
+    if q == 2:
+        words = np.unpackbits(words.view(np.uint8), axis=1, count=n)
+    return A, list(words)
 
 
 def min_distance_exhaustive(C, cap=DEFAULT_ENUM_CAP):
-    """Exact minimum distance and minimum-weight count by full enumeration."""
+    """Exact minimum distance and minimum-weight count by full enumeration.
+
+    ``weight_counts`` is {w: A_w} over the weights that occur among the
+    codewords of the q^k - 1 nonzero messages, so its values sum to
+    ``enumerated``; weight 0 appears only when the rows are dependent.
+    """
     total = C.field.q ** C.k - 1
     if total > cap:
         raise TooLarge(
             f"{total} codewords exceed the cap {cap}; "
             "use low_weight_dual_search for dual codes")
-    if C.field.q == 2:
-        d, count, _ = _gray_enumerate_gf2(C.generator)
-    else:
-        d, count, _ = _odometer_enumerate(C)
-    return WeightReport(min_distance=d, min_weight_count=count,
-                        method="full-enumeration", enumerated=total)
+    A, _ = _enumerate(C)
+    counts = {w: int(a) for w, a in enumerate(A.tolist()) if a}
+    d = min(counts, default=None)
+    return WeightReport(min_distance=d, min_weight_count=counts.get(d, 0),
+                        method="full-enumeration", enumerated=total,
+                        weight_counts=counts)
 
 
 # ----------------------------------------------------- low-weight dual search
@@ -343,10 +354,7 @@ def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
     """
     total = C.field.q ** C.k - 1
     if total <= cap:
-        if C.field.q == 2:
-            _, _, packed = _gray_enumerate_gf2(C.generator, keep_weight=d)
-            return list(linalg.ints_to_rows(packed, C.n))
-        return _odometer_enumerate(C, keep_weight=d)[2]
+        return _enumerate(C, keep_weight=d)[1]
     primal = C.meta.get("dual_of")
     if primal is not None and d <= 4:
         return dual_codewords_of_weight(primal, d)

@@ -20,6 +20,7 @@ from .alist import export_parity_alist
 from .codes import (build_affine_grassmann, theoretical_params,
                     write_generator)
 from .errors import AGCError, SizeOutOfRange, TooLarge
+from .field import make_field
 from .monomials import Rectangle
 
 DEFAULT_MAX_COORDS = 2 ** 20
@@ -40,10 +41,10 @@ def _coord_cap(args):
 
 
 def _check_cap(args):
-    n = args.q ** (args.l * (args.m - args.l))
-    cap = _coord_cap(args)
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds AGC_MAX_COORDS = {cap}")
+    make_field(args.q)
+    delta, cap = args.l * (args.m - args.l), _coord_cap(args)
+    if delta > cap.bit_length() or args.q ** delta > cap:  # n >= 2^delta
+        raise TooLarge(f"n = {args.q}^{delta} exceeds AGC_MAX_COORDS = {cap}")
 
 
 def _build(args):

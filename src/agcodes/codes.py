@@ -18,7 +18,8 @@ from . import linalg
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import make_field
 from .minors import enumerate_minors, minor_polynomial
-from .monomials import Rectangle, all_reduced_monomials, monomial_degree
+from .monomials import (Rectangle, all_reduced_monomials, monomial_degree,
+                        reduce_exponent)
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
 
@@ -66,8 +67,8 @@ def evaluate(f, pe):
     for mu, c in f.terms.items():
         term = np.full(pe.n, c, dtype=np.uint8)
         for slot, e in enumerate(mu):
-            if e:
-                term = F.mul_table[term, F.pow_table[pts[:, slot], e]]
+            if e:  # x^e = x^(reduced e) on F_q, so non-reduced terms evaluate too
+                term = F.mul_table[term, F.pow_table[pts[:, slot], reduce_exponent(e, F.q)]]
         out = F.add_table[out, term]
     return out
 

@@ -21,7 +21,7 @@ from .errors import (InvalidWitnessParams, OrthogonalityViolation,
 from .field import make_field
 from .minors import enumerate_minors, minor_terms
 from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
-                        full_product, monomial_div, monomial_divides)
+                        full_product, monomial_div)
 
 
 @dataclass(frozen=True)

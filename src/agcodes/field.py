@@ -135,32 +135,16 @@ class FieldSpec:
             e >>= 1
         return result
 
-    @property
-    def one(self):
-        return 1
-
-    @property
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
-
-
-def field_op(F, op, *args):
-    """Dispatch a named field operation: add, mul, neg, inv or pow."""
-    ops = {"add": F.add, "mul": F.mul, "neg": F.neg, "inv": F.inv, "pow": F.pow}
-    if op not in ops:
-        raise ValueError(f"unknown field op {op!r}")
-    return ops[op](*args)
 
 
 @lru_cache(maxsize=None)
 def make_field(q):
     """Build F_q for a prime power q <= 16."""
-    p, t = _factor_prime_power(q)
-    if q > MAX_Q:
+    if q > MAX_Q:  # before factoring, which takes sqrt(q) steps
         raise Unsupported(f"q = {q} exceeds the cap of {MAX_Q}")
+    p, t = _factor_prime_power(q)
     modulus = _MODULI.get(q, ()) if t > 1 else ()
 
     add = np.zeros((q, q), dtype=np.uint8)

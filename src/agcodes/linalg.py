@@ -2,8 +2,7 @@
 
 Matrices are numpy arrays of element codes (uint8).  Prime fields go
 through integer arithmetic mod p; extension fields go through the field's
-lookup tables.  For q = 2 there is a bit-packed fast path used by the
-enumeration-heavy callers.
+lookup tables.  For q = 2, rank runs on rows bit-packed into Python ints.
 """
 
 from __future__ import annotations
@@ -19,15 +18,6 @@ def rows_to_ints(M):
     """Pack each row of a 0/1 matrix into a python int (column j -> bit j)."""
     return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             for row in np.asarray(M, dtype=np.uint8)]
-
-
-def ints_to_rows(ints, n):
-    nbytes = (n + 7) // 8
-    out = np.zeros((len(ints), n), dtype=np.uint8)
-    for i, v in enumerate(ints):
-        raw = np.frombuffer(v.to_bytes(nbytes, "little"), dtype=np.uint8)
-        out[i] = np.unpackbits(raw, bitorder="little")[:n]
-    return out
 
 
 class Gf2RowReducer:

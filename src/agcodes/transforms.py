@@ -8,7 +8,7 @@ a permutation to a codeword c gives c[perm].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

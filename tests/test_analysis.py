@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,6 +53,31 @@ def _class_sizes(C):
     return list(sizes.values())
 
 
+def _brute_force_words(C):
+    """The codeword of every nonzero message, from F.add and F.mul alone."""
+    F, G = C.field, C.generator
+    msgs = np.array(list(itertools.product(range(F.q), repeat=C.k))[1:],
+                    dtype=np.uint8).reshape(-1, C.k)
+    words = np.zeros((len(msgs), C.n), dtype=np.uint8)
+    for j in range(C.k):
+        words = F.add(words, F.mul(msgs[:, j][:, None], G[j][None, :]))
+    return words
+
+
+def _macwilliams(A, n, q, k, w_max):
+    """B_1..B_w_max of the dual from the weight distribution A (A[0] = 1),
+    with exact Krawtchouk sums: q^k B_j = sum_i A_i K_j(i)."""
+    def krawtchouk(j, i):
+        return sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+                   for s in range(j + 1))
+    out = {}
+    for j in range(1, w_max + 1):
+        total = sum(a * krawtchouk(j, i) for i, a in A.items())
+        assert total % q ** k == 0
+        out[j] = total // q ** k
+    return out
+
+
 @st.composite
 def small_generators(draw):
     """Small generators over q <= 16: either pairwise non-proportional
@@ -96,12 +122,50 @@ class TestExhaustiveEnumeration:
         if p.min_weight_count is not None:
             assert rep.min_weight_count == p.min_weight_count
 
-    def test_gray_and_odometer_agree(self):
-        """Run the generic odometer on a GF(2) code and compare paths."""
-        C = build_affine_grassmann(2, 4, 2, 2)
-        d1, c1, _ = analysis._gray_enumerate_gf2(C.generator)
-        d2, c2, _ = analysis._odometer_enumerate(C)
-        assert (d1, c1) == (d2, c2) == (6, 16)
+    @settings(max_examples=80, deadline=None)
+    @given(small_generators(), st.integers(0, 9))
+    def test_matches_brute_force(self, C, keep):
+        """Weight distribution and the words of one weight, against every
+        message combined with F.add and F.mul alone."""
+        words = _brute_force_words(C)
+        weights = np.count_nonzero(words, axis=1).tolist()
+        rep = analysis.min_distance_exhaustive(C)
+        assert rep.weight_counts == Counter(weights)
+        assert rep.min_distance == min(weights)
+        assert rep.min_weight_count == weights.count(rep.min_distance)
+        got = analysis.min_weight_codewords(C, keep)
+        assert sorted(w.tobytes() for w in got) == \
+            sorted(w.tobytes() for w, x in zip(words, weights) if x == keep)
+
+    def test_no_rows(self):
+        C = Code(field=make_field(3), generator=np.zeros((0, 5), dtype=np.uint8))
+        rep = analysis.min_distance_exhaustive(C)
+        assert (rep.min_distance, rep.min_weight_count, rep.enumerated,
+                rep.weight_counts) == (None, 0, 0, {})
+        assert analysis.min_weight_codewords(C, 0) == []
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_repeated_rows_give_weight_zero(self, q):
+        G = np.array([[1, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1]], dtype=np.uint8)
+        C = Code(field=make_field(q), generator=G)
+        rep = analysis.min_distance_exhaustive(C)
+        assert (rep.min_distance, rep.min_weight_count) == (0, q - 1)
+        assert sum(rep.weight_counts.values()) == rep.enumerated == q ** 3 - 1
+        zeros = analysis.min_weight_codewords(C, 0)
+        assert len(zeros) == q - 1 and not np.any(zeros)
+
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 1), (3, 2, 4, 2),
+                                           (4, 2, 4, 2), (16, 1, 2, 1),
+                                           (2, 2, 6, 1), (2, 2, 6, 2),
+                                           (2, 3, 6, 2)])
+    def test_macwilliams_matches_support_search(self, q, ell, m, r):
+        """The dual counts B_1..B_4 by the MacWilliams transform of the full
+        weight distribution, a route that shares no code with the search."""
+        C = build_affine_grassmann(ell, m, r, q)
+        A = analysis.min_distance_exhaustive(C).weight_counts
+        assert 0 not in A and sum(A.values()) == q ** C.k - 1
+        dual = _macwilliams({0: 1, **A}, C.n, q, C.k, 4)
+        assert dual == analysis.low_weight_dual_search(C, 4).weight_counts
 
     def test_cap(self):
         C = build_affine_grassmann(3, 6, 3, 2)

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from agcodes import cli
 from agcodes.alist import read_alist
 
 
@@ -145,6 +147,22 @@ class TestFailurePaths:
                       "--out", out)
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "FileNotFoundError"
+
+    def test_huge_grid_rejected_without_computing_n(self):
+        res = run_cli("report", "--q", "3", "--l", "2000000", "--m", "4000000",
+                      "--r", "1")
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "TooLarge"
+        t0 = time.perf_counter()
+        assert cli.main(["report", "--q", "3", "--l", "2000000", "--m", "4000000",
+                         "--r", "1"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_huge_q_rejected_before_factoring(self):
+        res = run_cli("build", "--q", str(10 ** 20 + 39), "--l", "1", "--m", "2",
+                      "--r", "1")
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "Unsupported"
 
     def test_missing_subcommand(self):
         res = run_cli()

@@ -14,7 +14,7 @@ from agcodes.codes import (Code, PointEnumeration, build_affine_grassmann,
 from agcodes.errors import (DimensionMismatch, OrderOutOfRange,
                             SizeOutOfRange, TooLarge)
 from agcodes.field import make_field
-from agcodes.monomials import Rectangle, SparsePolynomial
+from agcodes.monomials import Rectangle, SparsePolynomial, reduce_polynomial
 
 
 class TestPointEnumeration:
@@ -55,6 +55,17 @@ class TestEvaluate:
         ev = evaluate(f, pe)
         for i in range(pe.n):
             assert ev[i] == f.evaluate_at(tuple(pe.points[i]))
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_non_reduced_exponents(self, q):
+        """Exponents of q and above evaluate as their reductions do."""
+        F = make_field(q)
+        rect = Rectangle(1, 2)
+        pe = PointEnumeration(rect, F)
+        f = SparsePolynomial(F, rect, {(q, 0): 1, (2 * q - 1, q + 1): 1, (1, 0): 1})
+        ev = evaluate(f, pe)
+        assert np.array_equal(ev, evaluate(reduce_polynomial(f), pe))
+        assert ev.tolist() == [f.evaluate_at(tuple(p)) for p in pe.points]
 
     def test_rect_mismatch_rejected(self):
         F = make_field(2)

@@ -14,14 +14,6 @@ def _random_matrix(rng, rows, cols, q):
     return rng.integers(0, q, size=(rows, cols)).astype(np.uint8)
 
 
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(1)
-    M = _random_matrix(rng, 17, 70, 2)
-    ints = linalg.rows_to_ints(M)
-    back = linalg.ints_to_rows(ints, 70)
-    assert np.array_equal(M, back)
-
-
 def test_gf2_reducer_matches_dense_rank():
     rng = np.random.default_rng(2)
     F = make_field(2)
