@@ -89,6 +89,8 @@ def _export_alist(args):
 
 
 def _verify(args):
+    if args.seed < 0:
+        raise SizeOutOfRange(f"--seed must be nonnegative, got {args.seed}")
     _check_cap(args)
     q, ell, m = args.q, args.l, args.m
     rng = np.random.default_rng(args.seed)

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
+from .alist import _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import make_field
 from .minors import enumerate_minors, minor_polynomial
@@ -118,10 +119,9 @@ class Code:
 
 def write_generator(code, path):
     """Plain-text export: first line 'q n k', then k rows of element codes."""
-    with open(path, "w") as fh:
-        fh.write(f"{code.field.q} {code.n} {code.k}\n")
-        for row in code.generator:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{code.field.q} {code.n} {code.k}\n".encode())
+        _write_rows(fh, code.generator)
 
 
 def gaussian_binomial(a, b, q):

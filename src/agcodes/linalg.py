@@ -1,8 +1,10 @@
 """Linear algebra over F_q on small dense matrices.
 
-Matrices are numpy arrays of element codes (uint8).  Prime fields go
-through integer arithmetic mod p; extension fields go through the field's
-lookup tables.  For q = 2, rank runs on rows bit-packed into Python ints.
+Matrices are numpy arrays of element codes (uint8).  Over a prime field,
+elimination runs in integer arithmetic mod p and products run as exact
+float32 BLAS products reduced mod p; extension fields go through the
+field's lookup tables.  rank eliminates whichever of M and its transpose
+has fewer rows; for q = 2 it runs on rows bit-packed into Python ints.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ def rank(M, F):
     M = np.asarray(M, dtype=np.uint8)
     if M.size == 0:
         return 0
+    if M.shape[0] > M.shape[1]:  # rank(M) = rank(M^T): eliminate the shorter side
+        M = M.T
     if F.q == 2:
         return gf2_rank(M)
     return len(rref(M, F)[1])
@@ -148,7 +152,16 @@ def matmul(A, B, F):
     A = np.asarray(A, dtype=np.uint8)
     B = np.asarray(B, dtype=np.uint8)
     if F.t == 1:
-        return ((A.astype(np.int64) @ B.astype(np.int64)) % F.p).astype(np.uint8)
+        # float32 BLAS is exact while every partial sum stays below 2^24:
+        # reduce mod p after each slice of the inner dimension
+        p = F.p
+        step = (2 ** 24 - p) // (p - 1) ** 2
+        A32, B32 = A.astype(np.float32), B.astype(np.float32)
+        acc = np.zeros(A.shape[:1] + B.shape[1:], dtype=np.float32)
+        for start in range(0, A.shape[1], step):
+            acc += A32[:, start:start + step] @ B32[start:start + step]
+            np.remainder(acc, p, out=acc)
+        return acc.astype(np.uint8)
     acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
     for i in range(A.shape[1]):
         acc = F.add(acc, F.mul(A[:, i][:, None], B[i, :][None, :]))

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from agcodes.alist import export_parity_alist, read_alist, write_alist, write_qval
-from agcodes.codes import build_affine_grassmann
+from agcodes.alist import (_BLOCK_CELLS, _write_rows, export_parity_alist,
+                           read_alist, write_alist, write_qval)
+from agcodes.codes import Code, build_affine_grassmann, write_generator
 from agcodes.dual import build_dual_code
+from agcodes.errors import TooLarge
+from agcodes.field import make_field
 
 
 def test_header_and_weights(tmp_path):
@@ -69,3 +72,97 @@ def test_weight_mismatch_detected(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError):
         read_alist(path)
+
+
+# ------------------------------------------------ byte identity of the writers
+# Per-element reference writers: the text format entry by entry.
+
+def _ref_alist(H, path):
+    H = np.asarray(H)
+    m, n = H.shape
+    col_idx = [list(np.nonzero(H[:, j])[0] + 1) for j in range(n)]
+    row_idx = [list(np.nonzero(H[i, :])[0] + 1) for i in range(m)]
+    max_col = max((len(c) for c in col_idx), default=0)
+    max_row = max((len(r) for r in row_idx), default=0)
+
+    def padded(idx, width):
+        return " ".join(str(v) for v in idx + [0] * (width - len(idx)))
+
+    with open(path, "w") as fh:
+        fh.write(f"{n} {m}\n")
+        fh.write(f"{max_col} {max_row}\n")
+        fh.write(" ".join(str(len(c)) for c in col_idx) + "\n")
+        fh.write(" ".join(str(len(r)) for r in row_idx) + "\n")
+        for c in col_idx:
+            fh.write(padded(c, max_col) + "\n")
+        for r in row_idx:
+            fh.write(padded(r, max_row) + "\n")
+
+
+def _ref_qval(H, path):
+    H = np.asarray(H)
+    m, n = H.shape
+    with open(path, "w") as fh:
+        for j in range(n):
+            vals = H[np.nonzero(H[:, j])[0], j]
+            fh.write(" ".join(str(int(v)) for v in vals) + "\n")
+        for i in range(m):
+            vals = H[i, np.nonzero(H[i, :])[0]]
+            fh.write(" ".join(str(int(v)) for v in vals) + "\n")
+
+
+def _ref_generator(code, path):
+    with open(path, "w") as fh:
+        fh.write(f"{code.field.q} {code.n} {code.k}\n")
+        for row in code.generator:
+            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+
+
+def _assert_same_bytes(H, q, tmp_path):
+    code = Code(field=make_field(q), generator=H)
+    for new, ref, arg in ((write_alist, _ref_alist, H),
+                          (write_qval, _ref_qval, H),
+                          (write_generator, _ref_generator, code)):
+        new(arg, tmp_path / "new")
+        ref(arg, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), \
+            (new.__name__, q, H.shape)
+
+
+def _random_entries(rng, shape, q, density):
+    H = rng.integers(1, q, size=shape) * (rng.random(shape) < density)
+    return H.astype(np.uint8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_writers_match_reference(q, tmp_path):
+    rng = np.random.default_rng(q)
+    for shape in [(0, 5), (5, 0), (0, 0), (1, 1), (6, 9), (23, 40)]:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            H = _random_entries(rng, shape, q, density)
+            if min(shape) > 2:
+                H[1] = 0     # a zero row
+                H[:, 2] = 0  # and a zero column
+            _assert_same_bytes(H, q, tmp_path)
+
+
+def test_writers_match_reference_wide(tmp_path):
+    rng = np.random.default_rng(1)
+    H = _random_entries(rng, (3, 10_007), 3, 0.3)  # indices up to 10007
+    _assert_same_bytes(H, 3, tmp_path)
+
+
+def test_writers_match_reference_over_row_blocks(tmp_path):
+    rng = np.random.default_rng(2)
+    rows = 3 * _BLOCK_CELLS // 200 + 7  # several row blocks either way round
+    H = _random_entries(rng, (rows, 200), 16, 0.2)
+    H[rows // 2] = 0
+    _assert_same_bytes(H, 16, tmp_path)
+
+
+def test_entry_width_limit(tmp_path):
+    with open(tmp_path / "ok", "wb") as fh:
+        _write_rows(fh, np.array([[1_000_000, 0], [1, 10]]), lengths=[2, 0])
+    assert (tmp_path / "ok").read_bytes() == b"1000000 0\n\n"
+    with open(tmp_path / "big", "wb") as fh, pytest.raises(TooLarge):
+        _write_rows(fh, np.array([[10_000_000]]))

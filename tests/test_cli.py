@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +62,20 @@ class TestDual:
         assert open(out).read().splitlines()[0] == "2 16 10"
         H = read_alist(out + ".alist")
         assert H.shape == (10, 16)
+
+    def test_dual_files_are_pinned(self, tmp_path):
+        # sha256 of the three files for AGC(2,4;2)/F4
+        pinned = {
+            "": "18db2c098b1f4bb2d561df707f89e813bb64080343472be4ddecc39b1ccb596a",
+            ".alist": "2632dac879c2c1833903f7b86d8cc73a5edcfa8dbc27a5a98004c34e10ceab8f",
+            ".alist.qval": "7b2df175220436f3545417a31ef91cbc60dd3306e9aa912423d00cae5542aa7c",
+        }
+        out = str(tmp_path / "dual.txt")
+        assert cli.main(["dual", "--q", "4", "--l", "2", "--m", "4", "--r", "2",
+                         "--out", out]) == 0
+        for suffix, digest in pinned.items():
+            with open(out + suffix, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
 
 
 class TestExportAlist:
@@ -163,6 +178,12 @@ class TestFailurePaths:
                       "--r", "1")
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "Unsupported"
+
+    def test_negative_seed_exits_with_record(self):
+        res = run_cli("verify", "--q", "2", "--l", "1", "--m", "2", "--seed", "-1")
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "SizeOutOfRange"
+        assert "Traceback" not in res.stderr
 
     def test_missing_subcommand(self):
         res = run_cli()

@@ -73,6 +73,46 @@ def test_matmul_matches_schoolbook(q):
             assert C[i, j] == acc
 
 
+def _matmul_reference(A, B, p):
+    (rows, inner), cols = A.shape, B.shape[1]
+    return [[sum(int(A[i, t]) * int(B[t, j]) for t in range(inner)) % p
+             for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_matmul_is_exact(p):
+    rng = np.random.default_rng(50 + p)
+    F = make_field(p)
+    for rows, inner, cols in [(7, 33, 5), (1, 200, 1), (3, 0, 4), (0, 5, 3),
+                              (4, 6, 0), (0, 0, 0)]:
+        A = _random_matrix(rng, rows, inner, p)
+        B = _random_matrix(rng, inner, cols, p)
+        C = linalg.matmul(A, B, F)
+        assert C.dtype == np.uint8 and C.shape == (rows, cols)
+        assert C.tolist() == _matmul_reference(A, B, p)
+    # all entries p - 1: the largest products
+    A = np.full((3, 1000), p - 1, dtype=np.uint8)
+    assert linalg.matmul(A, A.T, F).tolist() == _matmul_reference(A, A.T, p)
+
+
+@pytest.mark.parametrize("inner, value", [(120_000, 12), (150_001, 11)])
+def test_prime_matmul_past_float32_integers(inner, value):
+    # inner * value^2 exceeds 2^24; 150001 * 121 is odd, so no single
+    # float32 sum can hold it and the inner dimension must be sliced
+    F = make_field(13)
+    A = np.full((1, inner), value, dtype=np.uint8)
+    assert inner * value ** 2 > 2 ** 24
+    assert linalg.matmul(A, A.T, F).tolist() == [[inner * value ** 2 % 13]]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_rank_of_tall_matrix(q):
+    rng = np.random.default_rng(60 + q)
+    F = make_field(q)
+    M = np.concatenate([_random_matrix(rng, 4, 9, q)] * 5)  # 20 x 9, rank <= 4
+    assert linalg.rank(M, F) == len(linalg.rref(M, F)[1]) == linalg.rank(M.T, F)
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_inverse_roundtrip(q):
     rng = np.random.default_rng(30 + q)
