@@ -4,6 +4,12 @@ The point order is fixed once and for all: point index n corresponds to the
 base-q digit expansion of n filled into the grid row-major, with entry
 (1,1) as the least significant digit.  Every generator matrix in the
 package is reproducible bit for bit from this convention.
+
+Evaluation is one numpy kernel for every q: ``evaluate_rows`` writes the
+evaluations of a list of polynomials straight into one preallocated
+matrix, a block of rows at a time, building each distinct monomial's
+vector as a Kronecker product of power-table columns.  Every builder
+calls it once, and ``evaluate`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .alist import _write_rows
+from .alist import _BLOCK_CELLS, _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import make_field
 from .minors import enumerate_minors, minor_polynomial
@@ -60,18 +66,76 @@ class PointEnumeration:
 
 def evaluate(f, pe):
     """Ev(f): coordinate i is f(P_i).  Linear in f."""
-    if f.rect != pe.rect or f.field.q != pe.field.q:
-        raise DimensionMismatch("polynomial does not match the point enumeration")
-    F = pe.field
-    pts = pe.points
-    out = np.zeros(pe.n, dtype=np.uint8)
-    for mu, c in f.terms.items():
-        term = np.full(pe.n, c, dtype=np.uint8)
-        for slot, e in enumerate(mu):
-            if e:  # x^e = x^(reduced e) on F_q, so non-reduced terms evaluate too
-                term = F.mul_table[term, F.pow_table[pts[:, slot], reduce_exponent(e, F.q)]]
-        out = F.add_table[out, term]
-    return out
+    return evaluate_rows([f], pe)[0]
+
+
+def _table(values):
+    """values padded to the 256-byte table that bytes.translate takes."""
+    table = np.zeros(256, dtype=np.uint8)
+    table[:values.size] = values.ravel()
+    return table.tobytes()
+
+
+def _lookup(table, idx):
+    """table[idx] for a uint8 array idx; unlike take, this makes no intp
+    copy of idx (8 bytes per entry)."""
+    return np.frombuffer(idx.tobytes().translate(table), dtype=np.uint8).reshape(idx.shape)
+
+
+def evaluate_rows(polys, pe):
+    """The (len(polys), n) matrix whose row j is Ev(polys[j]).
+
+    Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  Per block,
+    each distinct monomial is evaluated once, as the Kronecker product of
+    the columns ``pow_table[:, e_s]`` (slot s is digit q^s of the point
+    index, so each new slot goes on the outer axis); pass t then adds
+    c * Ev(mu) for the t-th term c * mu of every row, so that each scatter
+    writes to distinct rows.
+    """
+    F, n = pe.field, pe.n
+    q = F.q
+    for f in polys:
+        if f.rect != pe.rect or f.field.q != q:
+            raise DimensionMismatch("polynomial does not match the point enumeration")
+    # a * q + b < 256 for q <= 16, so table lookups index with uint8 sums
+    mul, add = _table(F.mul_table), _table(F.add_table)
+    H = np.zeros((len(polys), n), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, len(polys), step):
+        index = {}  # monomial -> its row of V
+        passes = []  # pass t: rows, monomial indices and coefficients of t-th terms
+        for row, f in enumerate(polys[start:start + step]):
+            for t, (mu, c) in enumerate(f.terms.items()):
+                if not 0 <= c < q:
+                    raise ValueError(f"coefficient {c} is not an element of F_{q}")
+                if min(mu) < 0 or max(mu) >= q:  # x^e = x^(reduced e) on F_q
+                    mu = tuple(reduce_exponent(e, q) for e in mu)
+                if t == len(passes):
+                    passes.append(([], [], []))
+                rows, mons, coefs = passes[t]
+                rows.append(row)
+                mons.append(index.setdefault(mu, len(index)))
+                coefs.append(c)
+        if not index:
+            continue
+        E = np.array(list(index), dtype=np.intp)
+        V = F.pow_table[:, E[:, 0]].T
+        for s in range(1, E.shape[1]):
+            digit = F.pow_table[:, E[:, s]].T
+            V = _lookup(mul, digit[:, :, None] * q + V[:, None, :]).reshape(len(E), -1)
+        block = H[start:start + step]
+        for t, (rows, mons, coefs) in enumerate(passes):
+            rows, mons, coefs = np.array(rows), np.array(mons), np.array(coefs)
+            for c in range(1, q):
+                sel = coefs == c
+                if not sel.any():
+                    continue
+                terms = V[mons[sel]]
+                if c != 1:
+                    terms = _lookup(_table(F.mul_table[c]), terms)
+                r = rows[sel]
+                block[r] = terms if t == 0 else _lookup(add, block[r] * q + terms)
+    return H
 
 
 @dataclass(eq=False)
@@ -196,9 +260,8 @@ def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
     if params.n * params.k > max_cells:
         raise TooLarge(f"n*k = {params.n * params.k} exceeds cap {max_cells}")
     pe = PointEnumeration(rect, F)
-    rows = [evaluate(minor_polynomial(M, F, rect), pe)
-            for M in delta_monomial_set(rect, r)]
-    G = np.array(rows, dtype=np.uint8)
+    G = evaluate_rows([minor_polynomial(M, F, rect)
+                       for M in delta_monomial_set(rect, r)], pe)
     if linalg.rank(G, F) != params.k:
         raise AssertionError("minor evaluations unexpectedly dependent")
     if r >= 1 and (~G.any(axis=0)).any():
@@ -221,8 +284,7 @@ def build_reed_muller(r, delta, q, max_cells=DEFAULT_MAX_CELLS):
     if pe.n * len(mus) > max_cells:
         raise TooLarge("RM build exceeds the size cap")
     from .monomials import SparsePolynomial
-    G = np.array([evaluate(SparsePolynomial.monomial(F, rect, mu), pe) for mu in mus],
-                 dtype=np.uint8)
+    G = evaluate_rows([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
     expected = rm_theoretical_params(r, delta, q).k
     if G.shape[0] != expected:
         raise AssertionError("monomial count disagrees with the dimension formula")

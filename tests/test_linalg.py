@@ -1,5 +1,7 @@
 """Linear algebra kernels over F_q, including the GF(2) bit-packed path."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -74,9 +76,8 @@ def test_matmul_matches_schoolbook(q):
 
 
 def _matmul_reference(A, B, p):
-    (rows, inner), cols = A.shape, B.shape[1]
-    return [[sum(int(A[i, t]) * int(B[t, j]) for t in range(inner)) % p
-             for j in range(cols)] for i in range(rows)]
+    cols = B.T.tolist()
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A.tolist()]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -103,6 +104,81 @@ def test_prime_matmul_past_float32_integers(inner, value):
     A = np.full((1, inner), value, dtype=np.uint8)
     assert inner * value ** 2 > 2 ** 24
     assert linalg.matmul(A, A.T, F).tolist() == [[inner * value ** 2 % 13]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_prime_matmul_over_row_blocks(p, monkeypatch):
+    rng = np.random.default_rng(70 + p)
+    F = make_field(p)
+    # A at full block size: 7 rows of 2^18 + 1 entries are 3 row blocks,
+    # and each row's sum passes 2^24 for p = 13
+    inner = 2 ** 18 + 1
+    A = _random_matrix(rng, 7, inner, p)
+    B = _random_matrix(rng, inner, 2, p)
+    assert linalg._MATMUL_BLOCK_CELLS // inner == 3
+    assert linalg.matmul(A, B, F).tolist() == _matmul_reference(A, B, p)
+    # small blocks, so that many shapes cross block boundaries
+    monkeypatch.setattr(linalg, "_MATMUL_BLOCK_CELLS", 40)
+    for rows, inner, cols in [(23, 9, 4), (10, 40, 3), (5, 41, 1), (9, 100, 2),
+                              (0, 9, 3), (6, 0, 2)]:
+        A = _random_matrix(rng, rows, inner, p)
+        B = _random_matrix(rng, inner, cols, p)
+        C = linalg.matmul(A, B, F)
+        assert C.dtype == np.uint8 and C.tolist() == _matmul_reference(A, B, p)
+
+
+def _reference_rref(M, p):
+    """Gauss-Jordan elimination mod p on Python ints."""
+    R = [list(row) for row in M.tolist()]
+    pivots, r = [], 0
+    for c in range(M.shape[1]):
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def _reference_nullspace(M, p):
+    R, pivots = _reference_rref(M, p)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * M.shape[1]
+        v[fc] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][fc] % p
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 1), (3, 40), (0, 4)])
+@pytest.mark.parametrize("fill", ["all12", "random", "low_rank"])
+def test_prime_elimination_against_reference(shape, fill):
+    # p = 13: entries up to 12, products up to 144
+    rng = np.random.default_rng(sum(shape))
+    F = make_field(13)
+    if fill == "all12":
+        M = np.full(shape, 12, dtype=np.uint8)
+    elif fill == "random":
+        M = _random_matrix(rng, *shape, 13)
+    else:
+        M = linalg.matmul(_random_matrix(rng, shape[0], 2, 13),
+                          _random_matrix(rng, 2, shape[1], 13), F)
+    R_ref, pivots_ref = _reference_rref(M, 13)
+    R, pivots = linalg.rref(M, F)
+    assert R.dtype == np.uint8
+    assert R.tolist() == R_ref and pivots == pivots_ref
+    assert linalg.rank(M, F) == len(pivots_ref)
+    assert linalg.nullspace(M, F).tolist() == _reference_nullspace(M, 13)
 
 
 @pytest.mark.parametrize("q", FIELDS)
