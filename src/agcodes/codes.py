@@ -173,8 +173,18 @@ class Code:
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.n,):
             raise DimensionMismatch("word length mismatch")
-        syndrome = linalg.matmul(self.parity_check(), word[:, None], self.field)
-        return not syndrome.any()
+        return self._contains_rows(word[None, :])
+
+    def _contains_rows(self, words):
+        """True iff every row of words is a codeword.  The test goes through
+        whichever of the generator and the parity check has fewer rows:
+        rank([G; words]) == rank(G), or a zero syndrome.  So a code of low
+        dimension never builds its parity check here."""
+        F = self.field
+        if self.k <= self.n - self.k:
+            stacked = np.concatenate([self.generator, words])
+            return linalg.rank(stacked, F) == linalg.rank(self.generator, F)
+        return not linalg.matmul(self.parity_check(), words.T, F).any()
 
     def __repr__(self):
         tag = self.meta.get("kind", "RAW")

@@ -2,8 +2,24 @@
 
 The dual of the level-r code is spanned by the evaluations of the
 non-forbidden reduced monomials together with one binomial per (minor of
-size >= 2, non-identity permutation).  All orthogonality here is exact;
-any nonzero inner product is a hard error, never a warning.
+size >= 2, non-identity permutation).  ``build_dual_code`` proves this
+symbolically, on exponents, before it evaluates anything:
+
+* Orthogonality.  Over F_q, the sum of x^e over all x is -1 when e > 0
+  and (q-1) | e, and 0 otherwise.  So <Ev f, Ev g> is the sum of
+  c_f c_g chi(mu + nu) over the terms c_f mu of f and c_g nu of g, where
+  chi(e) = (-1)^delta if every slot of e is positive and divisible by
+  q - 1, and chi(e) = 0 otherwise.  A minor's monomials are squarefree, so
+  for q > 2 the test is mu = full/nu, and for q = 2 it is mu OR nu = full.
+* Independence.  Reduced monomials are a basis of the functions on
+  F_q^delta, so Ev is injective on reduced polynomials and the basis may
+  be ranked as coefficient vectors.  A one-term row whose monomial no
+  other row uses is a pivot; the remaining rows (the binomials) are
+  ranked on the few forbidden monomials they touch.
+
+With n - k independent rows orthogonal to the code, the basis spans the
+dual.  All of this is exact; any nonzero inner product is a hard error,
+never a warning.
 """
 
 from __future__ import annotations
@@ -15,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import (Code, PointEnumeration, evaluate, evaluate_rows,
+from .alist import _BLOCK_CELLS
+from .codes import (DEFAULT_MAX_CELLS, Code, PointEnumeration,
+                    delta_monomial_set, evaluate, evaluate_rows,
                     theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
@@ -100,7 +118,8 @@ def dual_basis(ell, m, r, q, max_cells=None):
     F, rect = _params(ell, m, r, q)
     params = theoretical_params(ell, m, r, q)
     if max_cells is not None and params.n * (params.n - params.k) > max_cells:
-        raise TooLarge("dual basis exceeds the size cap")
+        raise TooLarge(f"n*(n-k) = {params.n * (params.n - params.k)} "
+                       f"exceeds cap {max_cells}")
     forb = forbidden_monomials(ell, m, r, q)
     basis = [SparsePolynomial.monomial(F, rect, mu)
              for mu in all_reduced_monomials(rect, q) if mu not in forb]
@@ -112,31 +131,97 @@ def dual_basis(ell, m, r, q, max_cells=None):
     return basis
 
 
-def build_dual_code(C, check_rank=True):
+def check_dual_basis(basis, ell, m, r, q):
+    """Prove that the evaluations of the reduced polynomials ``basis`` are
+    independent and orthogonal to every minor of size <= r.
+
+    Works on exponents alone (see the module docstring): the 0/1 table of
+    chi between each distinct basis monomial and each minor monomial,
+    times the minors' coefficient matrix, gives each monomial's inner
+    products with the minors, and each row adds its scaled terms.  The
+    common factor (-1)^delta is a unit and is left out.  Raises
+    OrthogonalityViolation on a nonzero inner product and AssertionError
+    on an unreduced exponent or a dependent row.
+    """
+    F, rect = _params(ell, m, r, q)
+    index, rows, mons, coefs, pos = {}, [], [], [], []
+    for row, f in enumerate(basis):
+        for t, (mu, c) in enumerate(f.terms.items()):
+            rows.append(row)
+            mons.append(index.setdefault(mu, len(index)))
+            coefs.append(c)
+            pos.append(t)
+    rows, mons, coefs, pos = (np.array(a, dtype=np.int64)
+                              for a in (rows, mons, coefs, pos))
+    E = np.array(list(index), dtype=np.int64).reshape(len(index), rect.delta)
+    if E.size and (E.min() < 0 or E.max() >= q):
+        raise AssertionError("dual basis has an unreduced exponent")
+    if coefs.size and (coefs.min() < 1 or coefs.max() >= q):
+        raise ValueError(f"a coefficient is not an element of F_{q}")
+
+    weights = q ** np.arange(rect.delta, dtype=np.int64)
+    full = q ** rect.delta - 1  # the key of the full product
+    minors = delta_monomial_set(rect, r)
+    terms = [(g, t) for g, M in enumerate(minors) for t in minor_terms(M, F, rect)]
+    nu = np.array([t.monomial for _, t in terms], dtype=np.int64) @ weights
+    coeff = np.zeros((len(terms), len(minors)), dtype=np.uint8)
+    coeff[np.arange(len(terms)), [g for g, _ in terms]] = [t.sign for _, t in terms]
+    keys = E @ weights
+    chi = np.empty((len(keys), len(nu)), dtype=bool)
+    step = max(1, _BLOCK_CELLS // len(nu))
+    for lo in range(0, len(keys), step):  # blocks bound the int64 temporaries
+        mu = keys[lo:lo + step, None]
+        chi[lo:lo + step] = (mu | nu) == full if q == 2 else mu == full - nu
+    hit = chi.any(axis=1)  # only the few monomials near full meet a minor
+    inner = np.zeros((len(keys), len(minors)), dtype=np.uint8)
+    inner[hit] = linalg.matmul(chi[hit], coeff, F)
+    gram = np.zeros((len(basis), len(minors)), dtype=np.uint8)
+    scaled = F.mul(coefs[:, None], inner[mons])
+    for t in range(int(pos.max(initial=-1)) + 1):  # rows are distinct in a pass
+        sel = pos == t
+        gram[rows[sel]] = F.add(gram[rows[sel]], scaled[sel])
+    if gram.any():
+        raise OrthogonalityViolation(
+            "dual basis not orthogonal to the minors of the code's level")
+
+    # a one-term row whose monomial no other row uses is a pivot; the
+    # other rows (the binomials) are ranked on the monomials they touch
+    nterms = np.bincount(rows, minlength=len(basis))
+    uses = np.bincount(mons, minlength=len(keys))
+    pivot = np.zeros(len(basis), dtype=bool)
+    pivot[rows[(nterms[rows] == 1) & (uses[mons] == 1)]] = True
+    if not pivot.all():
+        keep, rest = ~pivot, ~pivot[rows]
+        used = np.zeros(len(keys), dtype=bool)
+        used[mons[rest]] = True
+        B = np.zeros((int(keep.sum()), int(used.sum())), dtype=np.uint8)
+        B[np.cumsum(keep)[rows[rest]] - 1,
+          np.cumsum(used)[mons[rest]] - 1] = coefs[rest]
+        if linalg.rank(B, F) != B.shape[0]:
+            raise AssertionError("dual basis evaluations unexpectedly dependent")
+
+
+def build_dual_code(C):
     """Evaluate the explicit dual basis of an affine Grassmann code.
 
-    Verifies exact orthogonality against every generator row; the theorem
-    admits no slack, so any nonzero inner product raises.
+    The basis is first checked by ``check_dual_basis``: its evaluations
+    are orthogonal to every minor of the code's level, the polynomials the
+    generator rows evaluate, and independent, so with n - k rows they span
+    the dual exactly.  The theorem admits no slack, so any nonzero inner
+    product raises.  H is then evaluated once; a dual of more than
+    ``DEFAULT_MAX_CELLS`` entries raises TooLarge before any basis is built.
     """
     meta = C.meta
     if meta.get("kind") != "AGC":
         raise ValueError("build_dual_code needs a code built by build_affine_grassmann")
     ell, m, r, q = meta["ell"], meta["m"], meta["r"], meta["q"]
     F = C.field
-    pe = PointEnumeration(C.rect, F)
-    basis = dual_basis(ell, m, r, q)
-    H = evaluate_rows(basis, pe)
-    prods = linalg.matmul(H, C.generator.T, F)
-    if prods.any():
-        raise OrthogonalityViolation(
-            "dual basis evaluation not orthogonal to the generator matrix")
-    if check_rank and len(basis):
-        if linalg.rank(H, F) != len(basis):
-            raise AssertionError("dual basis evaluations unexpectedly dependent")
-    dual = Code(field=F, generator=H, rect=C.rect,
+    basis = dual_basis(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS)
+    check_dual_basis(basis, ell, m, r, q)
+    H = evaluate_rows(basis, PointEnumeration(C.rect, F))
+    return Code(field=F, generator=H, rect=C.rect,
                 meta={"kind": "DUAL", "dual_of": C,
                       "ell": ell, "m": m, "r": r, "q": q})
-    return dual
 
 
 def dual_min_weight_witness(ell, m, r, q, choice):

@@ -143,12 +143,12 @@ def nullspace(M, F):
     M = np.asarray(M, dtype=np.uint8)
     n = M.shape[1]
     R, pivots = rref(M, F)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for i, c in enumerate(pivots):
-            basis[bi, c] = F.neg(int(R[i, fc]))
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, n), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = F.neg(R[:len(pivots), free].T)
     return basis
 
 

@@ -126,12 +126,10 @@ def transpose_permutation(pe):
 
 def is_automorphism(C, perm):
     """True iff permuting the coordinates of every generator row stays in
-    the row space (checked by the parity-check syndrome)."""
+    the code (tested on the smaller of the generator and the parity check)."""
     if perm.n != C.n:
         raise DimensionMismatch("permutation length mismatch")
-    permuted = C.generator[:, perm.map]
-    syndromes = linalg.matmul(C.parity_check(), permuted.T, C.field)
-    return not syndromes.any()
+    return C._contains_rows(C.generator[:, perm.map])
 
 
 def subgroup_order_bound(ell, m, q):

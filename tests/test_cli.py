@@ -173,6 +173,20 @@ class TestFailurePaths:
                          "--r", "1"]) == 2
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("command", ["dual", "export-alist"])
+    def test_dual_over_size_cap_exits_with_record(self, command, tmp_path, capsys):
+        # n = 65536: H would be 65483 x 65536 (4 GiB); no row of it is made
+        out = str(tmp_path / "h.alist")
+        t0 = time.perf_counter()
+        rc = cli.main([command, "--q", "2", "--l", "4", "--m", "8", "--r", "2",
+                       "--out", out])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "TooLarge"
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
     def test_huge_q_rejected_before_factoring(self):
         res = run_cli("build", "--q", str(10 ** 20 + 39), "--l", "1", "--m", "2",
                       "--r", "1")

@@ -8,14 +8,17 @@ import pytest
 
 from agcodes import linalg
 from agcodes.codes import (PointEnumeration, build_affine_grassmann,
-                           evaluate, theoretical_params)
+                           evaluate, evaluate_rows, theoretical_params)
 from agcodes.dual import (SELF_ORTH_EXCEPTIONS, binomials, build_dual_code,
-                          char_sum, dual_basis, dual_min_weight_witness,
-                          forbidden_monomials, is_forbidden_counts,
-                          maximal_nonforbidden, self_orthogonality_check)
-from agcodes.errors import InvalidWitnessParams, SizeOutOfRange
+                          char_sum, check_dual_basis, dual_basis,
+                          dual_min_weight_witness, forbidden_monomials,
+                          is_forbidden_counts, maximal_nonforbidden,
+                          self_orthogonality_check)
+from agcodes.errors import (InvalidWitnessParams, OrthogonalityViolation,
+                            SizeOutOfRange, TooLarge)
 from agcodes.field import make_field
-from agcodes.monomials import (Rectangle, all_reduced_monomials, full_product,
+from agcodes.monomials import (Rectangle, SparsePolynomial,
+                               all_reduced_monomials, full_product,
                                monomial_divides)
 
 GRID = [(ell, ell + lp, r, q)
@@ -102,6 +105,158 @@ class TestDualBasis:
         from agcodes.codes import build_reed_muller
         with pytest.raises(ValueError):
             build_dual_code(build_reed_muller(1, 2, 2))
+
+
+def _dense_verdict(basis, C):
+    """The dense route, kept here as the reference: the Gram matrix
+    H G^T and the rank of H."""
+    H = evaluate_rows(basis, PointEnumeration(C.rect, C.field))
+    if linalg.matmul(H, C.generator.T, C.field).any():
+        return "orthogonality"
+    if len(basis) and linalg.rank(H, C.field) != len(basis):
+        return "dependent"
+    return "ok"
+
+
+def _symbolic_verdict(basis, ell, m, r, q):
+    try:
+        check_dual_basis(basis, ell, m, r, q)
+    except OrthogonalityViolation:
+        return "orthogonality"
+    except AssertionError:
+        return "dependent"
+    return "ok"
+
+
+def _mutants(basis, ell, m, r, q, rng, count=4):
+    """Bases with one row replaced by a random reduced monomial or a random
+    binomial with random coefficients."""
+    F, rect = make_field(q), Rectangle(ell, m - ell)
+
+    def monomial(c=1):
+        mu = tuple(int(e) for e in rng.integers(0, q, rect.delta))
+        return SparsePolynomial.monomial(F, rect, mu, c)
+
+    for _ in range(count):
+        i = int(rng.integers(len(basis)))
+        row = monomial()
+        if rng.integers(2):
+            row = row + monomial(int(rng.integers(1, q)))
+        yield basis[:i] + [row] + basis[i + 1:]
+
+
+# q in {2, 3, 4, 5, 7, 8, 9, 16}; n <= 729 keeps the dense reference cheap
+DIFFERENTIAL = [(1, 4, 1, 2), (2, 4, 2, 2), (2, 5, 2, 2), (3, 6, 3, 2),
+                (1, 2, 0, 3), (2, 4, 2, 3), (2, 5, 1, 3), (2, 4, 2, 4),
+                (1, 3, 1, 5), (2, 4, 2, 5), (1, 3, 1, 7), (1, 4, 1, 7),
+                (1, 3, 1, 8), (1, 3, 1, 9), (1, 2, 1, 16), (1, 3, 1, 16)]
+
+
+class TestSymbolicCheck:
+    @pytest.mark.parametrize("ell,m,r,q", DIFFERENTIAL)
+    def test_agrees_with_dense_route(self, ell, m, r, q):
+        """On the paper's basis and with one row replaced at random, the
+        symbolic check and the dense Gram and rank reach the same verdict."""
+        C = build_affine_grassmann(ell, m, r, q)
+        basis = dual_basis(ell, m, r, q)
+        assert _symbolic_verdict(basis, ell, m, r, q) == "ok"
+        assert _dense_verdict(basis, C) == "ok"
+        rng = np.random.default_rng(ell * 100 + m * 10 + r + q)
+        for mutant in _mutants(basis, ell, m, r, q, rng):
+            assert _symbolic_verdict(mutant, ell, m, r, q) == _dense_verdict(mutant, C)
+
+    def test_agrees_with_dense_route_at_n_4096(self):
+        C = build_affine_grassmann(3, 7, 2, 2)
+        basis = dual_basis(3, 7, 2, 2)
+        assert _symbolic_verdict(basis, 3, 7, 2, 2) == _dense_verdict(basis, C) == "ok"
+
+    @pytest.mark.parametrize("ell,m,r,q", [(2, 4, 2, 2), (2, 4, 2, 3),
+                                           (2, 4, 2, 4), (3, 6, 3, 2)])
+    def test_forbidden_monomial_breaks_orthogonality(self, ell, m, r, q):
+        C = build_affine_grassmann(ell, m, r, q)
+        F, rect = make_field(q), Rectangle(ell, m - ell)
+        basis = dual_basis(ell, m, r, q)
+        for mu in sorted(forbidden_monomials(ell, m, r, q).monomials):
+            bad = [SparsePolynomial.monomial(F, rect, mu)] + basis[1:]
+            with pytest.raises(OrthogonalityViolation):
+                check_dual_basis(bad, ell, m, r, q)
+            assert _dense_verdict(bad, C) == "orthogonality"
+
+    @pytest.mark.parametrize("ell,m,r,q", [(2, 4, 2, 2), (2, 5, 2, 3),
+                                           (3, 6, 3, 2), (2, 4, 2, 4)])
+    def test_dependent_binomials_are_caught(self, ell, m, r, q):
+        C = build_affine_grassmann(ell, m, r, q)
+        basis = dual_basis(ell, m, r, q)
+        nb = len(binomials(ell, m, r, q))
+        first = len(basis) - nb
+        # the first binomial repeated in place of the last monomial
+        bad = [basis[:first - 1] + [basis[first]] + basis[first:]]
+        if nb >= 3:
+            bad.append(basis[:first] + [basis[first + 1] + basis[first + 2]]
+                       + basis[first + 1:])
+        for b in bad:
+            with pytest.raises(AssertionError, match="dependent"):
+                check_dual_basis(b, ell, m, r, q)
+            assert _dense_verdict(b, C) == "dependent"
+
+    @pytest.mark.parametrize("ell,m,r,q", [(3, 6, 3, 3), (4, 8, 2, 2)])
+    def test_beyond_the_dense_route(self, ell, m, r, q):
+        """n = 19683 and 65536, where H would not fit the size cap.  Over
+        F_3, flipping the sign of either kind of binomial (odd and even
+        permutations of a 3 x 3 minor) must break orthogonality."""
+        basis = dual_basis(ell, m, r, q)
+        check_dual_basis(basis, ell, m, r, q)
+        if q == 2:  # -1 = 1: no sign to flip
+            return
+        F = make_field(q)
+        for i in range(len(basis) - 5, len(basis)):
+            (mu1, c1), (mu2, c2) = basis[i].terms.items()
+            flipped = SparsePolynomial(F, basis[i].rect,
+                                       {mu1: c1, mu2: int(F.neg(c2))})
+            with pytest.raises(OrthogonalityViolation):
+                check_dual_basis(basis[:i] + [flipped] + basis[i + 1:],
+                                 ell, m, r, q)
+
+    def test_unreduced_exponent_rejected(self):
+        F, rect = make_field(3), Rectangle(1, 2)
+        basis = dual_basis(1, 3, 1, 3)
+        bad = [SparsePolynomial.monomial(F, rect, (3, 0))] + basis[1:]
+        with pytest.raises(AssertionError, match="unreduced"):
+            check_dual_basis(bad, 1, 3, 1, 3)
+
+    def test_zero_row_is_dependent(self):
+        F, rect = make_field(2), Rectangle(2, 2)
+        basis = dual_basis(2, 4, 2, 2)
+        with pytest.raises(AssertionError, match="dependent"):
+            check_dual_basis([SparsePolynomial.zero(F, rect)] + basis[1:],
+                             2, 4, 2, 2)
+
+    def test_no_dense_product_or_rank_of_h(self, monkeypatch):
+        """build_dual_code hands linalg no operand with n - k rows or n
+        columns: it never forms H G^T and never ranks H."""
+        C = build_affine_grassmann(3, 7, 2, 2)
+        n, k = C.n, C.k
+        shapes = []
+        for name in ("matmul", "rank"):
+            real = getattr(linalg, name)
+
+            def spy(*args, real=real):
+                shapes.extend(np.shape(a) for a in args[:2]
+                              if isinstance(a, np.ndarray))
+                return real(*args)
+            monkeypatch.setattr(linalg, name, spy)
+        D = build_dual_code(C)
+        assert D.k == n - k
+        assert shapes
+        assert all(s[0] != n - k and s[-1] != n for s in shapes), shapes
+
+    def test_size_cap_raises_before_any_basis(self, monkeypatch):
+        import agcodes.dual as dual_mod
+        # calling it would raise TypeError, not TooLarge
+        monkeypatch.setattr(dual_mod, "forbidden_monomials", None)
+        C = build_affine_grassmann(4, 8, 2, 2)
+        with pytest.raises(TooLarge):
+            build_dual_code(C)
 
 
 class TestWitnesses:

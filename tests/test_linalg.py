@@ -127,8 +127,19 @@ def test_prime_matmul_over_row_blocks(p, monkeypatch):
         assert C.dtype == np.uint8 and C.tolist() == _matmul_reference(A, B, p)
 
 
-def _reference_rref(M, p):
-    """Gauss-Jordan elimination mod p on Python ints."""
+def _scalar_ops(F):
+    """(sub, mul, inv) on Python ints: arithmetic mod p over a prime field,
+    one lookup in the field's tables at a time otherwise."""
+    if F.t == 1:
+        p = F.p
+        return (lambda a, b: (a - b) % p, lambda a, b: a * b % p,
+                lambda a: pow(a, -1, p))
+    return (lambda a, b: int(F.sub(a, b)), lambda a, b: int(F.mul(a, b)), F.inv)
+
+
+def _reference_rref(M, F):
+    """Gauss-Jordan elimination on Python ints, one scalar at a time."""
+    sub, mul, inv = _scalar_ops(F)
     R = [list(row) for row in M.tolist()]
     pivots, r = [], 0
     for c in range(M.shape[1]):
@@ -136,49 +147,69 @@ def _reference_rref(M, p):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = pow(R[r][c], -1, p)
-        R[r] = [x * inv % p for x in R[r]]
+        f = inv(R[r][c])
+        R[r] = [mul(x, f) for x in R[r]]
         for i in range(len(R)):
             if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+                R[i] = [sub(x, mul(f, y)) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
     return R, pivots
 
 
-def _reference_nullspace(M, p):
-    R, pivots = _reference_rref(M, p)
+def _reference_nullspace(M, F):
+    sub = _scalar_ops(F)[0]
+    R, pivots = _reference_rref(M, F)
     free = [c for c in range(M.shape[1]) if c not in pivots]
     basis = []
     for fc in free:
         v = [0] * M.shape[1]
         v[fc] = 1
         for i, c in enumerate(pivots):
-            v[c] = -R[i][fc] % p
+            v[c] = sub(0, R[i][fc])
         basis.append(v)
     return basis
+
+
+def _elimination_matrix(shape, fill, q, F):
+    """fill is "random", "low_rank" (rank <= 2), or else every entry q - 1."""
+    rng = np.random.default_rng(sum(shape))
+    if fill == "random":
+        return _random_matrix(rng, *shape, q)
+    if fill == "low_rank":
+        return linalg.matmul(_random_matrix(rng, shape[0], 2, q),
+                             _random_matrix(rng, 2, shape[1], q), F)
+    return np.full(shape, q - 1, dtype=np.uint8)
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 1), (3, 40), (0, 4)])
 @pytest.mark.parametrize("fill", ["all12", "random", "low_rank"])
 def test_prime_elimination_against_reference(shape, fill):
     # p = 13: entries up to 12, products up to 144
-    rng = np.random.default_rng(sum(shape))
     F = make_field(13)
-    if fill == "all12":
-        M = np.full(shape, 12, dtype=np.uint8)
-    elif fill == "random":
-        M = _random_matrix(rng, *shape, 13)
-    else:
-        M = linalg.matmul(_random_matrix(rng, shape[0], 2, 13),
-                          _random_matrix(rng, 2, shape[1], 13), F)
-    R_ref, pivots_ref = _reference_rref(M, 13)
+    M = _elimination_matrix(shape, fill, 13, F)
+    R_ref, pivots_ref = _reference_rref(M, F)
     R, pivots = linalg.rref(M, F)
     assert R.dtype == np.uint8
     assert R.tolist() == R_ref and pivots == pivots_ref
     assert linalg.rank(M, F) == len(pivots_ref)
-    assert linalg.nullspace(M, F).tolist() == _reference_nullspace(M, 13)
+    assert linalg.nullspace(M, F).tolist() == _reference_nullspace(M, F)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 1), (3, 40), (0, 4)])
+@pytest.mark.parametrize("fill", ["all_top", "random", "low_rank"])
+def test_extension_elimination_against_reference(q, shape, fill):
+    F = make_field(q)
+    M = _elimination_matrix(shape, fill, q, F)
+    R_ref, pivots_ref = _reference_rref(M, F)
+    R, pivots = linalg.rref(M, F)
+    assert R.tolist() == R_ref and pivots == pivots_ref
+    assert linalg.rank(M, F) == len(pivots_ref)
+    N = linalg.nullspace(M, F)
+    assert N.dtype == np.uint8 and N.shape == (shape[1] - len(pivots_ref), shape[1])
+    assert N.tolist() == _reference_nullspace(M, F)
 
 
 @pytest.mark.parametrize("q", FIELDS)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from agcodes import transforms as tr
+from agcodes import linalg, transforms as tr
 from agcodes.codes import PointEnumeration, build_affine_grassmann
 from agcodes.dual import build_dual_code
 from agcodes.errors import DimensionMismatch, NotSquare, SingularMatrix
@@ -128,6 +128,32 @@ class TestAutomorphisms:
         m = np.arange(C.n)
         m[0], m[1] = 1, 0
         assert not tr.is_automorphism(C, tr.Permutation(m))
+
+    @pytest.mark.parametrize("ell,m,r,q", [(2, 4, 2, 2), (3, 7, 2, 2),
+                                           (2, 5, 2, 3), (1, 3, 1, 4)])
+    def test_membership_on_the_smaller_side(self, ell, m, r, q):
+        """The primal (k <= n - k) is tested through its generator and the
+        dual through its parity check, the primal generator.  A true
+        automorphism passes on both and a cyclic shift fails on both, as the
+        rank of the stacked generators says; the primal's nullspace is never
+        built."""
+        C = build_affine_grassmann(ell, m, r, q)
+        D = build_dual_code(C)
+        pe = PointEnumeration(C.rect, C.field)
+        rng = np.random.default_rng(q)
+        auto = tr.induced_permutation(tr.random_transform(C.rect, C.field, rng), pe)
+        shift = tr.Permutation(np.roll(np.arange(C.n), 1))
+        for perm, expected in [(auto, True), (shift, False)]:
+            assert linalg.rowspace_equal(
+                C.generator, C.generator[:, perm.map], C.field) is expected
+            assert tr.is_automorphism(C, perm) is expected
+            assert tr.is_automorphism(D, perm) is expected
+        for code in (C, D):  # both have minimum distance >= 3
+            word = code.generator[-1].copy()
+            assert code.contains(word)
+            word[0] = C.field.add(word[0], 1)
+            assert not code.contains(word)
+        assert C._parity is None
 
     def test_subgroup_order_bound_values(self):
         assert tr.subgroup_order_bound(2, 4, 2) == 576
