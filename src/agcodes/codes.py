@@ -69,19 +69,6 @@ def evaluate(f, pe):
     return evaluate_rows([f], pe)[0]
 
 
-def _table(values):
-    """values padded to the 256-byte table that bytes.translate takes."""
-    table = np.zeros(256, dtype=np.uint8)
-    table[:values.size] = values.ravel()
-    return table.tobytes()
-
-
-def _lookup(table, idx):
-    """table[idx] for a uint8 array idx; unlike take, this makes no intp
-    copy of idx (8 bytes per entry)."""
-    return np.frombuffer(idx.tobytes().translate(table), dtype=np.uint8).reshape(idx.shape)
-
-
 def evaluate_rows(polys, pe):
     """The (len(polys), n) matrix whose row j is Ev(polys[j]).
 
@@ -97,8 +84,6 @@ def evaluate_rows(polys, pe):
     for f in polys:
         if f.rect != pe.rect or f.field.q != q:
             raise DimensionMismatch("polynomial does not match the point enumeration")
-    # a * q + b < 256 for q <= 16, so table lookups index with uint8 sums
-    mul, add = _table(F.mul_table), _table(F.add_table)
     H = np.zeros((len(polys), n), dtype=np.uint8)
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(polys), step):
@@ -122,7 +107,7 @@ def evaluate_rows(polys, pe):
         V = F.pow_table[:, E[:, 0]].T
         for s in range(1, E.shape[1]):
             digit = F.pow_table[:, E[:, s]].T
-            V = _lookup(mul, digit[:, :, None] * q + V[:, None, :]).reshape(len(E), -1)
+            V = F.mul(digit[:, :, None], V[:, None, :]).reshape(len(E), -1)
         block = H[start:start + step]
         for t, (rows, mons, coefs) in enumerate(passes):
             rows, mons, coefs = np.array(rows), np.array(mons), np.array(coefs)
@@ -132,9 +117,9 @@ def evaluate_rows(polys, pe):
                     continue
                 terms = V[mons[sel]]
                 if c != 1:
-                    terms = _lookup(_table(F.mul_table[c]), terms)
+                    terms = F.mul(c, terms)
                 r = rows[sel]
-                block[r] = terms if t == 0 else _lookup(add, block[r] * q + terms)
+                block[r] = terms if t == 0 else F.add(block[r], terms)
     return H
 
 
@@ -220,7 +205,7 @@ def theoretical_params(ell, m, r, q):
     count is only known in closed form at full level r = l."""
     ell_prime = m - ell
     if not (0 <= r <= ell <= ell_prime and ell >= 1):
-        raise SizeOutOfRange("need 0 <= r <= ell <= ell' and ell >= 1")
+        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell and ell >= 1")
     delta = ell * ell_prime
     n = q ** delta
     k = sum(math.comb(ell, i) * math.comb(ell_prime, i) for i in range(r + 1))
@@ -261,12 +246,9 @@ def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
 
     Rank and (for r >= 1) nondegeneracy are verified on build.
     """
-    ell_prime = m - ell
-    if not (0 <= r <= ell <= ell_prime and ell >= 1):
-        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell and ell >= 1")
     F = make_field(q)
-    rect = Rectangle(ell, ell_prime)
     params = theoretical_params(ell, m, r, q)
+    rect = Rectangle(ell, m - ell)
     if params.n * params.k > max_cells:
         raise TooLarge(f"n*k = {params.n * params.k} exceeds cap {max_cells}")
     pe = PointEnumeration(rect, F)
@@ -306,5 +288,4 @@ def subcode_check(C1, C2):
     """True iff every generator row of C1 lies in the row space of C2."""
     if C1.field.q != C2.field.q or C1.n != C2.n:
         raise DimensionMismatch("codes live in different ambient spaces")
-    R, pivots = linalg.rref(C2.generator, C2.field)
-    return all(linalg.in_rowspace(row, R, pivots, C2.field) for row in C1.generator)
+    return C2._contains_rows(C1.generator)

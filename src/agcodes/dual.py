@@ -70,10 +70,9 @@ class MinorBinomial:
 
 
 def _params(ell, m, r, q):
-    ell_prime = m - ell
-    if not (0 <= r <= ell <= ell_prime and ell >= 1):
-        raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell and ell >= 1")
-    return make_field(q), Rectangle(ell, ell_prime)
+    F = make_field(q)
+    theoretical_params(ell, m, r, q)  # rejects a bad level
+    return F, Rectangle(ell, m - ell)
 
 
 def forbidden_monomials(ell, m, r, q):

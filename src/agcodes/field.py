@@ -6,10 +6,19 @@ power basis of a fixed irreducible modulus, so code 0 is the additive
 identity and code 1 the multiplicative identity.  The representation is
 deterministic for every supported q, which makes all downstream matrices
 reproducible bit for bit.
+
+Every elementwise operation is a table lookup: ``add``, ``sub`` and ``mul``
+read entry a * q + b of the flattened q x q table, and ``neg`` is
+``sub(0, a)``.  On arrays the indices are computed as uint8 (below 256 for
+q <= 16) and looked up by ``bytes.translate`` in a 256-byte copy of the
+table, which makes no intp copy of the indices; scalars read the 2-D table
+directly, which is cheaper than a translate call.  This module is the only
+place that turns field elements into table indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,22 +101,50 @@ class FieldSpec:
     t: int
     modulus: tuple
     add_table: np.ndarray
+    sub_table: np.ndarray
     mul_table: np.ndarray
     neg_table: np.ndarray
     inv_table: np.ndarray
     pow_table: np.ndarray  # pow_table[x, e] = x^e for 0 <= e <= q-1
 
+    def __post_init__(self):
+        self._add, self._sub, self._mul = (
+            _byte_table(T) for T in (self.add_table, self.sub_table, self.mul_table))
+
+    def _lookup(self, table, flat, a, b):
+        """table[a, b] elementwise, with numpy broadcasting."""
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return table[a, b]
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        # the indices are written into a bytearray, so translate reads them
+        # without a copy and returns a writable result
+        buf = bytearray(math.prod(shape))
+        idx = np.frombuffer(buf, dtype=np.uint8).reshape(shape)
+        np.multiply(a, self.q, out=idx, casting="unsafe")
+        np.add(idx, b, out=idx, casting="unsafe")
+        out = buf.translate(flat)
+        return np.frombuffer(out, dtype=np.uint8).reshape(shape)
+
+    def elements(self, M):
+        """M as a uint8 array of element codes.  Raises ValueError on an
+        entry outside [0, q-1], which a table lookup would silently read
+        as another entry."""
+        M = np.asarray(M)
+        if M.size and (M.max() >= self.q or M.min() < 0):
+            raise ValueError(f"a matrix entry is not an element of F_{self.q}")
+        return M.astype(np.uint8, copy=False)
+
     def add(self, a, b):
-        return self.add_table[a, b]
+        return self._lookup(self.add_table, self._add, a, b)
 
     def sub(self, a, b):
-        return self.add_table[a, self.neg_table[b]]
+        return self._lookup(self.sub_table, self._sub, a, b)
 
     def mul(self, a, b):
-        return self.mul_table[a, b]
+        return self._lookup(self.mul_table, self._mul, a, b)
 
     def neg(self, a):
-        return self.neg_table[a]
+        return self._lookup(self.sub_table, self._sub, 0, a)
 
     def inv(self, a):
         if np.isscalar(a) or isinstance(a, int):
@@ -137,6 +174,14 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
+
+
+def _byte_table(T):
+    """The q x q table T flattened and padded to the 256 bytes that
+    bytes.translate takes, so entry a * q + b is T[a, b]."""
+    table = np.zeros(256, dtype=np.uint8)
+    table[:T.size] = T.ravel()
+    return table.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -172,5 +217,5 @@ def make_field(q):
         pow_table[:, e] = mul[pow_table[:, e - 1], np.arange(q)]
 
     return FieldSpec(q=q, p=p, t=t, modulus=modulus,
-                     add_table=add, mul_table=mul,
+                     add_table=add, sub_table=add[:, neg], mul_table=mul,
                      neg_table=neg, inv_table=inv, pow_table=pow_table)

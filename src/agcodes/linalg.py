@@ -1,13 +1,13 @@
 """Linear algebra over F_q on small dense matrices.
 
-Matrices are numpy arrays of element codes (uint8).  Over a prime field,
-elimination runs on an int16 working copy mod p (entries are below
-p <= 13, so every product fits), and products run as exact float32 BLAS
-products reduced mod p, with A cast to float32 one row block of about
-2^20 entries at a time and each block written into the uint8 result;
-extension fields go through the field's lookup tables.  rank eliminates
-whichever of M and its transpose has fewer rows; for q = 2 it runs on
-rows bit-packed into Python ints.
+Matrices are numpy arrays of element codes (uint8).  Elimination is one
+loop for every q on the field's table lookups.  Over a prime field,
+products run as exact float32 BLAS products reduced mod p, with A cast
+to float32 one row block of about 2^20 entries at a time and each block
+written into the uint8 result; over an extension field they go through
+the field's lookups, one column of the inner dimension at a time.  rank
+eliminates whichever of M and its transpose has fewer rows; for q = 2 it
+runs on rows bit-packed into Python ints.
 """
 
 from __future__ import annotations
@@ -68,31 +68,10 @@ def gf2_rank(M):
 
 def rref(M, F):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = np.array(M, dtype=np.uint8, copy=True)
+    R = F.elements(M).copy()
     rows, cols = R.shape
     pivots = []
     r = 0
-    if F.t == 1:
-        p = F.p
-        Ri = R.astype(np.int16)  # entries < p <= 13, so products stay below 2^15
-        inv = F.inv_table
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(Ri[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            Ri[[r, pr]] = Ri[[pr, r]]
-            Ri[r] = (Ri[r] * int(inv[Ri[r, c]])) % p
-            factors = Ri[:, c].copy()
-            factors[r] = 0
-            mask = factors != 0
-            if mask.any():
-                Ri[mask] = (Ri[mask] - factors[mask, None] * Ri[r][None, :]) % p
-            pivots.append(c)
-            r += 1
-        return Ri.astype(np.uint8), pivots
     for c in range(cols):
         if r == rows:
             break
@@ -101,20 +80,19 @@ def rref(M, F):
             continue
         pr = r + int(nz[0])
         R[[r, pr]] = R[[pr, r]]
-        R[r] = F.mul(int(F.inv_table[R[r, c]]), R[r])
+        R[r] = F.mul(F.inv_table[R[r, c]], R[r])
         factors = R[:, c].copy()
         factors[r] = 0
         mask = factors != 0
         if mask.any():
-            elim = F.mul(factors[mask, None], R[r][None, :])
-            R[mask] = F.sub(R[mask], elim)
+            R[mask] = F.sub(R[mask], F.mul(factors[mask, None], R[r]))
         pivots.append(c)
         r += 1
     return R, pivots
 
 
 def rank(M, F):
-    M = np.asarray(M, dtype=np.uint8)
+    M = F.elements(M)
     if M.size == 0:
         return 0
     if M.shape[0] > M.shape[1]:  # rank(M) = rank(M^T): eliminate the shorter side
@@ -122,20 +100,6 @@ def rank(M, F):
     if F.q == 2:
         return gf2_rank(M)
     return len(rref(M, F)[1])
-
-
-def reduce_against(vec, R, pivots, F):
-    """Reduce a vector against an rref; zero residual means rowspace membership."""
-    v = np.array(vec, dtype=np.uint8, copy=True)
-    for i, c in enumerate(pivots):
-        f = int(v[c])
-        if f:
-            v = F.sub(v, F.mul(f, R[i]))
-    return v
-
-
-def in_rowspace(vec, R, pivots, F):
-    return not reduce_against(vec, R, pivots, F).any()
 
 
 def nullspace(M, F):
@@ -154,8 +118,8 @@ def nullspace(M, F):
 
 def matmul(A, B, F):
     """Matrix product over F_q."""
-    A = np.asarray(A, dtype=np.uint8)
-    B = np.asarray(B, dtype=np.uint8)
+    A = F.elements(A)
+    B = F.elements(B)
     if F.t == 1:
         # float32 BLAS is exact while every partial sum stays below 2^24:
         # reduce mod p after each slice of the inner dimension.  A is cast

@@ -96,21 +96,19 @@ def compose(T1, T2):
 
 
 def induced_permutation(T, pe):
-    """The permutation with P_{sigma(i)} equal to the image of P_i."""
+    """The permutation with P_{sigma(i)} equal to the image of P_i.
+
+    For the row-major digit vector p of P, the image B P A^{-1} + u has
+    digit vector p (B^T kron A^{-1}) + u, so all n images are one product
+    over F_q of the points by a delta x delta matrix."""
     rect, F = pe.rect, pe.field
     if T.B.shape != (rect.ell, rect.ell) or T.A.shape != (rect.ell_prime, rect.ell_prime):
         raise DimensionMismatch("transform shapes do not match the rectangle")
-    pts = pe.points.reshape(-1, rect.ell, rect.ell_prime)
-    if F.t == 1:
-        p = F.p
-        imgs = (np.einsum("ij,njk,kl->nil", T.B.astype(np.int64),
-                          pts.astype(np.int64), T.A_inv.astype(np.int64))
-                + T.u.astype(np.int64)) % p
-    else:
-        imgs = np.stack([T.apply(P) for P in pts])
-    digits = imgs.reshape(imgs.shape[0], -1).astype(np.int64)
+    kron = F.mul(T.B.T[:, None, :, None], T.A_inv[None, :, None, :])
+    imgs = F.add(linalg.matmul(pe.points, kron.reshape(rect.delta, rect.delta), F),
+                 T.u.reshape(-1))
     weights = F.q ** np.arange(rect.delta, dtype=np.int64)
-    return Permutation(digits @ weights)
+    return Permutation(imgs.astype(np.int64) @ weights)
 
 
 def transpose_permutation(pe):
@@ -126,9 +124,15 @@ def transpose_permutation(pe):
 
 def is_automorphism(C, perm):
     """True iff permuting the coordinates of every generator row stays in
-    the code (tested on the smaller of the generator and the parity check)."""
+    the code.  A permutation fixes a code exactly when it fixes the dual,
+    so a dual whose primal has the lower dimension tests the primal; the
+    code tested then has k <= n - k and takes the rank test, with no
+    product by a parity check."""
     if perm.n != C.n:
         raise DimensionMismatch("permutation length mismatch")
+    primal = C.meta.get("dual_of")
+    if primal is not None and primal.k < C.k:
+        C = primal
     return C._contains_rows(C.generator[:, perm.map])
 
 

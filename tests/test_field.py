@@ -91,16 +91,31 @@ def test_inverse_of_zero_raises():
 
 
 def test_vectorized_ops_match_scalar():
-    F = make_field(8)
+    """The array ops against the scalar table entries, for every q, on
+    broadcast shapes, 0-d values, empty arrays and int64 inputs."""
     rng = np.random.default_rng(0)
-    a = rng.integers(0, 8, 50).astype(np.uint8)
-    b = rng.integers(0, 8, 50).astype(np.uint8)
-    assert all(int(x) == F.add(int(u), int(v))
-               for x, u, v in zip(F.add(a, b), a, b))
-    assert all(int(x) == F.mul(int(u), int(v))
-               for x, u, v in zip(F.mul(a, b), a, b))
-    assert all(int(F.sub(int(u), int(v))) == int(F.add(int(u), F.neg(int(v))))
-               for u, v in zip(a, b))
+    for q in SUPPORTED_Q:
+        F = make_field(q)
+        refs = {F.add: lambda a, b: F.add_table[a, b],
+                F.sub: lambda a, b: F.add_table[a, F.neg_table[b]],
+                F.mul: lambda a, b: F.mul_table[a, b]}
+        col = rng.integers(0, q, (5, 1)).astype(np.uint8)
+        row = rng.integers(0, q, (1, 7)).astype(np.uint8)
+        x = int(rng.integers(0, q))
+        cases = [(col, row), (row, col), (np.uint8(x), row), (row, np.array(x)),
+                 (x, col), (col.astype(np.int64), row.astype(np.int64)),
+                 (np.zeros((0, 7), dtype=np.uint8), row), (x, np.zeros(0, np.int64))]
+        for op, ref in refs.items():
+            for a, b in cases:
+                A, B = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+                out = op(a, b)
+                assert out.dtype == np.uint8 and out.shape == A.shape
+                assert out.ravel().tolist() == [ref(int(u), int(v)) for u, v in
+                                                zip(A.ravel(), B.ravel())]
+        for a in [col, row.astype(np.int64), np.array(x), np.zeros((3, 0), np.uint8)]:
+            out = F.neg(a)
+            assert out.dtype == np.uint8 and out.shape == np.shape(a)
+            assert out.ravel().tolist() == [F.neg_table[int(u)] for u in np.ravel(a)]
 
 
 def test_make_field_is_cached():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from agcodes import linalg
+from agcodes.codes import Code
 from agcodes.errors import SingularMatrix
 from agcodes.field import make_field
 
@@ -183,12 +184,23 @@ def _elimination_matrix(shape, fill, q, F):
     return np.full(shape, q - 1, dtype=np.uint8)
 
 
-@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 1), (3, 40), (0, 4)])
-@pytest.mark.parametrize("fill", ["all12", "random", "low_rank"])
-def test_prime_elimination_against_reference(shape, fill):
-    # p = 13: entries up to 12, products up to 144
-    F = make_field(13)
-    M = _elimination_matrix(shape, fill, 13, F)
+_SHAPES = [(5, 7), (7, 5), (1, 1), (3, 40), (0, 4)]
+
+
+def _prime_elimination_cases():
+    """(p, fill, shape); the p = 13 cases keep the ids they had when this
+    test covered p = 13 alone, and "all{p-1}" fills every entry with p - 1."""
+    for p in [2, 3, 5, 7, 11, 13]:
+        for fill in [f"all{p - 1}", "random", "low_rank"]:
+            for i, shape in enumerate(_SHAPES):
+                tag = "" if p == 13 else f"p{p}-"
+                yield pytest.param(p, fill, shape, id=f"{tag}{fill}-shape{i}")
+
+
+@pytest.mark.parametrize("p, fill, shape", _prime_elimination_cases())
+def test_prime_elimination_against_reference(p, fill, shape):
+    F = make_field(p)
+    M = _elimination_matrix(shape, fill, p, F)
     R_ref, pivots_ref = _reference_rref(M, F)
     R, pivots = linalg.rref(M, F)
     assert R.dtype == np.uint8
@@ -198,7 +210,7 @@ def test_prime_elimination_against_reference(shape, fill):
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
-@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 1), (3, 40), (0, 4)])
+@pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("fill", ["all_top", "random", "low_rank"])
 def test_extension_elimination_against_reference(q, shape, fill):
     F = make_field(q)
@@ -242,16 +254,20 @@ def test_singular_matrix_raises():
         linalg.inv_matrix(np.ones((2, 3), dtype=np.uint8), F)
 
 
-@pytest.mark.parametrize("q", FIELDS)
-def test_rowspace_membership(q):
-    rng = np.random.default_rng(40 + q)
+@pytest.mark.parametrize("q", [2, 3, 4, 16])
+def test_entries_outside_the_field_rejected(q):
+    """A table lookup would read an entry >= q as another entry, so every
+    entry point that takes a matrix rejects one."""
     F = make_field(q)
-    M = _random_matrix(rng, 4, 8, q)
-    R, pivots = linalg.rref(M, F)
-    combo = np.zeros(8, dtype=np.uint8)
-    for row in M:
-        combo = F.add(combo, F.mul(int(rng.integers(0, q)), row))
-    assert linalg.in_rowspace(combo, R, pivots, F)
+    for bad in [np.array([[1, 0], [1, q]], dtype=np.uint8),
+                np.array([[1, 0], [1, -1]], dtype=np.int64)]:
+        for call in [lambda: linalg.rref(bad, F), lambda: linalg.rank(bad, F),
+                     lambda: linalg.nullspace(bad, F),
+                     lambda: linalg.matmul(bad, np.eye(2, dtype=np.uint8), F),
+                     lambda: linalg.matmul(np.eye(2, dtype=np.uint8), bad, F),
+                     lambda: Code(F, bad).contains(np.zeros(2, dtype=np.uint8))]:
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_rowspace_equal_detects_difference():

@@ -71,16 +71,28 @@ class TestAffineTransform:
 
 
 class TestInducedPermutation:
-    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
     def test_matches_pointwise_application(self, q):
+        """The one product over F_q against T.apply at every point, on a
+        square rectangle and on non-square ones, where a swapped factor
+        order would fail.  Each rectangle also takes a map whose B and A
+        are upper unitriangular, hence not symmetric, so that a transposed
+        Kronecker factor fails too."""
         F = make_field(q)
-        rect = Rectangle(2, 2)
-        pe = PointEnumeration(rect, F)
         rng = np.random.default_rng(20 + q)
-        T = tr.random_transform(rect, F, rng)
-        perm = tr.induced_permutation(T, pe)
-        for i in range(pe.n):
-            assert perm.map[i] == pe.index_of(T.apply(pe.point(i)))
+        rects = [Rectangle(2, 2) if q <= 9 else Rectangle(1, 2), Rectangle(1, 3)]
+        if q <= 3:
+            rects.append(Rectangle(2, 3))
+        upper = lambda size: np.triu(np.ones((size, size), dtype=np.uint8))
+        for rect in rects:
+            pe = PointEnumeration(rect, F)
+            u = rng.integers(0, q, size=(rect.ell, rect.ell_prime)).astype(np.uint8)
+            for T in (tr.random_transform(rect, F, rng),
+                      tr.AffineTransform(B=upper(rect.ell), A=upper(rect.ell_prime),
+                                         u=u, field=F)):
+                perm = tr.induced_permutation(T, pe)
+                for i in range(pe.n):
+                    assert perm.map[i] == pe.index_of(T.apply(pe.point(i)))
 
     def test_homomorphism_on_random_pairs(self):
         F = make_field(3)
@@ -131,12 +143,12 @@ class TestAutomorphisms:
 
     @pytest.mark.parametrize("ell,m,r,q", [(2, 4, 2, 2), (3, 7, 2, 2),
                                            (2, 5, 2, 3), (1, 3, 1, 4)])
-    def test_membership_on_the_smaller_side(self, ell, m, r, q):
-        """The primal (k <= n - k) is tested through its generator and the
-        dual through its parity check, the primal generator.  A true
-        automorphism passes on both and a cyclic shift fails on both, as the
-        rank of the stacked generators says; the primal's nullspace is never
-        built."""
+    def test_membership_on_the_smaller_side(self, ell, m, r, q, monkeypatch):
+        """The primal (k <= n - k) is tested through its generator, and so
+        is the dual, whose automorphisms are the primal's: no product with
+        the n - k rows of H is formed.  A true automorphism passes on both
+        and a cyclic shift fails on both, as the rank of the stacked
+        generators says; the primal's nullspace is never built."""
         C = build_affine_grassmann(ell, m, r, q)
         D = build_dual_code(C)
         pe = PointEnumeration(C.rect, C.field)
@@ -147,7 +159,9 @@ class TestAutomorphisms:
             assert linalg.rowspace_equal(
                 C.generator, C.generator[:, perm.map], C.field) is expected
             assert tr.is_automorphism(C, perm) is expected
-            assert tr.is_automorphism(D, perm) is expected
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "matmul", None)  # any product would fail
+                assert tr.is_automorphism(D, perm) is expected
         for code in (C, D):  # both have minimum distance >= 3
             word = code.generator[-1].copy()
             assert code.contains(word)
