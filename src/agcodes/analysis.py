@@ -130,16 +130,13 @@ def min_distance_exhaustive(C, cap=DEFAULT_ENUM_CAP):
 # ----------------------------------------------------- low-weight dual search
 
 def _solve_support(cols, supp, F):
-    """All dependencies on the given columns that use every column.
-
-    One entry per codeword: (support, coefficient tuple), coefficients all
-    nonzero.
-    """
-    ker = linalg.nullspace(np.array([cols[j] for j in supp], dtype=np.uint8).T, F)
+    """All dependencies on the given columns that use every column: one
+    row of coefficients, all nonzero, per codeword."""
+    ker = linalg.nullspace(cols[supp].T, F)
     combos = np.array(list(itertools.product(range(F.q), repeat=len(ker))),
                       dtype=np.uint8).reshape(-1, len(ker))
-    return [(tuple(supp), tuple(vec))
-            for vec in linalg.matmul(combos, ker, F).tolist() if all(vec)]
+    vecs = linalg.matmul(combos, ker, F)
+    return vecs[vecs.all(axis=1)]
 
 
 def _normalize(F, V):
@@ -174,18 +171,19 @@ def _group_pairs(starts, sizes):
 
 
 def _sorted_supports(rows, n):
-    """The distinct rows (ascending column indices < n) as tuples in
-    lexicographic order, deduplicated on a packed int64 key."""
+    """The distinct rows (ascending column indices < n) in lexicographic
+    order, deduplicated on a packed int64 key."""
     key = np.zeros(len(rows), dtype=np.int64)
     for col in rows.T:
         key = key * n + col
     _, first = np.unique(key, return_index=True)
-    return list(map(tuple, rows[first].tolist()))
+    return rows[first]
 
 
 def _pair_search(D, keys, F, w_max, collect):
     """(B_3, B_4, {w: supports}) on the pairwise non-proportional normalized
-    columns D with keys ``keys``; the supports are listed only with collect."""
+    columns D with keys ``keys``; the supports, one sorted row of column
+    indices each, are listed only with collect."""
     q, n = F.q, len(keys)
     order = np.argsort(keys)
     col_keys = keys[order]
@@ -215,7 +213,8 @@ def _pair_search(D, keys, F, w_max, collect):
                 pairs[filled:filled + len(pk)] = np.stack([a, b], axis=1)
             filled += len(pk)
     t3 = m3 // 3
-    supports = {3: _sorted_supports(np.sort(np.concatenate(triples), axis=1), n), 4: []}
+    supports = {3: _sorted_supports(np.sort(np.concatenate(triples), axis=1), n),
+                4: np.empty((0, 4), dtype=np.int64)}
     if not total:
         return (q - 1) * t3, 0, supports
     if collect:
@@ -266,9 +265,21 @@ def low_weight_dual_search(C, w_max=4, collect=False):
     Unsupported when words run through zero columns (w_max >= 2) or
     through one class (w_max >= 3).
     """
+    report, words = _search(C, w_max, collect)
+    if not collect:
+        return report
+    return report, {w: list(zip(map(tuple, supp.tolist()), map(tuple, coef.tolist())))
+                    for w, (supp, coef) in words.items()}
+
+
+def _search(C, w_max, collect):
+    """low_weight_dual_search, with the collected words (None without
+    collect) as {w: (supports, coefficients)}: two m x w arrays, the
+    column indices and the uint8 coefficients of one word per row."""
     if not 1 <= w_max <= 4:
         raise WMaxUnsupported(f"w_max must be in 1..4, got {w_max}")
-    F, G = C.field, C.generator
+    F = C.field
+    G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
     if q ** k > 2 ** 63:
         raise Unsupported(f"a column of {k} digits over F_{q} needs a key above 63 bits")
@@ -286,7 +297,7 @@ def low_weight_dual_search(C, w_max=4, collect=False):
     b = [1, 0] + [0] * (w_max - 1)  # B'_0 .. B'_{w_max}
     if w_max >= 2:
         b[2] = (q - 1) * proportional
-    examined, supports = 0, {3: [], 4: []}
+    examined, supports = 0, {}
     if w_max >= 3:
         if proportional == 0:
             examined = (q - 1) * (n1 * (n1 - 1) // 2)
@@ -314,31 +325,36 @@ def low_weight_dual_search(C, w_max=4, collect=False):
         enumerated=examined,
         weight_counts=counts)
     if not collect:
-        return report
+        return report, None
     # with collect and w_max >= 2 there is no zero column, so indices into
     # the nonzero columns are column indices
-    reps = {w: [] for w in range(1, w_max + 1)}
-    reps[1] = [((j,), (1,)) for j in np.flatnonzero(zero).tolist()]
+    supp = np.flatnonzero(zero)[:, None]
+    words = {1: (supp, np.ones(supp.shape, dtype=np.uint8))}
     if w_max >= 2:
         i, j = _group_pairs(starts, sizes)
         a, c = order[i], order[j]
+        by_pair = np.lexsort((c, a))
+        a, c = a[by_pair], c[by_pair]
         coef = F.neg(F.mul(lead[c], F.inv_table[lead[a]]))
-        reps[2] = sorted(zip(zip(a.tolist(), c.tolist()),
-                             zip(coef.tolist(), itertools.repeat(1))))
+        words[2] = (np.stack([a, c], axis=1),
+                    np.stack([coef, np.ones_like(coef)], axis=1))
     for w in range(3, w_max + 1):  # q = 2: all ones; q > 2: every solution
-        reps[w] = ([(s, (1,) * w) for s in supports[w]] if q == 2 else
-                   [word for s in supports[w] for word in _solve_support(cols, s, F)])
-    return report, reps
+        if q == 2:
+            words[w] = (supports[w], np.ones(supports[w].shape, dtype=np.uint8))
+            continue
+        solved = [_solve_support(cols, s, F) for s in supports[w]]
+        words[w] = (np.repeat(supports[w], [len(v) for v in solved], axis=0),
+                    np.concatenate([np.empty((0, w), dtype=np.uint8), *solved]))
+    return report, words
 
 
 def dual_codewords_of_weight(C_primal, w):
     """Dual codewords of the given weight as dense vectors, as collected by
-    low_weight_dual_search (for q = 2, every one of them)."""
-    _, reps = low_weight_dual_search(C_primal, w_max=w, collect=True)
-    words = np.zeros((len(reps[w]), C_primal.n), dtype=np.uint8)
-    if reps[w]:
-        supports, coeffs = zip(*reps[w])
-        np.put_along_axis(words, np.array(supports), np.array(coeffs, dtype=np.uint8), axis=1)
+    low_weight_dual_search (for q = 2, every one of them), filled straight
+    from the collected support and coefficient arrays."""
+    supports, coeffs = _search(C_primal, w, collect=True)[1][w]
+    words = np.zeros((len(supports), C_primal.n), dtype=np.uint8)
+    np.put_along_axis(words, supports, coeffs, axis=1)
     return list(words)
 
 
@@ -364,15 +380,19 @@ def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
 def span_generation_test(C, words):
     """Rank of the stacked words and whether they generate C.
 
-    Membership of every word in C is asserted first.
+    Membership of every word in C is asserted first: the syndromes are
+    formed as M H^T, one block of about 2^22 entries of contiguous word
+    rows at a time, so no transposed copy of the words is cast.  Over
+    F_2 the rank then packs the columns of the tall word matrix into
+    bits (see linalg.gf2_rank).
     """
     if not len(words):
         return {"rank": 0, "generates": C.k == 0}
     M = np.array(words, dtype=np.uint8)
-    H = C.parity_check()
-    step = max(1, (2 ** 22) // max(1, C.n))  # chunk the syndrome matmul
+    Ht = C.parity_check().T
+    step = max(1, (2 ** 22) // max(1, C.n))
     for lo in range(0, M.shape[0], step):
-        if linalg.matmul(H, M[lo:lo + step].T, C.field).any():
+        if linalg.matmul(M[lo:lo + step], Ht, C.field).any():
             raise WordNotInCode("a word is outside the code")
     r = linalg.rank(M, C.field)
     return {"rank": r, "generates": r == C.k}

@@ -203,6 +203,7 @@ class CodeParams:
 def theoretical_params(ell, m, r, q):
     """Closed-form [n, k_r, d_r] of the level-r code; the minimum-weight
     count is only known in closed form at full level r = l."""
+    make_field(q)  # rejects q as make_field does, before the level
     ell_prime = m - ell
     if not (0 <= r <= ell <= ell_prime and ell >= 1):
         raise SizeOutOfRange("need 0 <= r <= ell <= ell' = m - ell and ell >= 1")
@@ -218,6 +219,7 @@ def theoretical_params(ell, m, r, q):
 
 def rm_theoretical_params(r, delta, q):
     """[n, k, d] and the minimum-weight count of RM(r, delta) over F_q."""
+    make_field(q)  # rejects q as make_field does, before the order
     if not 0 <= r <= delta * (q - 1):
         raise OrderOutOfRange(f"RM order {r} outside [0, {delta * (q - 1)}]")
     n = q ** delta

@@ -6,8 +6,11 @@ products run as exact float32 BLAS products reduced mod p, with A cast
 to float32 one row block of about 2^20 entries at a time and each block
 written into the uint8 result; over an extension field they go through
 the field's lookups, one column of the inner dimension at a time.  rank
-eliminates whichever of M and its transpose has fewer rows; for q = 2 it
-runs on rows bit-packed into Python ints.
+eliminates whichever of M and its transpose has fewer rows.  For q = 2
+that side is bit-packed into Python ints and reduced against an XOR basis
+(gf2_rank): the rows of a wide M, or the columns of a tall M, packed
+eight rows to a byte by shifts and then transposed as the 8x-smaller
+byte matrix, so no transposed uint8 copy of M is made.
 """
 
 from __future__ import annotations
@@ -21,47 +24,50 @@ _MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to float32 at a time
 
 # ---------------------------------------------------------------- GF(2) bitsets
 
-def rows_to_ints(M):
-    """Pack each row of a 0/1 matrix into a python int (column j -> bit j)."""
-    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in np.asarray(M, dtype=np.uint8)]
-
-
-class Gf2RowReducer:
-    """Incremental row echelon form over GF(2) on bit-packed rows."""
-
-    def __init__(self):
-        self.pivots = {}  # pivot bit index -> reduced row
-
-    def residual(self, vec):
-        while vec:
-            low = vec & -vec
-            bit = low.bit_length() - 1
-            piv = self.pivots.get(bit)
-            if piv is None:
-                return vec
-            vec ^= piv
-        return 0
-
-    def add(self, vec):
-        """Insert a row; return True if it increased the rank."""
-        res = self.residual(vec)
-        if res == 0:
-            return False
-        bit = (res & -res).bit_length() - 1
-        self.pivots[bit] = res
-        return True
-
-    @property
-    def rank(self):
-        return len(self.pivots)
+def _packed_columns(M):
+    """Column j of the 0/1 matrix M as row j of a byte matrix: bit b of
+    byte g is M[8g + b, j].  Eight rows are ORed into one byte row by
+    shifts (on uint64 words when the row length allows), and the
+    8x-smaller byte matrix is transposed in blocks of eight bytes."""
+    M = np.ascontiguousarray(M)
+    rows, cols = M.shape
+    unit = np.uint64 if cols % 8 == 0 else np.uint8
+    B = np.zeros((-(-rows // 64) * 8, cols), dtype=np.uint8)  # zero-padded to whole uint64s
+    for b in range(8):
+        part = M[b::8].view(unit)
+        B[:len(part)].view(unit)[:] |= part << unit(b)
+    return (B.reshape(-1, 8, cols).transpose(0, 2, 1).copy()
+            .view(np.uint64)[..., 0].T.copy())
 
 
 def gf2_rank(M):
-    red = Gf2RowReducer()
-    for v in rows_to_ints(M):
-        red.add(v)
-    return red.rank
+    """Rank of a 0/1 matrix over GF(2).
+
+    Whichever of the rows and the columns are fewer become Python ints,
+    entry i at bit i: the rows of a wide M by packbits, the columns of a
+    tall M by _packed_columns, so no transposed uint8 copy of M is made.
+    Each vector is reduced against an XOR basis keyed by the highest set
+    bit (bit_length) and joins it when it does not reduce to 0.
+    """
+    M = np.asarray(M, dtype=np.uint8)
+    if M.size == 0:
+        return 0
+    if M.shape[0] > M.shape[1]:
+        packed = _packed_columns(M)
+    else:
+        packed = np.packbits(M, axis=1, bitorder="little")
+    width = packed.shape[1] * packed.itemsize
+    data = packed.tobytes()
+    basis = {}  # bit_length -> basis vector with that highest bit
+    for lo in range(0, len(data), width):
+        v = int.from_bytes(data[lo:lo + width], "little")
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
 
 # ------------------------------------------------------------- generic over F_q
@@ -93,12 +99,10 @@ def rref(M, F):
 
 def rank(M, F):
     M = F.elements(M)
-    if M.size == 0:
-        return 0
-    if M.shape[0] > M.shape[1]:  # rank(M) = rank(M^T): eliminate the shorter side
-        M = M.T
     if F.q == 2:
         return gf2_rank(M)
+    if M.shape[0] > M.shape[1]:  # rank(M) = rank(M^T): eliminate the shorter side
+        M = M.T
     return len(rref(M, F)[1])
 
 

@@ -301,6 +301,43 @@ class TestLowWeightSearch:
                 vec[j] = c
             assert D.contains(vec)
 
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 2), (2, 3, 6, 2), (3, 1, 3, 1)])
+    def test_dense_words_match_collected_tuples(self, q, ell, m, r):
+        """dual_codewords_of_weight fills its words from the collected
+        arrays; they are the public tuples in dense form, in their order."""
+        C = build_affine_grassmann(ell, m, r, q)
+        for w in (2, 3, 4):
+            _, reps = analysis.low_weight_dual_search(C, w_max=w, collect=True)
+            dense = np.zeros((len(reps[w]), C.n), dtype=np.uint8)
+            for row, (supp, coeffs) in zip(dense, reps[w]):
+                row[list(supp)] = coeffs
+            words = analysis.dual_codewords_of_weight(C, w)
+            assert isinstance(words, list) and len(words) == len(dense)
+            assert all(isinstance(x, np.ndarray) and x.dtype == np.uint8 for x in words)
+            assert np.array_equal(np.array(words).reshape(dense.shape), dense)
+
+    def test_proportional_pairs_collected_in_support_order(self):
+        F = make_field(3)
+        # classes {1, 3} (key 1) and {0, 2} (key 3): key order is not support order
+        C = Code(field=F, generator=np.array([[0, 1, 0, 2], [1, 0, 2, 0]], dtype=np.uint8))
+        _, reps = analysis.low_weight_dual_search(C, w_max=2, collect=True)
+        assert reps == {1: [], 2: [((0, 2), (1, 1)), ((1, 3), (1, 1))]}
+        assert np.array_equal(analysis.dual_codewords_of_weight(C, 2),
+                              [[1, 0, 1, 0], [0, 1, 0, 1]])
+
+    @pytest.mark.parametrize("q", [3, 4, 16])
+    def test_entries_outside_the_field_rejected(self, q):
+        """An entry >= q would index past the field's tables; the search
+        rejects it as min_distance_exhaustive does."""
+        C = Code(field=make_field(q),
+                 generator=np.array([[1, 0, 1], [1, q, 1]], dtype=np.uint8))
+        for call in [lambda: analysis.low_weight_dual_search(C, w_max=4),
+                     lambda: analysis.low_weight_dual_search(C, w_max=4, collect=True),
+                     lambda: analysis.dual_codewords_of_weight(C, 3),
+                     lambda: analysis.min_distance_exhaustive(C)]:
+            with pytest.raises(ValueError):
+                call()
+
     def test_detects_planted_low_weight_words(self):
         """A hand-built generator with a zero column and two dependent
         column triples must be reported at weights 1 and 3."""
@@ -377,6 +414,16 @@ class TestSpanGeneration:
         bad[0] = 1
         with pytest.raises(WordNotInCode):
             analysis.span_generation_test(C, [bad])
+
+    def test_bad_word_last_in_a_later_syndrome_block(self):
+        """Every word is tested, up to the last one of each syndrome block."""
+        D = build_dual_code(build_affine_grassmann(3, 6, 2, 2))
+        step = 2 ** 22 // D.n  # rows per syndrome block of span_generation_test
+        words = D.generator[np.arange(2 * step + 5) % D.k]
+        assert analysis.span_generation_test(D, words)["rank"] == D.k
+        words[2 * step - 1, 0] ^= 1
+        with pytest.raises(WordNotInCode):
+            analysis.span_generation_test(D, words)
 
     def test_empty_word_list(self):
         C = build_affine_grassmann(2, 4, 2, 2)

@@ -15,8 +15,8 @@ from agcodes.codes import (Code, PointEnumeration, build_affine_grassmann,
                            subcode_check, theoretical_params, write_generator)
 from agcodes.alist import _BLOCK_CELLS
 from agcodes.dual import dual_basis
-from agcodes.errors import (DimensionMismatch, OrderOutOfRange,
-                            SizeOutOfRange, TooLarge)
+from agcodes.errors import (DimensionMismatch, NotPrimePower, OrderOutOfRange,
+                            SizeOutOfRange, TooLarge, Unsupported)
 from agcodes.field import make_field
 from agcodes.monomials import Rectangle, SparsePolynomial, reduce_polynomial
 
@@ -183,6 +183,17 @@ class TestTheoreticalParams:
         assert p0.k == 1 and p0.d == p0.n
         p1 = theoretical_params(2, 4, 1, 3)
         assert p1.k == 5 and p1.d == 2 * 3 ** 3  # (q-1) q^(delta-1)
+
+    @pytest.mark.parametrize("q,error", [(1, NotPrimePower), (0, NotPrimePower),
+                                         (6, NotPrimePower), (17, Unsupported)])
+    def test_invalid_q(self, q, error):
+        """q is rejected as make_field rejects it, before the level or order."""
+        with pytest.raises(error):
+            theoretical_params(1, 2, 1, q)
+        with pytest.raises(error):
+            theoretical_params(2, 4, 3, q)  # bad level too
+        with pytest.raises(error):
+            rm_theoretical_params(0, 1, q)
 
     def test_invalid_level(self):
         with pytest.raises(SizeOutOfRange):

@@ -26,13 +26,25 @@ def test_gf2_reducer_matches_dense_rank():
         assert linalg.gf2_rank(M) == dense
 
 
-def test_gf2_reducer_incremental_flags():
-    red = linalg.Gf2RowReducer()
-    assert red.add(0b101)
-    assert red.add(0b011)
-    assert not red.add(0b110)  # xor of the first two
-    assert red.rank == 2
-    assert red.residual(0b110) == 0
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 63, 65])
+def test_gf2_rank_against_rref(rows):
+    """Over F_2, rank packs the columns of a tall matrix (uint64 shifts when
+    the row length is a multiple of 8, bytes otherwise) and the rows of a
+    wide one; rref of the same matrix is the reference."""
+    F = make_field(2)
+    rng = np.random.default_rng(rows)
+    for cols in sorted({1, 3, 8, 64, rows, rows + 5, 2 * rows + 3}):
+        M = _random_matrix(rng, rows, cols, 2)
+        low = linalg.matmul(_random_matrix(rng, rows, 3, 2),
+                            _random_matrix(rng, 3, cols, 2), F)  # rank <= 3
+        for A in [M, low, np.zeros((rows, cols), dtype=np.uint8),
+                  np.ones((rows, cols), dtype=np.uint8)]:
+            expected = len(linalg.rref(A, F)[1])
+            assert linalg.rank(A, F) == linalg.rank(A.T, F) == expected
+        if rows > cols:  # bit b of byte g in row j is M[8g + b, j]
+            P = linalg._packed_columns(M)
+            bits = np.unpackbits(P.view(np.uint8), axis=1, bitorder="little")
+            assert (bits[:, :rows] == M.T).all() and not bits[:, rows:].any()
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -280,5 +292,6 @@ def test_rowspace_equal_detects_difference():
 
 
 def test_rank_of_empty_matrix():
-    F = make_field(2)
-    assert linalg.rank(np.zeros((0, 5), dtype=np.uint8), F) == 0
+    for q in (2, 3):
+        for shape in [(0, 5), (5, 0), (0, 0)]:
+            assert linalg.rank(np.zeros(shape, dtype=np.uint8), make_field(q)) == 0
