@@ -27,17 +27,13 @@ _MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to float32 at a time
 def _packed_columns(M):
     """Column j of the 0/1 matrix M as row j of a byte matrix: bit b of
     byte g is M[8g + b, j].  Eight rows are ORed into one byte row by
-    shifts (on uint64 words when the row length allows), and the
-    8x-smaller byte matrix is transposed in blocks of eight bytes."""
+    shifts, and the 8x-smaller byte matrix is transposed."""
     M = np.ascontiguousarray(M)
-    rows, cols = M.shape
-    unit = np.uint64 if cols % 8 == 0 else np.uint8
-    B = np.zeros((-(-rows // 64) * 8, cols), dtype=np.uint8)  # zero-padded to whole uint64s
+    B = np.zeros((-(-M.shape[0] // 8), M.shape[1]), dtype=np.uint8)
     for b in range(8):
-        part = M[b::8].view(unit)
-        B[:len(part)].view(unit)[:] |= part << unit(b)
-    return (B.reshape(-1, 8, cols).transpose(0, 2, 1).copy()
-            .view(np.uint64)[..., 0].T.copy())
+        part = M[b::8]
+        B[:len(part)] |= part << np.uint8(b)
+    return B.T.copy()
 
 
 def gf2_rank(M):
@@ -56,7 +52,7 @@ def gf2_rank(M):
         packed = _packed_columns(M)
     else:
         packed = np.packbits(M, axis=1, bitorder="little")
-    width = packed.shape[1] * packed.itemsize
+    width = packed.shape[1]
     data = packed.tobytes()
     basis = {}  # bit_length -> basis vector with that highest bit
     for lo in range(0, len(data), width):
