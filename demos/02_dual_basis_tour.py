@@ -19,7 +19,7 @@ forb = forbidden_monomials(ell, m, r, q)
 nf, nonf, nb = is_forbidden_counts(ell, m, r, q)
 print(f"AGC({ell},{m};{r}) over F_{q}:")
 print(f"  forbidden monomials: {len(forb)} (formula {nf})")
-for mu in sorted(forb.monomials):
+for mu in sorted(forb):
     print("   ", monomial_str(mu, rect))
 
 print(f"  non-forbidden: {nonf}, completing binomials: {nb}")

@@ -9,10 +9,10 @@ from .codes import (Code, CodeParams, PointEnumeration, build_affine_grassmann,
                     build_reed_muller, evaluate, evaluate_rows, gaussian_binomial,
                     rm_theoretical_params, subcode_check, theoretical_params,
                     write_generator)
-from .dual import (ForbiddenSet, MinorBinomial, binomials, build_dual_code,
-                   char_sum, dual_basis, dual_min_weight_witness,
-                   forbidden_monomials, is_forbidden_counts,
-                   maximal_nonforbidden, self_orthogonality_check)
+from .dual import (MinorBinomial, binomials, build_dual_code, char_sum,
+                   dual_basis, dual_min_weight_witness, forbidden_monomials,
+                   is_forbidden_counts, maximal_nonforbidden,
+                   self_orthogonality_check)
 from .transforms import (AffineTransform, Permutation, compose,
                          induced_permutation, is_automorphism,
                          random_transform, subgroup_order_bound,

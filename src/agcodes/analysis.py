@@ -62,12 +62,12 @@ def _enumerate(C, keep_weight=-1):
     """Weight distribution of the codewords of all q^k - 1 nonzero messages.
 
     Returns (A, words): A[w] counts the nonzero messages whose codeword has
-    weight w, and words holds those of weight keep_weight (none by
-    default).  Meet in the middle: a table of all combinations of the
-    first lo rows (q^lo n <= _BLOCK_CELLS cells) is added, in one array
-    operation, to each combination of the other rows; those are formed in
-    blocks of about _BLOCK_CELLS / n.  For q = 2 the words are bit-packed
-    into uint64 and added by XOR.
+    weight w, and words is the (m, n) uint8 matrix of those of weight
+    keep_weight (None by default).  Meet in the middle: a table of all
+    combinations of the first lo rows (q^lo n <= _BLOCK_CELLS cells) is
+    added, in one array operation, to each combination of the other rows;
+    those are formed in blocks of about _BLOCK_CELLS / n.  For q = 2 the
+    words are bit-packed into uint64 and added by XOR.
     """
     F, G = C.field, C.generator
     q, (k, n) = F.q, G.shape
@@ -100,11 +100,11 @@ def _enumerate(C, keep_weight=-1):
                 words.append(block[w == keep_weight])
     A[0] -= 1  # the zero message
     if keep_weight < 0:
-        return A, []
+        return A, None
     words = np.concatenate(words)[1 if keep_weight == 0 else 0:]
     if q == 2:
         words = np.unpackbits(words.view(np.uint8), axis=1, count=n)
-    return A, list(words)
+    return A, words
 
 
 def min_distance_exhaustive(C, cap=DEFAULT_ENUM_CAP):
@@ -234,7 +234,7 @@ def _pair_search(D, keys, F, w_max, collect):
     return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, supports
 
 
-def low_weight_dual_search(C, w_max=4, collect=False):
+def low_weight_dual_search(C, w_max=4):
     """Count the dual codewords of weight 1..w_max (w_max <= 4) as column
     dependencies of C's generator matrix.
 
@@ -258,24 +258,15 @@ def low_weight_dual_search(C, w_max=4, collect=False):
     B'_w = C(n', w) ((q-1)^w + (-1)^w (q-1)) / q.  Any other proportional
     columns raise Unsupported for w_max >= 3, as do keys above 63 bits;
     more than MAX_PAIR_COMBINATIONS pair combinations raise TooLarge.
-
-    With collect, also returns {w: [(support, coefficients), ...]} in
-    sorted support order: one word per zero column (w = 1) and per
-    proportional pair (w = 2), every word at w >= 3.  Collecting raises
-    Unsupported when words run through zero columns (w_max >= 2) or
-    through one class (w_max >= 3).
     """
-    report, words = _search(C, w_max, collect)
-    if not collect:
-        return report
-    return report, {w: list(zip(map(tuple, supp.tolist()), map(tuple, coef.tolist())))
-                    for w, (supp, coef) in words.items()}
+    return _search(C, w_max, False)[0]
 
 
 def _search(C, w_max, collect):
-    """low_weight_dual_search, with the collected words (None without
-    collect) as {w: (supports, coefficients)}: two m x w arrays, the
-    column indices and the uint8 coefficients of one word per row."""
+    """low_weight_dual_search, with the collected words of weight w_max
+    (None without collect; see dual_codewords_of_weight) as (supports,
+    coefficients): two m x w_max arrays, the column indices and the uint8
+    coefficients of one word per row."""
     if not 1 <= w_max <= 4:
         raise WMaxUnsupported(f"w_max must be in 1..4, got {w_max}")
     F = C.field
@@ -328,41 +319,45 @@ def _search(C, w_max, collect):
         return report, None
     # with collect and w_max >= 2 there is no zero column, so indices into
     # the nonzero columns are column indices
-    supp = np.flatnonzero(zero)[:, None]
-    words = {1: (supp, np.ones(supp.shape, dtype=np.uint8))}
-    if w_max >= 2:
+    if w_max == 2:
         i, j = _group_pairs(starts, sizes)
         a, c = order[i], order[j]
         by_pair = np.lexsort((c, a))
         a, c = a[by_pair], c[by_pair]
         coef = F.neg(F.mul(lead[c], F.inv_table[lead[a]]))
-        words[2] = (np.stack([a, c], axis=1),
-                    np.stack([coef, np.ones_like(coef)], axis=1))
-    for w in range(3, w_max + 1):  # q = 2: all ones; q > 2: every solution
-        if q == 2:
-            words[w] = (supports[w], np.ones(supports[w].shape, dtype=np.uint8))
-            continue
-        solved = [_solve_support(cols, s, F) for s in supports[w]]
-        words[w] = (np.repeat(supports[w], [len(v) for v in solved], axis=0),
-                    np.concatenate([np.empty((0, w), dtype=np.uint8), *solved]))
-    return report, words
+        return report, (np.stack([a, c], axis=1),
+                        np.stack([coef, np.ones_like(coef)], axis=1))
+    supp = np.flatnonzero(zero)[:, None] if w_max == 1 else supports[w_max]
+    if w_max == 1 or q == 2:
+        return report, (supp, np.ones(supp.shape, dtype=np.uint8))
+    solved = [_solve_support(cols, s, F) for s in supp]  # every solution
+    return report, (np.repeat(supp, [len(v) for v in solved], axis=0),
+                    np.concatenate([np.empty((0, w_max), dtype=np.uint8), *solved]))
 
 
 def dual_codewords_of_weight(C_primal, w):
-    """Dual codewords of the given weight as dense vectors, as collected by
-    low_weight_dual_search (for q = 2, every one of them), filled straight
-    from the collected support and coefficient arrays."""
-    supports, coeffs = _search(C_primal, w, collect=True)[1][w]
+    """Dual codewords of weight w (1 <= w <= 4) as one C-contiguous (m, n)
+    uint8 matrix, one word per row in sorted support order, filled
+    straight from the support search's support and coefficient arrays.
+
+    The rows are one word per zero column (w = 1) and one per pair of
+    proportional columns (w = 2), not their q - 2 other multiples, and
+    every word of weight w >= 3; for q = 2 that is every word.  A
+    generator with a zero column raises Unsupported for w >= 2, and one
+    with proportional columns (a single projective class, or more) for
+    w >= 3.
+    """
+    supports, coeffs = _search(C_primal, w, collect=True)[1]
     words = np.zeros((len(supports), C_primal.n), dtype=np.uint8)
     np.put_along_axis(words, supports, coeffs, axis=1)
-    return list(words)
+    return words
 
 
 # ------------------------------------------------- min-weight words and spans
 
 def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
     """All codewords of weight exactly d, whether or not d is the minimum
-    weight.
+    weight, as one C-contiguous (m, n) uint8 matrix ((0, n) when none).
 
     Uses full enumeration when feasible; falls back to the support search
     when C is a dual code and d <= 4 (the search yields the words that
@@ -378,7 +373,9 @@ def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
 
 
 def span_generation_test(C, words):
-    """Rank of the stacked words and whether they generate C.
+    """Rank of the words (an (m, n) matrix or a list of rows) and whether
+    they generate C.  A uint8 matrix, as min_weight_codewords and
+    dual_codewords_of_weight return, is used as it is, without a copy.
 
     Membership of every word in C is asserted first: the syndromes are
     formed as M H^T, one block of about 2^22 entries of contiguous word
@@ -388,7 +385,7 @@ def span_generation_test(C, words):
     """
     if not len(words):
         return {"rank": 0, "generates": C.k == 0}
-    M = np.array(words, dtype=np.uint8)
+    M = np.asarray(words, dtype=np.uint8)
     Ht = C.parity_check().T
     step = max(1, (2 ** 22) // max(1, C.n))
     for lo in range(0, M.shape[0], step):

@@ -19,7 +19,7 @@ from . import analysis, dual as dual_mod, transforms
 from .alist import export_parity_alist
 from .codes import (build_affine_grassmann, theoretical_params,
                     write_generator)
-from .errors import AGCError, SizeOutOfRange, TooLarge
+from .errors import AGCError, SizeOutOfRange, TooLarge, UsageError
 from .field import make_field
 from .monomials import Rectangle
 
@@ -30,7 +30,7 @@ def _emit(obj, stream=None):
     print(json.dumps(obj, sort_keys=True), file=stream or sys.stdout)
 
 
-def _coord_cap(args):
+def _coord_cap():
     env = os.environ.get("AGC_MAX_COORDS")
     if env is None:
         return DEFAULT_MAX_COORDS
@@ -42,7 +42,7 @@ def _coord_cap(args):
 
 def _check_cap(args):
     make_field(args.q)
-    delta, cap = args.l * (args.m - args.l), _coord_cap(args)
+    delta, cap = args.l * (args.m - args.l), _coord_cap()
     if delta > cap.bit_length() or args.q ** delta > cap:  # n >= 2^delta
         raise TooLarge(f"n = {args.q}^{delta} exceeds AGC_MAX_COORDS = {cap}")
 
@@ -165,44 +165,48 @@ def _report(args):
     return 0
 
 
-def _add_common(sp, need_r=True, need_out=False):
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int)
-    group.add_argument("--lp", type=int, help="ell'; m = l + lp")
-    if need_r:
-        sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--out", required=need_out,
-                    help="output path" + ("" if need_out else " (optional)"))
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--deep", action="store_true",
-                    help="enable checks above ~1 second")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a UsageError, so that it leaves as an error
+    record with exit code 2 like every other failure."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
+def _parser():
+    parser = _ArgumentParser(
         prog="agcodes",
         description="Affine Grassmann codes: construction, duals, verification")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {}
-    for name, fn, need_r, need_out in [
-        ("build", _build, True, False),
-        ("dual", _dual, True, False),
-        ("verify", _verify, False, False),
-        ("export-alist", _export_alist, True, True),
-        ("report", _report, True, False),
+    r = ("--r", {"type": int, "required": True})
+    out = ("--out", {"help": "output path (optional)"})
+    deep = ("--deep", {"action": "store_true", "help": "enable checks above ~1 second"})
+    for name, fn, options in [
+        ("build", _build, [r, out]),
+        ("dual", _dual, [r, out]),
+        ("verify", _verify, [("--seed", {"type": int, "default": 0}), deep]),
+        ("export-alist", _export_alist,
+         [r, ("--out", {"required": True, "help": "output path"})]),
+        ("report", _report, [r, deep]),
     ]:
         sp = sub.add_parser(name)
-        _add_common(sp, need_r=need_r, need_out=need_out)
-        handlers[name] = fn
-    args = parser.parse_args(argv)
-    if args.m is None:
-        args.m = args.l + args.lp
-    if not hasattr(args, "r"):
-        args.r = None
+        sp.set_defaults(handler=fn)
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--l", type=int, required=True)
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--m", type=int)
+        group.add_argument("--lp", type=int, help="ell'; m = l + lp")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+    return parser
+
+
+def main(argv=None):
     try:
-        return handlers[args.command](args)
+        args = _parser().parse_args(argv)
+        if args.m is None:
+            args.m = args.l + args.lp
+        return args.handler(args)
     except (AGCError, OSError) as exc:
         _emit({"schema": 1, "error": type(exc).__name__, "message": str(exc)},
               stream=sys.stderr)

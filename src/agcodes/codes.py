@@ -25,8 +25,8 @@ from .alist import _BLOCK_CELLS, _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import make_field
 from .minors import enumerate_minors, minor_polynomial
-from .monomials import (Rectangle, all_reduced_monomials, monomial_degree,
-                        reduce_exponent)
+from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
+                        monomial_degree, reduce_exponent)
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
 
@@ -267,9 +267,8 @@ def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
 def build_reed_muller(r, delta, q, max_cells=DEFAULT_MAX_CELLS):
     """RM(r, delta): evaluations of all reduced monomials of degree <= r
     on F_q^delta (realized as the 1 x delta grid)."""
-    if not 0 <= r <= delta * (q - 1):
-        raise OrderOutOfRange(f"RM order {r} outside [0, {delta * (q - 1)}]")
     F = make_field(q)
+    params = rm_theoretical_params(r, delta, q)
     rect = Rectangle(1, delta)
     pe = PointEnumeration(rect, F)
     mus = sorted((mu for mu in all_reduced_monomials(rect, q)
@@ -277,10 +276,8 @@ def build_reed_muller(r, delta, q, max_cells=DEFAULT_MAX_CELLS):
                  key=lambda mu: (monomial_degree(mu), mu))
     if pe.n * len(mus) > max_cells:
         raise TooLarge("RM build exceeds the size cap")
-    from .monomials import SparsePolynomial
     G = evaluate_rows([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
-    expected = rm_theoretical_params(r, delta, q).k
-    if G.shape[0] != expected:
+    if G.shape[0] != params.k:
         raise AssertionError("monomial count disagrees with the dimension formula")
     return Code(field=F, generator=G, rect=rect,
                 meta={"kind": "RM", "r": r, "delta": delta, "q": q})

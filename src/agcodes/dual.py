@@ -44,23 +44,6 @@ from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
 
 
 @dataclass(frozen=True)
-class ForbiddenSet:
-    """full/t for t ranging over the (unsigned) terms of minors of size <= r."""
-
-    monomials: frozenset
-    ell: int
-    m: int
-    r: int
-    q: int
-
-    def __contains__(self, mu):
-        return mu in self.monomials
-
-    def __len__(self):
-        return len(self.monomials)
-
-
-@dataclass(frozen=True)
 class MinorBinomial:
     """full/t_eps(M) - full/t_sigma(M) for a non-identity permutation sigma."""
 
@@ -76,6 +59,7 @@ def _params(ell, m, r, q):
 
 
 def forbidden_monomials(ell, m, r, q):
+    """full/t for t ranging over the (unsigned) terms of minors of size <= r."""
     F, rect = _params(ell, m, r, q)
     full = full_product(rect, q)
     mons = set()
@@ -83,7 +67,7 @@ def forbidden_monomials(ell, m, r, q):
         for M in enumerate_minors(rect, i):
             for t in minor_terms(M, F, rect):
                 mons.add(monomial_div(full, t.monomial))
-    return ForbiddenSet(monomials=frozenset(mons), ell=ell, m=m, r=r, q=q)
+    return frozenset(mons)
 
 
 def binomials(ell, m, r, q):

@@ -67,3 +67,7 @@ class RankTooLow(AGCError):
 
 class InvalidWitnessParams(AGCError):
     pass
+
+
+class UsageError(AGCError):
+    """Bad command-line arguments."""

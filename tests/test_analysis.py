@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -142,7 +143,8 @@ class TestExhaustiveEnumeration:
         rep = analysis.min_distance_exhaustive(C)
         assert (rep.min_distance, rep.min_weight_count, rep.enumerated,
                 rep.weight_counts) == (None, 0, 0, {})
-        assert analysis.min_weight_codewords(C, 0) == []
+        words = analysis.min_weight_codewords(C, 0)
+        assert words.shape == (0, 5) and words.dtype == np.uint8
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_repeated_rows_give_weight_zero(self, q):
@@ -231,28 +233,26 @@ class TestLowWeightSearch:
     @settings(max_examples=120, deadline=None)
     @given(small_generators())
     def test_collect_yields_dual_words_of_stated_weight(self, C):
-        """Collecting raises Unsupported exactly when the generator has a
-        zero column or two proportional columns."""
+        """Listing the words of weight w raises Unsupported exactly when the
+        generator has a zero column (w >= 2) or two proportional columns
+        (w >= 3)."""
         F = C.field
-        degenerate = (not C.generator.any(axis=0).all()
-                      or max(_class_sizes(C)) > 1)
-        try:
-            rep, reps = analysis.low_weight_dual_search(C, w_max=4, collect=True)
-        except Unsupported:
-            assert degenerate
-            return
-        assert not degenerate
-        for w, words in reps.items():
-            for supp, coeffs in words:
-                assert len(supp) == len(coeffs) == w
-                assert list(supp) == sorted(set(supp))
-                x = np.zeros(C.n, dtype=np.uint8)
-                x[list(supp)] = coeffs
-                assert (x[list(supp)] != 0).all()
-                assert not linalg.matmul(C.generator, x[:, None], F).any()
+        zero = not C.generator.any(axis=0).all()
+        degenerate = zero or max(_class_sizes(C)) > 1
+        for w in range(1, 5):
+            try:
+                words = analysis.dual_codewords_of_weight(C, w)
+            except Unsupported:
+                assert (zero and w >= 2) or (degenerate and w >= 3)
+                continue
+            assert not ((zero and w >= 2) or (degenerate and w >= 3))
+            assert words.dtype == np.uint8 and words.shape[1:] == (C.n,)
+            assert (np.count_nonzero(words, axis=1) == w).all()
+            assert not linalg.matmul(C.generator, words.T, F).any()
             # q = 2, and every word at w >= 3; one per class at w <= 2
             per_word = 1 if F.q == 2 or w >= 3 else F.q - 1
-            assert len(words) * per_word == rep.weight_counts[w]
+            count = analysis.low_weight_dual_search(C, w_max=w).weight_counts[w]
+            assert len(words) * per_word == count
 
     def test_level_zero_counts(self):
         rep = analysis.low_weight_dual_search(build_affine_grassmann(2, 4, 0, 2))
@@ -292,36 +292,33 @@ class TestLowWeightSearch:
     def test_collect_returns_valid_dual_words(self):
         C = build_affine_grassmann(2, 4, 2, 2)
         D = build_dual_code(C)
-        rep, reps = analysis.low_weight_dual_search(C, w_max=4, collect=True)
+        rep = analysis.low_weight_dual_search(C, w_max=4)
+        words = analysis.dual_codewords_of_weight(C, 4)
         assert rep.min_distance == 4
-        assert len(reps[4]) == rep.min_weight_count  # q = 2: one word each
-        for supp, coeffs in reps[4]:
-            vec = np.zeros(C.n, dtype=np.uint8)
-            for j, c in zip(supp, coeffs):
-                vec[j] = c
-            assert D.contains(vec)
+        assert len(words) == rep.min_weight_count  # q = 2: one word each
+        assert all(D.contains(vec) for vec in words)
 
     @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 2), (2, 3, 6, 2), (3, 1, 3, 1)])
-    def test_dense_words_match_collected_tuples(self, q, ell, m, r):
-        """dual_codewords_of_weight fills its words from the collected
-        arrays; they are the public tuples in dense form, in their order."""
+    def test_dense_words_in_support_order(self, q, ell, m, r):
+        """dual_codewords_of_weight returns one C-contiguous uint8 matrix
+        ((0, n) when there are no words) whose rows are distinct and sorted
+        by support."""
         C = build_affine_grassmann(ell, m, r, q)
         for w in (2, 3, 4):
-            _, reps = analysis.low_weight_dual_search(C, w_max=w, collect=True)
-            dense = np.zeros((len(reps[w]), C.n), dtype=np.uint8)
-            for row, (supp, coeffs) in zip(dense, reps[w]):
-                row[list(supp)] = coeffs
             words = analysis.dual_codewords_of_weight(C, w)
-            assert isinstance(words, list) and len(words) == len(dense)
-            assert all(isinstance(x, np.ndarray) and x.dtype == np.uint8 for x in words)
-            assert np.array_equal(np.array(words).reshape(dense.shape), dense)
+            assert isinstance(words, np.ndarray) and words.dtype == np.uint8
+            assert words.ndim == 2 and words.shape[1] == C.n
+            assert words.flags.c_contiguous
+            supports = np.nonzero(words)[1].reshape(len(words), w).tolist()
+            assert supports == sorted(supports)
+            assert len({x.tobytes() for x in words}) == len(words)
+        assert analysis.dual_codewords_of_weight(C, 2).shape == (0, C.n)
 
     def test_proportional_pairs_collected_in_support_order(self):
         F = make_field(3)
         # classes {1, 3} (key 1) and {0, 2} (key 3): key order is not support order
         C = Code(field=F, generator=np.array([[0, 1, 0, 2], [1, 0, 2, 0]], dtype=np.uint8))
-        _, reps = analysis.low_weight_dual_search(C, w_max=2, collect=True)
-        assert reps == {1: [], 2: [((0, 2), (1, 1)), ((1, 3), (1, 1))]}
+        assert analysis.dual_codewords_of_weight(C, 1).shape == (0, 4)
         assert np.array_equal(analysis.dual_codewords_of_weight(C, 2),
                               [[1, 0, 1, 0], [0, 1, 0, 1]])
 
@@ -332,7 +329,7 @@ class TestLowWeightSearch:
         C = Code(field=make_field(q),
                  generator=np.array([[1, 0, 1], [1, q, 1]], dtype=np.uint8))
         for call in [lambda: analysis.low_weight_dual_search(C, w_max=4),
-                     lambda: analysis.low_weight_dual_search(C, w_max=4, collect=True),
+                     lambda: analysis.dual_codewords_of_weight(C, 4),
                      lambda: analysis.dual_codewords_of_weight(C, 3),
                      lambda: analysis.min_distance_exhaustive(C)]:
             with pytest.raises(ValueError):
@@ -390,6 +387,18 @@ class TestMinWeightWords:
         assert len(words) > 0
         assert all(int(np.count_nonzero(w)) == 4 for w in words)
 
+    def test_returns_one_uint8_matrix(self):
+        """Both routes return a C-contiguous (m, n) uint8 matrix, (0, n)
+        when no word has the weight."""
+        C = build_affine_grassmann(2, 4, 2, 2)
+        D = build_dual_code(build_affine_grassmann(3, 6, 2, 2))
+        full = analysis.DEFAULT_ENUM_CAP
+        for code, d, cap, m in [(C, 6, full, 16), (C, 5, full, 0),
+                                (D, 4, 2 ** 10, 68992), (D, 3, 2 ** 10, 0)]:
+            words = analysis.min_weight_codewords(code, d, cap=cap)
+            assert isinstance(words, np.ndarray) and words.dtype == np.uint8
+            assert words.shape == (m, code.n) and words.flags.c_contiguous
+
     def test_no_route_raises(self):
         C = build_affine_grassmann(3, 6, 2, 2)
         D = build_dual_code(C)
@@ -424,6 +433,22 @@ class TestSpanGeneration:
         words[2 * step - 1, 0] ^= 1
         with pytest.raises(WordNotInCode):
             analysis.span_generation_test(D, words)
+
+    def test_word_matrix_is_not_copied(self):
+        """On the 68992 weight-4 words of AGC(3,6;2)/F2 (33.7 MiB) the span
+        test allocates less than half of what a copy of the words would."""
+        C = build_affine_grassmann(3, 6, 2, 2)
+        D = build_dual_code(C)
+        words = analysis.dual_codewords_of_weight(C, 4)
+        D.parity_check()
+        tracemalloc.start()
+        try:
+            res = analysis.span_generation_test(D, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res["rank"] == 492
+        assert peak < words.nbytes / 2
 
     def test_empty_word_list(self):
         C = build_affine_grassmann(2, 4, 2, 2)

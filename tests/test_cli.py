@@ -203,6 +203,26 @@ class TestFailurePaths:
         res = run_cli()
         assert res.returncode != 0
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--q", "x", "--l", "1", "--m", "2", "--r", "1"],
+        ["build", "--q", "2", "--l", "1", "--r", "1"],
+        ["report", "--q", "2", "--l", "2", "--m", "4", "--r", "2", "--out", "OUT"],
+        ["build", "--q", "2", "--l", "1", "--m", "2", "--r", "1", "--seed", "1"],
+        ["dual", "--q", "2", "--l", "1", "--m", "2", "--r", "1", "--deep"],
+        ["verify", "--q", "2", "--l", "1", "--m", "2", "--out", "OUT"],
+        ["build", "--q", "2", "--l", "1", "--m", "2", "--r", "1", "--bogus"],
+    ], ids=["non-integer-q", "missing-m-and-lp", "report-out", "build-seed",
+            "dual-deep", "verify-out", "unknown-flag"])
+    def test_usage_error_exits_with_record(self, argv, tmp_path, capsys):
+        """A flag the subcommand does not read is rejected, and every usage
+        error leaves as one error record with exit code 2."""
+        out = str(tmp_path / "f")
+        assert cli.main([out if a == "OUT" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "UsageError"
+        assert not os.path.exists(out)
+
 
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):

@@ -276,6 +276,13 @@ class TestReedMuller:
         with pytest.raises(OrderOutOfRange):
             rm_theoretical_params(-1, 2, 3)
 
+    def test_field_checked_before_order(self):
+        """build_reed_muller rejects its arguments as rm_theoretical_params
+        does: q first, then the order."""
+        for call in (build_reed_muller, rm_theoretical_params):
+            with pytest.raises(NotPrimePower):
+                call(99, 2, 6)
+
     def test_rm_orders_nest(self):
         r1 = build_reed_muller(1, 3, 2)
         r2 = build_reed_muller(2, 3, 2)
