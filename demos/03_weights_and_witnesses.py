@@ -4,13 +4,16 @@ The dual of every level-r code (r >= 1) has minimum distance exactly 3
 when q > 2 and exactly 4 when q = 2 with l' > 1.  The low-weight search
 treats dual words as column dependencies of the primal generator matrix,
 so it never enumerates the huge dual; witnesses certify the upper bound.
+For q > 2 the dual is generated by its weight-3 words, one per projective
+class as dual_codewords_of_weight lists them.
 """
 
 import numpy as np
 
 from agcodes import (build_affine_grassmann, build_dual_code,
                      dual_min_weight_witness, evaluate,
-                     low_weight_dual_search)
+                     low_weight_dual_search, span_generation_test)
+from agcodes.analysis import dual_codewords_of_weight
 from agcodes.codes import PointEnumeration
 
 for (ell, m, r, q) in [(2, 4, 2, 3), (2, 4, 2, 2), (3, 6, 2, 2)]:
@@ -30,3 +33,7 @@ for (ell, m, r, q) in [(2, 4, 2, 3), (2, 4, 2, 2), (3, 6, 2, 2)]:
     ev = evaluate(w, pe)
     print(f"  witness {label}: weight {int(np.count_nonzero(ev))}, "
           f"in dual: {D.contains(ev)}")
+    if q > 2:
+        span = span_generation_test(D, dual_codewords_of_weight(C, 3))
+        print(f"  weight-3 words span rank {span['rank']} "
+              f"(n - k = {C.n - C.k}): generates the dual: {span['generates']}")

@@ -15,7 +15,6 @@ over groups of g equal pair keys (see low_weight_dual_search).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import linalg
 from .codes import PointEnumeration, evaluate, theoretical_params
-from .errors import (RankTooLow, TooLarge, Unsupported, WMaxUnsupported,
-                     WordNotInCode)
+from .errors import (DimensionMismatch, RankTooLow, TooLarge, Unsupported,
+                     WMaxUnsupported, WordNotInCode)
 from .field import make_field
 from .monomials import Rectangle, SparsePolynomial
 
@@ -129,23 +128,13 @@ def min_distance_exhaustive(C, cap=DEFAULT_ENUM_CAP):
 
 # ----------------------------------------------------- low-weight dual search
 
-def _solve_support(cols, supp, F):
-    """All dependencies on the given columns that use every column: one
-    row of coefficients, all nonzero, per codeword."""
-    ker = linalg.nullspace(cols[supp].T, F)
-    combos = np.array(list(itertools.product(range(F.q), repeat=len(ker))),
-                      dtype=np.uint8).reshape(-1, len(ker))
-    vecs = linalg.matmul(combos, ker, F)
-    return vecs[vecs.all(axis=1)]
-
-
 def _normalize(F, V):
     """Scale each vector (last axis) so its first nonzero digit is 1.
 
-    Returns (scaled, lead, key): a zero vector stays zero with lead 0, and
+    Returns (scaled, lead, key): a zero vector stays zero with lead 1, and
     the int64 key has digit 0 least significant (for q = 2, the bits).
     """
-    lead = np.zeros(V.shape[:-1], dtype=np.uint8)
+    lead = np.ones(V.shape[:-1], dtype=np.uint8)
     key = np.zeros(V.shape[:-1], dtype=np.int64)
     for i in range(V.shape[-1] - 1, -1, -1):
         lead = np.where(V[..., i] != 0, V[..., i], lead)
@@ -170,20 +159,36 @@ def _group_pairs(starts, sizes):
     return i, i + 1 + np.arange(later.sum()) - np.repeat(np.cumsum(later) - later, later)
 
 
-def _sorted_supports(rows, n):
-    """The distinct rows (ascending column indices < n) in lexicographic
-    order, deduplicated on a packed int64 key."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        key = key * n + col
-    _, first = np.unique(key, return_index=True)
-    return rows[first]
+def _words(F, lead, supports, coeffs):
+    """The (m, n) uint8 matrix of the words given as m ascending rows of
+    column indices and the coefficients on the normalized columns there:
+    rescaled to the original columns by 1 / lead, scaled so each word's
+    first entry is 1, and sorted by support, then coefficients."""
+    coeffs = F.mul(coeffs, F.inv_table[lead[supports]])
+    coeffs = F.mul(coeffs, F.inv_table[coeffs[:, :1]])
+    key = np.zeros(len(supports), dtype=np.int64)  # (nq)^w < 2^61: (q-1) n^2 <= 2^26 at w >= 3
+    for digits, base in [(supports, len(lead)), (coeffs, F.q)]:
+        for col in digits.T:
+            key = key * base + col
+    by_key = np.argsort(key)
+    words = np.zeros((len(supports), len(lead)), dtype=np.uint8)
+    np.put_along_axis(words, supports[by_key], coeffs[by_key], axis=1)
+    return words
 
 
 def _pair_search(D, keys, F, w_max, collect):
-    """(B_3, B_4, {w: supports}) on the pairwise non-proportional normalized
-    columns D with keys ``keys``; the supports, one sorted row of column
-    indices each, are listed only with collect."""
+    """(B_3, B_4, words) on the pairwise non-proportional normalized
+    columns D with keys ``keys``; with collect, words holds the words of
+    weight w_max, one per projective class, as _words takes them.
+
+    Each pair entry keeps, beside its pair a < b, the coefficients (u, v)
+    with u D_a + v D_b = N, its normalized combination: (1, t) / lambda
+    for D_a + t D_b = lambda N.  A column c whose key is the entry's
+    gives the word u D_a + v D_b - D_c, kept when c > b; two entries with
+    equal keys give the word u D_a + v D_b - u' D_c - v' D_d, kept when
+    b < c.  So each word is read off one match, the one that splits off
+    its lowest two columns.
+    """
     q, n = F.q, len(keys)
     order = np.argsort(keys)
     col_keys = keys[order]
@@ -191,32 +196,38 @@ def _pair_search(D, keys, F, w_max, collect):
     total = (q - 1) * (n * (n - 1) // 2) if w_max >= 4 else 0
     pair_keys = np.empty(total, dtype=np.int64)
     pairs = np.empty((total if collect else 0, 2), dtype=np.int32)
-    triples, m3, filled = [np.empty((0, 3), dtype=np.int64)], 0, 0
+    pair_coef = np.empty(pairs.shape, dtype=np.uint8)  # (u, v)
+    supp3, coef3 = [np.empty((0, 3), dtype=np.intp)], [np.empty((0, 3), dtype=np.uint8)]
+    m3, filled = 0, 0
     rows = max(1, _BLOCK_CELLS // max(1, (q - 1) * n * D.shape[1]))
     for lo in range(0, n, rows):
         a, b = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
         a += lo
         if q == 2:
-            pk = keys[a] ^ keys[b]
+            pk, lead = keys[a] ^ keys[b], np.ones(len(a), dtype=np.uint8)
         else:
             combos = F.add(D[a][:, None], scaled[:, b].swapaxes(0, 1))
-            pk = _normalize(F, combos)[2].ravel()
+            lead, pk = (x.ravel() for x in _normalize(F, combos)[1:])
             a, b = np.repeat(a, q - 1), np.repeat(b, q - 1)
         pos = np.minimum(np.searchsorted(col_keys, pk), n - 1)
         hit = col_keys[pos] == pk
         m3 += int(np.count_nonzero(hit))
-        if collect:
-            triples.append(np.stack([a[hit], b[hit], order[pos[hit]]], axis=1))
+        if collect:  # (u, v) = (1, t) / lambda
+            t = np.tile(np.arange(1, q, dtype=np.uint8), len(pk) // (q - 1))
+            coef = F.mul(F.inv_table[lead][:, None], np.c_[np.ones_like(t), t])
+        if collect and w_max == 3:
+            hit &= order[pos] > b
+            supp3.append(np.stack([a, b, order[pos]], axis=1)[hit])
+            coef3.append(np.c_[coef, np.full(len(a), F.neg(1))][hit])
         if total:
             pair_keys[filled:filled + len(pk)] = pk
             if collect:
                 pairs[filled:filled + len(pk)] = np.stack([a, b], axis=1)
+                pair_coef[filled:filled + len(pk)] = coef
             filled += len(pk)
     t3 = m3 // 3
-    supports = {3: _sorted_supports(np.sort(np.concatenate(triples), axis=1), n),
-                4: np.empty((0, 4), dtype=np.int64)}
     if not total:
-        return (q - 1) * t3, 0, supports
+        return (q - 1) * t3, 0, (np.concatenate(supp3), np.concatenate(coef3))
     if collect:
         by_key = np.argsort(pair_keys)
         pair_keys = pair_keys[by_key]
@@ -227,11 +238,14 @@ def _pair_search(D, keys, F, w_max, collect):
         block = pair_keys[lo:lo + _BLOCK_CELLS]
         collisions += int((np.arange(lo, lo + len(block))
                            - np.searchsorted(pair_keys, block)).sum())
+    words = None
     if collect:
-        i, j = _group_pairs(*_groups(pair_keys))
-        quads = np.sort(np.concatenate([pairs[by_key[i]], pairs[by_key[j]]], axis=1), axis=1)
-        supports[4] = _sorted_supports(quads[(np.diff(quads, axis=1) != 0).all(axis=1)], n)
-    return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, supports
+        i, j = (by_key[x] for x in _group_pairs(*_groups(pair_keys)))
+        i, j = np.where(pairs[j, 1] < pairs[i, 0], [j, i], [i, j])  # lower pair first
+        split = pairs[i, 1] < pairs[j, 0]  # i on the lowest two columns, j on the rest
+        i, j = i[split], j[split]
+        words = (np.c_[pairs[i], pairs[j]], np.c_[pair_coef[i], F.neg(pair_coef[j])])
+    return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, words
 
 
 def low_weight_dual_search(C, w_max=4):
@@ -263,10 +277,8 @@ def low_weight_dual_search(C, w_max=4):
 
 
 def _search(C, w_max, collect):
-    """low_weight_dual_search, with the collected words of weight w_max
-    (None without collect; see dual_codewords_of_weight) as (supports,
-    coefficients): two m x w_max arrays, the column indices and the uint8
-    coefficients of one word per row."""
+    """low_weight_dual_search, with the words of weight w_max as the
+    matrix dual_codewords_of_weight returns (None without collect)."""
     if not 1 <= w_max <= 4:
         raise WMaxUnsupported(f"w_max must be in 1..4, got {w_max}")
     F = C.field
@@ -278,7 +290,8 @@ def _search(C, w_max, collect):
     zero = ~cols.any(axis=1)
     z = int(zero.sum())
     n1 = n - z
-    D, lead, keys = _normalize(F, cols[~zero])
+    D, lead, keys = _normalize(F, cols)
+    D, keys = D[~zero], keys[~zero]
     order = np.argsort(keys, kind="stable")
     starts, sizes = _groups(keys[order])
     proportional = int((sizes * (sizes - 1) // 2).sum())
@@ -288,14 +301,14 @@ def _search(C, w_max, collect):
     b = [1, 0] + [0] * (w_max - 1)  # B'_0 .. B'_{w_max}
     if w_max >= 2:
         b[2] = (q - 1) * proportional
-    examined, supports = 0, {}
+    examined, found = 0, None
     if w_max >= 3:
         if proportional == 0:
             examined = (q - 1) * (n1 * (n1 - 1) // 2)
             if examined > MAX_PAIR_COMBINATIONS:
                 raise TooLarge(f"{examined} pair combinations exceed the cap "
                                f"{MAX_PAIR_COMBINATIONS}")
-            b3, b4, supports = _pair_search(D, keys, F, w_max, collect)
+            b3, b4, found = _pair_search(D, keys, F, w_max, collect)
             b[3:] = [b3, b4][:w_max - 2]
         elif proportional == n1 * (n1 - 1) // 2:
             if collect:
@@ -317,40 +330,28 @@ def _search(C, w_max, collect):
         weight_counts=counts)
     if not collect:
         return report, None
-    # with collect and w_max >= 2 there is no zero column, so indices into
-    # the nonzero columns are column indices
-    if w_max == 2:
+    if w_max == 1:
+        found = np.flatnonzero(zero)[:, None], np.ones((z, 1), dtype=np.uint8)
+    elif w_max == 2:  # D_a - D_c for a < c in one class; no zero column here
         i, j = _group_pairs(starts, sizes)
-        a, c = order[i], order[j]
-        by_pair = np.lexsort((c, a))
-        a, c = a[by_pair], c[by_pair]
-        coef = F.neg(F.mul(lead[c], F.inv_table[lead[a]]))
-        return report, (np.stack([a, c], axis=1),
-                        np.stack([coef, np.ones_like(coef)], axis=1))
-    supp = np.flatnonzero(zero)[:, None] if w_max == 1 else supports[w_max]
-    if w_max == 1 or q == 2:
-        return report, (supp, np.ones(supp.shape, dtype=np.uint8))
-    solved = [_solve_support(cols, s, F) for s in supp]  # every solution
-    return report, (np.repeat(supp, [len(v) for v in solved], axis=0),
-                    np.concatenate([np.empty((0, w_max), dtype=np.uint8), *solved]))
+        found = np.c_[order[i], order[j]], np.tile([1, F.neg(1)], (len(i), 1))
+    return report, _words(F, lead, *found)
 
 
 def dual_codewords_of_weight(C_primal, w):
     """Dual codewords of weight w (1 <= w <= 4) as one C-contiguous (m, n)
-    uint8 matrix, one word per row in sorted support order, filled
-    straight from the support search's support and coefficient arrays.
+    uint8 matrix: one word per projective class, scaled so its first
+    entry is 1 (the q - 2 other multiples are not listed; for q = 2 that
+    is every word), in order of support, then coefficients.
 
-    The rows are one word per zero column (w = 1) and one per pair of
-    proportional columns (w = 2), not their q - 2 other multiples, and
-    every word of weight w >= 3; for q = 2 that is every word.  A
-    generator with a zero column raises Unsupported for w >= 2, and one
-    with proportional columns (a single projective class, or more) for
-    w >= 3.
+    Each word is read off one match of the support search: a zero column
+    (w = 1), two columns of one projective class (w = 2), or a pair entry
+    whose key equals a column's key (w = 3) or another entry's (w = 4);
+    see _pair_search.  A generator with a zero column raises Unsupported
+    for w >= 2, and one with proportional columns (a single projective
+    class, or more) for w >= 3.
     """
-    supports, coeffs = _search(C_primal, w, collect=True)[1]
-    words = np.zeros((len(supports), C_primal.n), dtype=np.uint8)
-    np.put_along_axis(words, supports, coeffs, axis=1)
-    return words
+    return _search(C_primal, w, collect=True)[1]
 
 
 # ------------------------------------------------- min-weight words and spans
@@ -359,9 +360,9 @@ def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
     """All codewords of weight exactly d, whether or not d is the minimum
     weight, as one C-contiguous (m, n) uint8 matrix ((0, n) when none).
 
-    Uses full enumeration when feasible; falls back to the support search
-    when C is a dual code and d <= 4 (the search yields the words that
-    dual_codewords_of_weight lists, which is enough for span questions).
+    Uses full enumeration (every word) when feasible; falls back to the
+    support search when C is a dual code and d <= 4, which lists one word
+    per projective class (dual_codewords_of_weight), enough for spans.
     """
     total = C.field.q ** C.k - 1
     if total <= cap:
@@ -377,15 +378,18 @@ def span_generation_test(C, words):
     they generate C.  A uint8 matrix, as min_weight_codewords and
     dual_codewords_of_weight return, is used as it is, without a copy.
 
+    Words that are not rows of length n raise DimensionMismatch.
     Membership of every word in C is asserted first: the syndromes are
     formed as M H^T, one block of about 2^22 entries of contiguous word
     rows at a time, so no transposed copy of the words is cast.  Over
     F_2 the rank then packs the columns of the tall word matrix into
     bits (see linalg.gf2_rank).
     """
-    if not len(words):
-        return {"rank": 0, "generates": C.k == 0}
     M = np.asarray(words, dtype=np.uint8)
+    if M.shape != (0,) and (M.ndim != 2 or M.shape[1] != C.n):  # (0,): no words
+        raise DimensionMismatch(f"words of shape {M.shape} for a code of length {C.n}")
+    if not len(M):
+        return {"rank": 0, "generates": C.k == 0}
     Ht = C.parity_check().T
     step = max(1, (2 ** 22) // max(1, C.n))
     for lo in range(0, M.shape[0], step):

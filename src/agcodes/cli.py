@@ -17,11 +17,10 @@ import numpy as np
 
 from . import analysis, dual as dual_mod, transforms
 from .alist import export_parity_alist
-from .codes import (build_affine_grassmann, theoretical_params,
-                    write_generator)
+from .codes import (PointEnumeration, build_affine_grassmann,
+                    theoretical_params, write_generator)
 from .errors import AGCError, SizeOutOfRange, TooLarge, UsageError
 from .field import make_field
-from .monomials import Rectangle
 
 DEFAULT_MAX_COORDS = 2 ** 20
 
@@ -126,14 +125,11 @@ def _verify(args):
                 check(f"dual-min-weight-r{r}",
                       lambda rep=rep, e=expected_d: rep.min_distance == e)
 
-    # a random affine map must induce an automorphism of the top-level code
-    Ctop = build_affine_grassmann(ell, m, ell, q)
-    from .codes import PointEnumeration
-    pe = PointEnumeration(Rectangle(ell, m - ell), Ctop.field)
-    T = transforms.random_transform(Ctop.rect, Ctop.field, rng)
-    perm = transforms.induced_permutation(T, pe)
-    check("automorphism-sample",
-          lambda: transforms.is_automorphism(Ctop, perm))
+    # a random affine map must induce an automorphism of the top-level
+    # code, the r = l code of the last pass
+    T = transforms.random_transform(C.rect, C.field, rng)
+    perm = transforms.induced_permutation(T, PointEnumeration(C.rect, C.field))
+    check("automorphism-sample", lambda: transforms.is_automorphism(C, perm))
 
     ok = all(c["pass"] for c in checks)
     _emit({"schema": 1, "q": q, "l": ell, "m": m,

@@ -16,26 +16,40 @@ from agcodes import analysis, linalg
 from agcodes.codes import (Code, build_affine_grassmann, build_reed_muller,
                            theoretical_params)
 from agcodes.dual import build_dual_code
-from agcodes.errors import (RankTooLow, TooLarge, Unsupported,
-                            WMaxUnsupported, WordNotInCode)
+from agcodes.errors import (DimensionMismatch, RankTooLow, TooLarge,
+                            Unsupported, WMaxUnsupported, WordNotInCode)
 from agcodes.field import make_field
 
 
-def _brute_force_counts(C, w_max):
-    """Dual words of weight 1..w_max: every support times every nonzero
-    coefficient vector on it, checked against the generator."""
+def _brute_force_dual_words(C, w):
+    """Every dual word of weight w, in order of support, then coefficients:
+    every support times every nonzero coefficient vector on it, checked
+    against the generator."""
     F, G = C.field, C.generator
-    counts = {}
-    for w in range(1, w_max + 1):
-        coeffs = np.array(list(itertools.product(range(1, F.q), repeat=w)),
-                          dtype=np.uint8)
-        counts[w] = 0
-        for supp in itertools.combinations(range(C.n), w):
-            acc = np.zeros((len(coeffs), C.k), dtype=np.uint8)
-            for c, j in zip(coeffs.T, supp):
-                acc = F.add(acc, F.mul(c[:, None], G[:, j][None, :]))
-            counts[w] += int(np.count_nonzero(~acc.any(axis=1)))
-    return counts
+    coeffs = np.array(list(itertools.product(range(1, F.q), repeat=w)),
+                      dtype=np.uint8).reshape(-1, w)
+    # multiples[j, c - 1] = c times column j
+    multiples = F.mul(np.arange(1, F.q, dtype=np.uint8)[None, :, None], G.T[:, None, :])
+    words = [np.zeros((0, C.n), dtype=np.uint8)]
+    for supp in itertools.combinations(range(C.n), w):
+        acc = np.zeros((1, C.k), dtype=np.uint8)
+        for j in supp:  # the sums for every coefficient vector, in coeffs' order
+            acc = F.add(acc[:, None], multiples[j][None, :]).reshape(-1, C.k)
+        found = coeffs[~acc.any(axis=1)]
+        block = np.zeros((len(found), C.n), dtype=np.uint8)
+        block[:, list(supp)] = found
+        words.append(block)
+    return np.concatenate(words)
+
+
+def _brute_force_counts(C, w_max):
+    """Number of dual words of each weight 1..w_max, by brute force."""
+    return {w: len(_brute_force_dual_words(C, w)) for w in range(1, w_max + 1)}
+
+
+def _first_nonzero(words):
+    """The first nonzero entry of each row."""
+    return words[np.arange(len(words)), np.argmax(words != 0, axis=1)]
 
 
 def _class_name(F, col):
@@ -249,10 +263,43 @@ class TestLowWeightSearch:
             assert words.dtype == np.uint8 and words.shape[1:] == (C.n,)
             assert (np.count_nonzero(words, axis=1) == w).all()
             assert not linalg.matmul(C.generator, words.T, F).any()
-            # q = 2, and every word at w >= 3; one per class at w <= 2
-            per_word = 1 if F.q == 2 or w >= 3 else F.q - 1
+            assert (_first_nonzero(words) == 1).all()  # one word per class
             count = analysis.low_weight_dual_search(C, w_max=w).weight_counts[w]
-            assert len(words) * per_word == count
+            assert len(words) * (F.q - 1) == count
+
+    @pytest.mark.parametrize("q,ell,m,r", [(q, 1, 2, 1) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
+                             + [(3, 1, 3, 1), (4, 1, 3, 1), (2, 2, 4, 1), (2, 2, 4, 2)])
+    def test_words_match_brute_force_on_agc(self, q, ell, m, r):
+        """The words of each weight are exactly the brute-force dual words
+        whose first nonzero entry is 1, in the same order.  On
+        AGC(1,2;1)/F_q all columns lie on one projective line, so each
+        4-column support has a 2-dimensional kernel and carries q - 3
+        words: its q + 1 projective points less one zero per column."""
+        C = build_affine_grassmann(ell, m, r, q)
+        for w in range(1, 5):
+            expected = _brute_force_dual_words(C, w)
+            expected = expected[_first_nonzero(expected) == 1]
+            assert np.array_equal(analysis.dual_codewords_of_weight(C, w), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_generators())
+    def test_words_match_brute_force(self, C):
+        """The same, on small generators, for every weight the search lists."""
+        for w in range(1, 5):
+            try:
+                words = analysis.dual_codewords_of_weight(C, w)
+            except Unsupported:
+                continue
+            expected = _brute_force_dual_words(C, w)
+            assert np.array_equal(words, expected[_first_nonzero(expected) == 1])
+
+    def test_weight_four_words_within_budget(self):
+        """AGC(2,4;1)/F3 has 63180 projective weight-4 dual words."""
+        C = build_affine_grassmann(2, 4, 1, 3)
+        t0 = time.perf_counter()
+        words = analysis.dual_codewords_of_weight(C, 4)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(words) * 2 == analysis.low_weight_dual_search(C).weight_counts[4]
 
     def test_level_zero_counts(self):
         rep = analysis.low_weight_dual_search(build_affine_grassmann(2, 4, 0, 2))
@@ -449,6 +496,27 @@ class TestSpanGeneration:
             tracemalloc.stop()
         assert res["rank"] == 492
         assert peak < words.nbytes / 2
+
+    @pytest.mark.parametrize("q,ell,m,r,rank", [(3, 2, 4, 1, 76), (3, 2, 4, 2, 75),
+                                                (4, 1, 3, 1, 13), (4, 2, 4, 2, 250),
+                                                (16, 1, 2, 1, 14)])
+    def test_weight_three_words_generate_the_dual(self, q, ell, m, r, rank):
+        """For q > 2 the dual has minimum weight 3 and is generated by its
+        weight-3 words (one per projective class is enough)."""
+        C = build_affine_grassmann(ell, m, r, q)
+        D = build_dual_code(C)
+        words = analysis.dual_codewords_of_weight(C, 3)
+        assert rank == D.k == C.n - C.k
+        assert analysis.span_generation_test(D, words) == {"rank": rank, "generates": True}
+
+    @pytest.mark.parametrize("cut", [lambda G: G[0], lambda G: G[:, :-1], lambda G: G[:0, :-1]],
+                             ids=["one-1d-word", "rows-too-short", "no-rows-too-short"])
+    def test_word_shape_checked(self, cut):
+        """A single 1-D word, or rows whose length is not n, are rejected
+        as Code.contains rejects them."""
+        C = build_affine_grassmann(2, 4, 2, 2)
+        with pytest.raises(DimensionMismatch):
+            analysis.span_generation_test(C, cut(C.generator))
 
     def test_empty_word_list(self):
         C = build_affine_grassmann(2, 4, 2, 2)
