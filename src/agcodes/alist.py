@@ -6,84 +6,85 @@ the maximum column weight), and per-row 1-based column indices (zero-padded
 likewise).  For q > 2 a companion ".qval" file lists the nonzero entry
 values in the same traversal order, one line per column then one per row.
 
-Every text writer streams: it formats blocks of about ``_BLOCK_CELLS``
-matrix entries with numpy and writes each block with one call, so memory
-stays flat whatever the size of the matrix.
+The writers stream blocks of about ``_BLOCK_CELLS`` matrix entries, so
+memory stays flat.  Index and value lines format only the nonzero entries
+(see _format); an index line's padding is a slice of one constant
+"0 0 ... 0" run.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import TooLarge
 
 _BLOCK_CELLS = 2 ** 16  # matrix entries formatted per write
-_TOKEN_BYTES = 8  # str(v) + " " fits one uint64 ...
-_MAX_TOKEN = 10 ** (_TOKEN_BYTES - 1)  # ... for v below 10^7
+_MAX_DIGITS = 7  # the widest decimal entry the writers accept
 
 
-@lru_cache(maxsize=4)
-def _tokens(size):
-    """Tokens packed into one uint64 each, zero bytes after the text: for
-    0 <= v < size, token v is str(v) + " " and token size + v is str(v) +
-    "\n"; token 2 * size is "\n" and token 2 * size + 1 is empty."""
-    v = np.arange(size)
-    digits = v.astype(f"S{_TOKEN_BYTES - 1}")
-    ends = np.char.str_len(digits)
-    table = np.zeros((2 * size + 2, _TOKEN_BYTES), dtype=np.uint8)
-    table[:2 * size, :-1] = np.tile(digits.view(np.uint8).reshape(size, -1), (2, 1))
-    table[v, ends] = ord(" ")
-    table[size + v, ends] = ord("\n")
-    table[2 * size, 0] = ord("\n")
-    tokens = table.view(np.uint64)[:, 0]
-    tokens.flags.writeable = False  # shared by every caller through the cache
-    return tokens
+def _format(v, ends):
+    """The nonnegative integers v (flattened) in decimal, each followed by
+    a space or, at the indices ends, a newline: the rows of a uint8 grid as
+    wide as the largest token, digits right-aligned after NUL filler, as
+    they are when every token fills the grid and without filler otherwise."""
+    v = np.ravel(v)
+    top = int(v.max(initial=0))
+    if top >= 10 ** _MAX_DIGITS:
+        raise TooLarge(f"entry {top} has more than {_MAX_DIGITS} digits")
+    w = len(str(top)) + 1
+    grid = np.empty((v.size, w), dtype=np.uint8)
+    grid[:, -1] = ord(" ")
+    grid[ends, -1] = ord("\n")
+    rest = v.astype(np.uint32)
+    for k in range(w - 2, 0, -1):
+        rest, grid[:, k] = np.divmod(rest, 10)
+    grid[:, 0] = rest
+    grid[:, :-1] += ord("0")
+    grid[:, :-2] *= v[:, None] >= 10 ** np.arange(w - 2, 0, -1)  # filler
+    return grid.ravel() if grid[:, 0].all() else grid[grid != 0]
 
 
-def _write_rows(fh, M, lengths=None):
-    """Write row i of the nonnegative integer matrix M as a line of its first
-    lengths[i] entries (default: all of them) in decimal, separated by single
-    spaces; a row of length 0 is a bare newline.  fh is a binary file."""
+def _write_rows(fh, M):
+    """Write each row of the nonnegative integer matrix M as a line of its
+    entries in decimal, separated by single spaces; with no columns, each
+    row is a bare newline.  fh is a binary file."""
     M = np.asarray(M)
     rows, cols = M.shape
-    if lengths is None:
-        lengths = np.full(rows, cols)
-    top = int(M.max()) if M.size else 0
-    if top >= _MAX_TOKEN:
-        raise TooLarge(f"entry {top} has more than {_TOKEN_BYTES - 1} digits")
-    # one table per power of two, so that row blocks share their tables
-    size = min(1 << top.bit_length(), _MAX_TOKEN)
-    tokens = _tokens(size)
-    col = np.arange(cols + 1)
-    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    if not cols:
+        fh.write(b"\n" * rows)
+        return
+    step = max(1, _BLOCK_CELLS // cols)
     for start in range(0, rows, step):
         block = M[start:start + step]
-        ends = np.asarray(lengths[start:start + step])
-        r = np.arange(block.shape[0])
-        idx = np.empty((block.shape[0], cols + 1), dtype=np.intp)
-        idx[:, :cols] = block
-        idx[col >= ends[:, None]] = 2 * size + 1  # past the row's end: empty
-        full = ends > 0
-        idx[r[full], ends[full] - 1] += size  # the last entry ends the line
-        idx[r[~full], 0] = 2 * size  # an empty row is a bare newline
-        fh.write(tokens.take(idx).tobytes().translate(None, b"\0"))
+        fh.write(_format(block, np.arange(cols - 1, block.size, cols)))
 
 
-def _nonzero_lists(H, width, values):
-    """Per row block of H: each row's nonzero entries (values=True) or their
-    1-based column indices (values=False), zero-padded to width, and the
-    row weights."""
-    step = max(1, _BLOCK_CELLS // max(H.shape[1], 1))
-    for start in range(0, H.shape[0], step):
-        block = H[start:start + step]
-        r, c = np.divmod(np.flatnonzero(block != 0), block.shape[1])
-        weights = np.bincount(r, minlength=block.shape[0])
-        pos = np.arange(r.size) - (np.cumsum(weights) - weights)[r]
-        lists = np.zeros((block.shape[0], width), dtype=np.int64)
-        lists[r, pos] = block[r, c] if values else c + 1
-        yield lists, weights
+def _write_lines(fh, lines, width=0, values=False):
+    """Write each row of ``lines`` (H, or the view H.T for its columns) as
+    a line of its nonzero entries (values=True) or their 1-based
+    positions, then width - weight zeros; an empty line is a bare newline."""
+    run = b"0 " * (width - 1) + b"0\n"  # the longest padding; ends in a newline
+    step = max(1, _BLOCK_CELLS // max(lines.shape[1], 1))
+    for start in range(0, lines.shape[0], step):
+        block = lines[start:start + step]
+        mask = block != 0  # laid out like block: a block of H.T is F-ordered
+        if mask.flags.c_contiguous:
+            line, pos = np.divmod(np.flatnonzero(mask), block.shape[1])
+        else:  # scan in memory order, then sort into line order
+            pos, line = np.divmod(np.flatnonzero(mask.T), len(block))
+            line, pos = np.divmod(np.sort(line * block.shape[1] + pos), block.shape[1])
+        weights = np.bincount(line, minlength=len(block))
+        ends = np.cumsum(weights)
+        pad = np.maximum(width - weights, 0)
+        text = _format(block[line, pos] if values else pos + 1,
+                       ends[(pad == 0) & (weights > 0)] - 1)
+        stops = np.r_[0, np.flatnonzero(text < ord("0")) + 1]  # token ends
+        bounds = stops[np.r_[0, ends]].tolist()
+        tails = np.maximum(2 * pad, weights == 0)  # padding, or an empty line's newline
+        parts = []
+        for lo, hi, tail in zip(bounds, bounds[1:], tails.tolist()):
+            parts += text[lo:hi], run[len(run) - tail:]
+        fh.write(b"".join(parts))
 
 
 def write_alist(H, path):
@@ -98,9 +99,8 @@ def write_alist(H, path):
         fh.write(f"{n} {m}\n{max_col} {max_row}\n".encode())
         _write_rows(fh, col_wts[None, :])
         _write_rows(fh, row_wts[None, :])
-        for lines, width in ((H.T, max_col), (H, max_row)):
-            for idx, _ in _nonzero_lists(lines, width, values=False):
-                _write_rows(fh, idx)
+        _write_lines(fh, H.T, max_col)
+        _write_lines(fh, H, max_row)
 
 
 def write_qval(H, path):
@@ -108,10 +108,8 @@ def write_qval(H, path):
     traversal order as the alist index lists (columns first, then rows)."""
     H = np.asarray(H)
     with open(path, "wb") as fh:
-        for lines in (H.T, H):
-            width = int(np.count_nonzero(lines, axis=1).max(initial=0))
-            for vals, weights in _nonzero_lists(lines, width, values=True):
-                _write_rows(fh, vals, weights)
+        _write_lines(fh, H.T, values=True)
+        _write_lines(fh, H, values=True)
 
 
 def export_parity_alist(H, path, q):

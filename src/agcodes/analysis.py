@@ -33,6 +33,8 @@ DEFAULT_ENUM_CAP = 2 ** 24
 MAX_PAIR_COMBINATIONS = 2 ** 25
 # Cells of the combinations one block forms (support search, enumeration).
 _BLOCK_CELLS = 2 ** 18
+# Cells of the word matrix dual_codewords_of_weight may list (256 MiB).
+MAX_WORD_CELLS = 2 ** 28
 
 
 @dataclass
@@ -177,9 +179,10 @@ def _words(F, lead, supports, coeffs):
 
 
 def _pair_search(D, keys, F, w_max, collect):
-    """(B_3, B_4, words) on the pairwise non-proportional normalized
-    columns D with keys ``keys``; with collect, words holds the words of
-    weight w_max, one per projective class, as _words takes them.
+    """(B_3, B_4, read) on the pairwise non-proportional normalized
+    columns D with keys ``keys``; with collect, read() returns the words
+    of weight w_max, one per projective class, as _words takes them, so
+    the caller can size them from the counts before they are formed.
 
     Each pair entry keeps, beside its pair a < b, the coefficients (u, v)
     with u D_a + v D_b = N, its normalized combination: (1, t) / lambda
@@ -227,7 +230,7 @@ def _pair_search(D, keys, F, w_max, collect):
             filled += len(pk)
     t3 = m3 // 3
     if not total:
-        return (q - 1) * t3, 0, (np.concatenate(supp3), np.concatenate(coef3))
+        return (q - 1) * t3, 0, lambda: (np.concatenate(supp3), np.concatenate(coef3))
     if collect:
         by_key = np.argsort(pair_keys)
         pair_keys = pair_keys[by_key]
@@ -238,14 +241,14 @@ def _pair_search(D, keys, F, w_max, collect):
         block = pair_keys[lo:lo + _BLOCK_CELLS]
         collisions += int((np.arange(lo, lo + len(block))
                            - np.searchsorted(pair_keys, block)).sum())
-    words = None
-    if collect:
+
+    def read():
         i, j = (by_key[x] for x in _group_pairs(*_groups(pair_keys)))
         i, j = np.where(pairs[j, 1] < pairs[i, 0], [j, i], [i, j])  # lower pair first
         split = pairs[i, 1] < pairs[j, 0]  # i on the lowest two columns, j on the rest
         i, j = i[split], j[split]
-        words = (np.c_[pairs[i], pairs[j]], np.c_[pair_coef[i], F.neg(pair_coef[j])])
-    return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, words
+        return np.c_[pairs[i], pairs[j]], np.c_[pair_coef[i], F.neg(pair_coef[j])]
+    return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, read
 
 
 def low_weight_dual_search(C, w_max=4):
@@ -301,14 +304,14 @@ def _search(C, w_max, collect):
     b = [1, 0] + [0] * (w_max - 1)  # B'_0 .. B'_{w_max}
     if w_max >= 2:
         b[2] = (q - 1) * proportional
-    examined, found = 0, None
+    examined = 0
     if w_max >= 3:
         if proportional == 0:
             examined = (q - 1) * (n1 * (n1 - 1) // 2)
             if examined > MAX_PAIR_COMBINATIONS:
                 raise TooLarge(f"{examined} pair combinations exceed the cap "
                                f"{MAX_PAIR_COMBINATIONS}")
-            b3, b4, found = _pair_search(D, keys, F, w_max, collect)
+            b3, b4, read = _pair_search(D, keys, F, w_max, collect)
             b[3:] = [b3, b4][:w_max - 2]
         elif proportional == n1 * (n1 - 1) // 2:
             if collect:
@@ -330,11 +333,17 @@ def _search(C, w_max, collect):
         weight_counts=counts)
     if not collect:
         return report, None
+    listed = counts[w_max] // (q - 1)  # one word per projective class
+    if listed * n > MAX_WORD_CELLS:
+        raise TooLarge(f"{listed} words of length {n} exceed the cap of "
+                       f"{MAX_WORD_CELLS} cells")
     if w_max == 1:
         found = np.flatnonzero(zero)[:, None], np.ones((z, 1), dtype=np.uint8)
     elif w_max == 2:  # D_a - D_c for a < c in one class; no zero column here
         i, j = _group_pairs(starts, sizes)
         found = np.c_[order[i], order[j]], np.tile([1, F.neg(1)], (len(i), 1))
+    else:
+        found = read()
     return report, _words(F, lead, *found)
 
 
@@ -349,7 +358,9 @@ def dual_codewords_of_weight(C_primal, w):
     whose key equals a column's key (w = 3) or another entry's (w = 4);
     see _pair_search.  A generator with a zero column raises Unsupported
     for w >= 2, and one with proportional columns (a single projective
-    class, or more) for w >= 3.
+    class, or more) for w >= 3.  Words of more than MAX_WORD_CELLS cells
+    in all raise TooLarge, once the search has counted them and before
+    they are formed.
     """
     return _search(C_primal, w, collect=True)[1]
 
@@ -357,16 +368,22 @@ def dual_codewords_of_weight(C_primal, w):
 # ------------------------------------------------- min-weight words and spans
 
 def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
-    """All codewords of weight exactly d, whether or not d is the minimum
-    weight, as one C-contiguous (m, n) uint8 matrix ((0, n) when none).
+    """The codewords of weight exactly d, whether or not d is the minimum
+    weight, one per projective class (first nonzero entry 1), as one
+    C-contiguous (m, n) uint8 matrix ((0, n) when none).  At d = 0 the
+    zero word is listed once per nonzero message that gives it.
 
-    Uses full enumeration (every word) when feasible; falls back to the
-    support search when C is a dual code and d <= 4, which lists one word
-    per projective class (dual_codewords_of_weight), enough for spans.
+    Uses full enumeration when feasible; falls back to the support search
+    (dual_codewords_of_weight) when C is a dual code and d <= 4.  Both
+    routes list the same set of words, in their own orders.
     """
     total = C.field.q ** C.k - 1
     if total <= cap:
-        return _enumerate(C, keep_weight=d)[1]
+        words = _enumerate(C, keep_weight=d)[1]
+        if d and C.field.q > 2:  # for q = 2 every word is its class
+            lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+            words = words[lead == 1]
+        return words
     primal = C.meta.get("dual_of")
     if primal is not None and d <= 4:
         return dual_codewords_of_weight(primal, d)

@@ -1,11 +1,12 @@
 """Linear algebra over F_q on small dense matrices.
 
 Matrices are numpy arrays of element codes (uint8).  Elimination is one
-loop for every q on the field's table lookups.  Over a prime field,
-products run as exact float32 BLAS products reduced mod p, with A cast
-to float32 one row block of about 2^20 entries at a time and each block
-written into the uint8 result; over an extension field they go through
-the field's lookups, one column of the inner dimension at a time.  rank
+loop for every q on the field's table lookups.  Products run as exact
+float32 BLAS products, reduced mod p in int32, with A cast to float32 one
+row block of about 2^20 entries at a time and each block written into the
+uint8 result.  Over an extension field F_{p^t} the product is taken over
+F_p on A's base-p digits and on B with each entry expanded into its t x t
+multiplication matrix, and the digits are then encoded again.  rank
 eliminates whichever of M and its transpose has fewer rows.  For q = 2
 that side is bit-packed into Python ints and reduced against an XOR basis
 (gf2_rank): the rows of a wide M, or the columns of a tall M, packed
@@ -116,31 +117,51 @@ def nullspace(M, F):
     return basis
 
 
+def _matmul_mod_p(A, B, p):
+    """A B mod p for uint8 matrices with entries in [0, p)."""
+    # float32 BLAS is exact while every partial sum stays below 2^24, so
+    # the inner dimension is sliced and each slice's product is added to
+    # int32 residues, reduced mod p by integer division.  A is cast one row
+    # block at a time, so no float32 copy of all of A is made.
+    step = (2 ** 24 - p) // (p - 1) ** 2
+    rows = max(1, _MATMUL_BLOCK_CELLS // max(A.shape[1], 1))
+    out = np.empty(A.shape[:1] + B.shape[1:], dtype=np.uint8)
+    B32 = B.astype(np.float32)
+    for top in range(0, A.shape[0], rows):
+        A32 = A[top:top + rows].astype(np.float32)
+        acc = np.zeros(A32.shape[:1] + B.shape[1:], dtype=np.int32)
+        for start in range(0, A.shape[1], step):
+            np.add(acc, A32[:, start:start + step] @ B32[start:start + step],
+                   out=acc, casting="unsafe")
+            acc %= p
+        out[top:top + rows] = acc
+    return out
+
+
 def matmul(A, B, F):
-    """Matrix product over F_q."""
+    """Matrix product over F_q.
+
+    Over F_{p^t} with t > 1, each entry a of A becomes its t base-p digits
+    and each entry b of B the t x t matrix over F_p of multiplication by b
+    (row i: the digits of X^i b), so one product over F_p gives the digits
+    of every entry of A B.
+    """
     A = F.elements(A)
     B = F.elements(B)
     if F.t == 1:
-        # float32 BLAS is exact while every partial sum stays below 2^24:
-        # reduce mod p after each slice of the inner dimension.  A is cast
-        # one row block at a time, so no float32 copy of all of A is made.
-        p = F.p
-        step = (2 ** 24 - p) // (p - 1) ** 2
-        rows = max(1, _MATMUL_BLOCK_CELLS // max(A.shape[1], 1))
-        out = np.empty(A.shape[:1] + B.shape[1:], dtype=np.uint8)
-        B32 = B.astype(np.float32)
-        for top in range(0, A.shape[0], rows):
-            A32 = A[top:top + rows].astype(np.float32)
-            acc = np.zeros(A32.shape[:1] + B.shape[1:], dtype=np.float32)
-            for start in range(0, A.shape[1], step):
-                acc += A32[:, start:start + step] @ B32[start:start + step]
-                np.remainder(acc, p, out=acc)
-            out[top:top + rows] = acc
-        return out
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-    for i in range(A.shape[1]):
-        acc = F.add(acc, F.mul(A[:, i][:, None], B[i, :][None, :]))
-    return acc
+        return _matmul_mod_p(A, B, F.p)
+    p, t = F.p, F.t
+    powers = p ** np.arange(t)  # the codes of X^i
+    digits = (np.arange(F.q)[:, None] // powers % p).astype(np.uint8)
+    times = digits[F.mul_table[powers].T]  # times[b, i]: the digits of X^i b
+    (rows, inner), cols = A.shape, B.shape[1]
+    C = _matmul_mod_p(digits[A].reshape(rows, inner * t),
+                      times[B].transpose(0, 2, 1, 3).reshape(inner * t, cols * t), p)
+    C = C.reshape(rows, cols, t)
+    code = C[..., -1]
+    for i in range(t - 2, -1, -1):  # Horner on the digits
+        code = code * p + C[..., i]
+    return code
 
 
 def inv_matrix(A, F):

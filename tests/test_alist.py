@@ -160,9 +160,40 @@ def test_writers_match_reference_over_row_blocks(tmp_path):
     _assert_same_bytes(H, 16, tmp_path)
 
 
+def test_all_zero_matrix_gives_bare_lines(tmp_path):
+    H = np.zeros((3, 4), dtype=np.uint8)
+    _assert_same_bytes(H, 3, tmp_path)
+    write_alist(H, tmp_path / "z.alist")
+    assert (tmp_path / "z.alist").read_bytes() == b"4 3\n0 0\n0 0 0 0\n0 0 0\n" + b"\n" * 7
+    write_qval(H, tmp_path / "z.qval")
+    assert (tmp_path / "z.qval").read_bytes() == b"\n" * 7
+
+
+def test_line_of_full_width_is_not_padded(tmp_path):
+    H = np.array([[1, 2, 3, 4], [0, 5, 0, 0], [6, 0, 0, 7]], dtype=np.uint8)
+    _assert_same_bytes(H, 8, tmp_path)
+    write_alist(H, tmp_path / "f.alist")
+    lines = (tmp_path / "f.alist").read_text().splitlines()
+    assert lines[4:8] == ["1 3", "1 2", "1 0", "1 3"]  # column 2 is padded
+    assert lines[8:] == ["1 2 3 4", "2 0 0 0", "1 4 0 0"]
+
+
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_generator_tokens_of_one_and_two_digits(q, tmp_path):
+    """Row blocks of two-digit tokens only (written as the grid), of mixed
+    tokens, and of one-digit tokens only."""
+    rng = np.random.default_rng(q)
+    rows = 4 * _BLOCK_CELLS // 100
+    H = rng.integers(10, q, size=(rows, 100)).astype(np.uint8)
+    H[rows // 4:rows // 2] = rng.integers(0, q, size=(rows // 4, 100))
+    H[rows // 2:3 * rows // 4] = rng.integers(0, 10, size=(rows // 4, 100))
+    H[-1, :3] = [0, 9, 10]
+    _assert_same_bytes(H, q, tmp_path)
+
+
 def test_entry_width_limit(tmp_path):
     with open(tmp_path / "ok", "wb") as fh:
-        _write_rows(fh, np.array([[1_000_000, 0], [1, 10]]), lengths=[2, 0])
-    assert (tmp_path / "ok").read_bytes() == b"1000000 0\n\n"
+        _write_rows(fh, np.array([[1_000_000, 0], [1, 10]]))
+    assert (tmp_path / "ok").read_bytes() == b"1000000 0\n1 10\n"
     with open(tmp_path / "big", "wb") as fh, pytest.raises(TooLarge):
         _write_rows(fh, np.array([[10_000_000]]))

@@ -149,8 +149,11 @@ class TestExhaustiveEnumeration:
         assert rep.min_distance == min(weights)
         assert rep.min_weight_count == weights.count(rep.min_distance)
         got = analysis.min_weight_codewords(C, keep)
+        listed = np.array(weights) == keep
+        if keep:  # one word per projective class
+            listed &= _first_nonzero(words) == 1
         assert sorted(w.tobytes() for w in got) == \
-            sorted(w.tobytes() for w, x in zip(words, weights) if x == keep)
+            sorted(w.tobytes() for w in words[listed])
 
     def test_no_rows(self):
         C = Code(field=make_field(3), generator=np.zeros((0, 5), dtype=np.uint8))
@@ -301,6 +304,31 @@ class TestLowWeightSearch:
         assert time.perf_counter() - t0 < 2.0
         assert len(words) * 2 == analysis.low_weight_dual_search(C).weight_counts[4]
 
+    @pytest.mark.parametrize("code,w", [
+        ((2, 2, 4, 2), 4), ((3, 2, 4, 2), 3), ((4, 1, 2, 1), 4),
+        ([[0, 1, 0, 2], [1, 0, 2, 0]], 2), ([[0, 1, 0], [0, 0, 1]], 1),
+    ], ids=["agc-f2-w4", "agc-f3-w3", "agc-f4-w4", "proportional-w2", "zero-w1"])
+    def test_word_matrix_cap(self, code, w, monkeypatch):
+        """A word matrix above MAX_WORD_CELLS raises TooLarge before any
+        word is formed; one at the cap is listed."""
+        if isinstance(code, tuple):
+            q, ell, m, r = code
+            C = build_affine_grassmann(ell, m, r, q)
+        else:
+            C = Code(field=make_field(3), generator=np.array(code, dtype=np.uint8))
+        cells = analysis.dual_codewords_of_weight(C, w).size
+        assert cells
+        monkeypatch.setattr(analysis, "MAX_WORD_CELLS", cells)
+        assert analysis.dual_codewords_of_weight(C, w).size == cells
+        monkeypatch.setattr(analysis, "MAX_WORD_CELLS", cells - 1)
+
+        def forbidden(*args):
+            raise AssertionError("words formed above the cap")
+        monkeypatch.setattr(analysis, "_words", forbidden)
+        monkeypatch.setattr(analysis, "_group_pairs", forbidden)
+        with pytest.raises(TooLarge):
+            analysis.dual_codewords_of_weight(C, w)
+
     def test_level_zero_counts(self):
         rep = analysis.low_weight_dual_search(build_affine_grassmann(2, 4, 0, 2))
         assert rep.weight_counts == {1: 0, 2: 120, 3: 0, 4: 1820}
@@ -425,7 +453,7 @@ class TestMinWeightWords:
         assert all(int(np.count_nonzero(w)) == 8 and C.contains(w) for w in words)
         C3 = build_affine_grassmann(1, 3, 1, 3)  # minimum weight 6
         words = analysis.min_weight_codewords(C3, 9)
-        assert [int(np.count_nonzero(w)) for w in words] == [9, 9]  # constants
+        assert words.tolist() == [[1] * 9]  # the constants, one per class
 
     def test_dual_route_when_too_large(self):
         C = build_affine_grassmann(3, 6, 2, 2)
@@ -445,6 +473,18 @@ class TestMinWeightWords:
             words = analysis.min_weight_codewords(code, d, cap=cap)
             assert isinstance(words, np.ndarray) and words.dtype == np.uint8
             assert words.shape == (m, code.n) and words.flags.c_contiguous
+
+    @pytest.mark.parametrize("q,ell,m,r,d", [(3, 1, 2, 1, 3), (3, 1, 3, 1, 3),
+                                             (3, 1, 3, 1, 4), (2, 2, 4, 2, 4)])
+    def test_both_routes_list_the_same_words(self, q, ell, m, r, d):
+        """Enumeration and the support search list the same set of rows,
+        one per projective class (first nonzero entry 1); on the dual of
+        AGC(1,2;1)/F3 that is the one row [1, 1, 1]."""
+        D = build_dual_code(build_affine_grassmann(ell, m, r, q))
+        full = analysis.min_weight_codewords(D, d)
+        search = analysis.min_weight_codewords(D, d, cap=1)
+        assert len(full) and (_first_nonzero(full) == 1).all()
+        assert sorted(w.tobytes() for w in full) == sorted(w.tobytes() for w in search)
 
     def test_no_route_raises(self):
         C = build_affine_grassmann(3, 6, 2, 2)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from agcodes import cli
+from agcodes import cli, dual
 from agcodes.alist import read_alist
 
 
@@ -77,6 +77,32 @@ class TestDual:
             with open(out + suffix, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
 
+    @pytest.mark.parametrize("ell,m,r,q,pinned", [
+        (3, 6, 3, 2, {
+            "": "53118cb80e8ce50df6f508bafd2c167de2eb87fec65b44a42094d0e39ef0e1e2",
+            ".alist": "b8950599702c9c42c1700146655b5fcca51623bfae5d502411d9131cb8a73256",
+        }),
+        (2, 5, 2, 3, {
+            "": "8519b6adbe19e8f399442cd60cf5d4514e419f75702795984da3aef142ebd3c1",
+            ".alist": "939b2e1312ce0bb2f08f9565dc937e3a223f6e3f29121abdde3168687d280b40",
+            ".alist.qval": "757e75697044b756c521ef764610bfcd94558218eb6b2e7201fc253669bebc7e",
+        }),
+        (3, 7, 2, 2, {
+            "": "06464b381b90b3db7b12dfe7a2bd0f7c15732af2a4096b844701a7cf6ba1e343",
+            ".alist": "f6698ec7330468fa082df1409aec842180b4a43b916ece785aa2470cb8f85784",
+        }),
+    ], ids=["agc363-f2", "agc252-f3", "agc372-f2"])
+    def test_benchmark_dual_files_are_pinned(self, ell, m, r, q, pinned, tmp_path):
+        """The sha256 of every file the benchmark's dual steps write, up to
+        n = 4096 and 100 MB of text."""
+        out = str(tmp_path / "dual.txt")
+        assert cli.main(["dual", "--q", str(q), "--l", str(ell), "--m", str(m),
+                         "--r", str(r), "--out", out]) == 0
+        for suffix, digest in pinned.items():
+            with open(out + suffix, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
+        assert os.path.exists(out + ".alist.qval") == (q > 2)
+
 
 class TestExportAlist:
     def test_export(self, tmp_path):
@@ -101,6 +127,22 @@ class TestVerify:
         rec = json.loads(res.stdout)
         assert rec["ok"] is True
         assert all(c["pass"] for c in rec["checks"])
+
+    def test_check_that_cannot_run_fails_alone(self, monkeypatch, capsys):
+        """A dual over the cell cap fails its dual-dim check with the error;
+        every other check still runs and reports."""
+        argv = ["verify", "--deep", "--q", "2", "--l", "2", "--m", "4"]
+        assert cli.main(argv) == 0
+        passing = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(dual, "DEFAULT_MAX_CELLS", 16)
+        assert cli.main(argv) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["ok"] is False
+        assert [c["name"] for c in rec["checks"]] == [c["name"] for c in passing["checks"]]
+        for c in rec["checks"]:
+            failed = c["name"].startswith("dual-dim-r")
+            assert c["pass"] is not failed
+            assert c.get("error", "").startswith("TooLarge: ") is failed
 
     def test_exception_case_flagged_and_passes(self):
         res = run_cli("verify", "--q", "2", "--l", "1", "--m", "2")

@@ -87,6 +87,37 @@ def test_matmul_matches_schoolbook(q):
             assert C[i, j] == acc
 
 
+def _field_matmul_reference(A, B, F):
+    """A B entry by entry with the field's add and mul tables."""
+    out = []
+    for row in A.tolist():
+        out.append([])
+        for col in B.T.tolist():
+            acc = 0
+            for a, b in zip(row, col):
+                acc = int(F.add_table[acc, F.mul_table[a, b]])
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_extension_matmul_matches_elementwise(q, monkeypatch):
+    rng = np.random.default_rng(40 + q)
+    F = make_field(q)
+    shapes = [(7, 33, 5), (1, 200, 1), (3, 0, 4), (0, 5, 3), (4, 6, 0), (0, 0, 0)]
+    for rows, inner, cols in shapes:
+        A = _random_matrix(rng, rows, inner, q)
+        B = _random_matrix(rng, inner, cols, q)
+        C = linalg.matmul(A, B, F)
+        assert C.dtype == np.uint8 and C.shape == (rows, cols)
+        assert C.tolist() == _field_matmul_reference(A, B, F)
+    A = np.full((3, 50), q - 1, dtype=np.uint8)  # every digit at its largest
+    assert linalg.matmul(A, A.T, F).tolist() == _field_matmul_reference(A, A.T, F)
+    monkeypatch.setattr(linalg, "_MATMUL_BLOCK_CELLS", 40)  # many row blocks
+    A, B = _random_matrix(rng, 23, 9, q), _random_matrix(rng, 9, 4, q)
+    assert linalg.matmul(A, B, F).tolist() == _field_matmul_reference(A, B, F)
+
+
 def _matmul_reference(A, B, p):
     cols = B.T.tolist()
     return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A.tolist()]
