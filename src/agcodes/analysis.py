@@ -25,7 +25,7 @@ from . import linalg
 from .codes import PointEnumeration, evaluate, theoretical_params
 from .errors import (DimensionMismatch, RankTooLow, TooLarge, Unsupported,
                      WMaxUnsupported, WordNotInCode)
-from .field import make_field
+from .field import digits, make_field, undigits
 from .monomials import Rectangle, SparsePolynomial
 
 DEFAULT_ENUM_CAP = 2 ** 24
@@ -53,12 +53,6 @@ class WeightReport:
 
 # ---------------------------------------------------------- full enumeration
 
-def _messages(q, width, start, stop):
-    """Base-q digit vectors (digit 0 first) of the message indices start..stop-1."""
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    return (idx // q ** np.arange(width, dtype=np.int64) % q).astype(np.uint8)
-
-
 def _enumerate(C, keep_weight=-1):
     """Weight distribution of the codewords of all q^k - 1 nonzero messages.
 
@@ -83,12 +77,13 @@ def _enumerate(C, keep_weight=-1):
         packed.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(M, axis=1)
         return packed
 
-    low = table(linalg.matmul(_messages(q, lo, 0, q ** lo), G[:lo], F))
+    low = table(linalg.matmul(digits(np.arange(q ** lo), q, lo), G[:lo], F))
     A = np.zeros(n + 1, dtype=np.int64)
     words = []
     step, stop = max(1, _BLOCK_CELLS // max(1, n)), q ** (k - lo)
     for start in range(0, stop, step):
-        high = linalg.matmul(_messages(q, k - lo, start, min(start + step, stop)), G[lo:], F)
+        high = linalg.matmul(digits(np.arange(start, min(start + step, stop)), q, k - lo),
+                             G[lo:], F)
         for h in table(high):
             if q == 2:
                 block = low ^ h
@@ -108,7 +103,7 @@ def _enumerate(C, keep_weight=-1):
     return A, words
 
 
-def min_distance_exhaustive(C, cap=DEFAULT_ENUM_CAP):
+def min_distance_exhaustive(C):
     """Exact minimum distance and minimum-weight count by full enumeration.
 
     ``weight_counts`` is {w: A_w} over the weights that occur among the
@@ -116,9 +111,9 @@ def min_distance_exhaustive(C, cap=DEFAULT_ENUM_CAP):
     ``enumerated``; weight 0 appears only when the rows are dependent.
     """
     total = C.field.q ** C.k - 1
-    if total > cap:
+    if total > DEFAULT_ENUM_CAP:
         raise TooLarge(
-            f"{total} codewords exceed the cap {cap}; "
+            f"{total} codewords exceed the cap {DEFAULT_ENUM_CAP}; "
             "use low_weight_dual_search for dual codes")
     A, _ = _enumerate(C)
     counts = {w: int(a) for w, a in enumerate(A.tolist()) if a}
@@ -134,16 +129,14 @@ def _normalize(F, V):
     """Scale each vector (last axis) so its first nonzero digit is 1.
 
     Returns (scaled, lead, key): a zero vector stays zero with lead 1, and
-    the int64 key has digit 0 least significant (for q = 2, the bits).
+    the key is undigits(scaled, q), digit 0 least significant (for q = 2,
+    the bits).
     """
     lead = np.ones(V.shape[:-1], dtype=np.uint8)
-    key = np.zeros(V.shape[:-1], dtype=np.int64)
     for i in range(V.shape[-1] - 1, -1, -1):
         lead = np.where(V[..., i] != 0, V[..., i], lead)
     V = F.mul(F.inv_table[lead][..., None], V)
-    for i in range(V.shape[-1] - 1, -1, -1):
-        key = key * F.q + V[..., i]
-    return V, lead, key
+    return V, lead, undigits(V, F.q)
 
 
 def _groups(sorted_keys):
@@ -367,7 +360,7 @@ def dual_codewords_of_weight(C_primal, w):
 
 # ------------------------------------------------- min-weight words and spans
 
-def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
+def min_weight_codewords(C, d):
     """The codewords of weight exactly d, whether or not d is the minimum
     weight, one per projective class (first nonzero entry 1), as one
     C-contiguous (m, n) uint8 matrix ((0, n) when none).  At d = 0 the
@@ -378,7 +371,7 @@ def min_weight_codewords(C, d, cap=DEFAULT_ENUM_CAP):
     routes list the same set of words, in their own orders.
     """
     total = C.field.q ** C.k - 1
-    if total <= cap:
+    if total <= DEFAULT_ENUM_CAP:
         words = _enumerate(C, keep_weight=d)[1]
         if d and C.field.q > 2:  # for q = 2 every word is its class
             lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]

@@ -189,9 +189,7 @@ def _parser():
         sp.set_defaults(handler=fn)
         sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--l", type=int, required=True)
-        group = sp.add_mutually_exclusive_group(required=True)
-        group.add_argument("--m", type=int)
-        group.add_argument("--lp", type=int, help="ell'; m = l + lp")
+        sp.add_argument("--m", type=int, required=True)
         for flag, kwargs in options:
             sp.add_argument(flag, **kwargs)
     return parser
@@ -200,8 +198,6 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        if args.m is None:
-            args.m = args.l + args.lp
         return args.handler(args)
     except (AGCError, OSError) as exc:
         _emit({"schema": 1, "error": type(exc).__name__, "message": str(exc)},

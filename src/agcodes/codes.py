@@ -1,9 +1,10 @@
 """Point enumeration, evaluation, and the code builders.
 
 The point order is fixed once and for all: point index n corresponds to the
-base-q digit expansion of n filled into the grid row-major, with entry
-(1,1) as the least significant digit.  Every generator matrix in the
-package is reproducible bit for bit from this convention.
+base-q digit expansion of n (``field.digits``) filled into the grid
+row-major, with entry (1,1) as the least significant digit.  Every
+generator matrix in the package is reproducible bit for bit from this
+convention.
 
 Evaluation is one numpy kernel for every q: ``evaluate_rows`` writes the
 evaluations of a list of polynomials straight into one preallocated
@@ -23,7 +24,7 @@ import numpy as np
 from . import linalg
 from .alist import _BLOCK_CELLS, _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
-from .field import make_field
+from .field import digits, make_field, undigits
 from .minors import enumerate_minors, minor_polynomial
 from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
                         monomial_degree, reduce_exponent)
@@ -33,10 +34,7 @@ DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
 
 @lru_cache(maxsize=None)
 def _points(q, delta):
-    n = q ** delta
-    idx = np.arange(n, dtype=np.int64)[:, None]
-    weights = q ** np.arange(delta, dtype=np.int64)[None, :]
-    return ((idx // weights) % q).astype(np.uint8)
+    return digits(np.arange(q ** delta), q, delta)
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,7 @@ class PointEnumeration:
         return self.points[i].reshape(self.rect.ell, self.rect.ell_prime)
 
     def index_of(self, matrix):
-        digits = np.asarray(matrix, dtype=np.int64).reshape(-1)
-        weights = self.field.q ** np.arange(self.rect.delta, dtype=np.int64)
-        return int((digits * weights).sum())
+        return int(undigits(np.reshape(matrix, -1), self.field.q))
 
 
 def evaluate(f, pe):
@@ -243,7 +239,7 @@ def delta_monomial_set(rect, r):
     return [M for i in range(r + 1) for M in enumerate_minors(rect, i)]
 
 
-def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
+def build_affine_grassmann(ell, m, r, q):
     """Generator rows are Ev(M) for M in the minor set, in enumeration order.
 
     Rank and (for r >= 1) nondegeneracy are verified on build.
@@ -251,8 +247,8 @@ def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
     F = make_field(q)
     params = theoretical_params(ell, m, r, q)
     rect = Rectangle(ell, m - ell)
-    if params.n * params.k > max_cells:
-        raise TooLarge(f"n*k = {params.n * params.k} exceeds cap {max_cells}")
+    if params.n * params.k > DEFAULT_MAX_CELLS:
+        raise TooLarge(f"n*k = {params.n * params.k} exceeds cap {DEFAULT_MAX_CELLS}")
     pe = PointEnumeration(rect, F)
     G = evaluate_rows([minor_polynomial(M, F, rect)
                        for M in delta_monomial_set(rect, r)], pe)
@@ -264,7 +260,7 @@ def build_affine_grassmann(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS):
                 meta={"kind": "AGC", "ell": ell, "m": m, "r": r, "q": q})
 
 
-def build_reed_muller(r, delta, q, max_cells=DEFAULT_MAX_CELLS):
+def build_reed_muller(r, delta, q):
     """RM(r, delta): evaluations of all reduced monomials of degree <= r
     on F_q^delta (realized as the 1 x delta grid)."""
     F = make_field(q)
@@ -274,7 +270,7 @@ def build_reed_muller(r, delta, q, max_cells=DEFAULT_MAX_CELLS):
     mus = sorted((mu for mu in all_reduced_monomials(rect, q)
                   if monomial_degree(mu) <= r),
                  key=lambda mu: (monomial_degree(mu), mu))
-    if pe.n * len(mus) > max_cells:
+    if pe.n * len(mus) > DEFAULT_MAX_CELLS:
         raise TooLarge("RM build exceeds the size cap")
     G = evaluate_rows([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
     if G.shape[0] != params.k:

@@ -37,7 +37,7 @@ from .codes import (DEFAULT_MAX_CELLS, Code, PointEnumeration,
                     theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
-from .field import make_field
+from .field import make_field, undigits
 from .minors import enumerate_minors, minor_terms
 from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
                         full_product, monomial_div)
@@ -92,7 +92,7 @@ def binomials(ell, m, r, q):
     return out
 
 
-def dual_basis(ell, m, r, q, max_cells=None):
+def dual_basis(ell, m, r, q):
     """Non-forbidden monomials (row-major lex order) followed by binomials.
 
     The total count equals n - k_r; evaluations are independent and
@@ -100,9 +100,6 @@ def dual_basis(ell, m, r, q, max_cells=None):
     """
     F, rect = _params(ell, m, r, q)
     params = theoretical_params(ell, m, r, q)
-    if max_cells is not None and params.n * (params.n - params.k) > max_cells:
-        raise TooLarge(f"n*(n-k) = {params.n * (params.n - params.k)} "
-                       f"exceeds cap {max_cells}")
     forb = forbidden_monomials(ell, m, r, q)
     basis = [SparsePolynomial.monomial(F, rect, mu)
              for mu in all_reduced_monomials(rect, q) if mu not in forb]
@@ -142,14 +139,13 @@ def check_dual_basis(basis, ell, m, r, q):
     if coefs.size and (coefs.min() < 1 or coefs.max() >= q):
         raise ValueError(f"a coefficient is not an element of F_{q}")
 
-    weights = q ** np.arange(rect.delta, dtype=np.int64)
     full = q ** rect.delta - 1  # the key of the full product
     minors = delta_monomial_set(rect, r)
     terms = [(g, t) for g, M in enumerate(minors) for t in minor_terms(M, F, rect)]
-    nu = np.array([t.monomial for _, t in terms], dtype=np.int64) @ weights
+    nu = undigits([t.monomial for _, t in terms], q)
     coeff = np.zeros((len(terms), len(minors)), dtype=np.uint8)
     coeff[np.arange(len(terms)), [g for g, _ in terms]] = [t.sign for _, t in terms]
-    keys = E @ weights
+    keys = undigits(E, q)
     chi = np.empty((len(keys), len(nu)), dtype=bool)
     step = max(1, _BLOCK_CELLS // len(nu))
     for lo in range(0, len(keys), step):  # blocks bound the int64 temporaries
@@ -198,8 +194,10 @@ def build_dual_code(C):
     if meta.get("kind") != "AGC":
         raise ValueError("build_dual_code needs a code built by build_affine_grassmann")
     ell, m, r, q = meta["ell"], meta["m"], meta["r"], meta["q"]
+    if C.n * (C.n - C.k) > DEFAULT_MAX_CELLS:
+        raise TooLarge(f"n*(n-k) = {C.n * (C.n - C.k)} exceeds cap {DEFAULT_MAX_CELLS}")
     F = C.field
-    basis = dual_basis(ell, m, r, q, max_cells=DEFAULT_MAX_CELLS)
+    basis = dual_basis(ell, m, r, q)
     check_dual_basis(basis, ell, m, r, q)
     H = evaluate_rows(basis, PointEnumeration(C.rect, F))
     return Code(field=F, generator=H, rect=C.rect,

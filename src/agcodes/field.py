@@ -57,19 +57,29 @@ def _factor_prime_power(q):
     return p, t
 
 
-def _digits(code, p, t):
-    out = []
-    for _ in range(t):
-        out.append(code % p)
-        code //= p
+def digits(values, base, width):
+    """The base-``base`` digits of the nonnegative integers ``values``,
+    least significant first, as uint8 on a new last axis of length width.
+
+    This is the package's one digit convention: point i is digits(i, q,
+    delta), a message index's digits are its coefficients, a monomial's
+    exponent vector is the digits of its key, and a code of F_{p^t} is
+    the digits of its coefficient vector.
+    """
+    values = np.asarray(values, dtype=np.int64)[..., None]
+    return (values // base ** np.arange(width, dtype=np.int64) % base).astype(np.uint8)
+
+
+def undigits(D, base):
+    """The int64 integers whose base-``base`` digits, least significant
+    first, lie on the last axis of D; the inverse of digits.  Horner's
+    rule adds one digit slice at a time, so no int64 copy of D is made."""
+    D = np.asarray(D)
+    out = np.zeros(D.shape[:-1], dtype=np.int64)
+    for i in range(D.shape[-1] - 1, -1, -1):
+        out *= base
+        out += D[..., i]
     return out
-
-
-def _undigits(ds, p):
-    code = 0
-    for d in reversed(ds):
-        code = code * p + d
-    return code
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -157,20 +167,13 @@ class FieldSpec:
         return self.inv_table[a]
 
     def pow(self, a, e):
-        """a^e by square-and-multiply; exponent reduced mod q-1 for a != 0."""
+        """a^e read off pow_table; an exponent e >= q is first folded into
+        [1, q-1], since x^e = x^(e') when e = e' mod q-1 and e, e' >= 1."""
         if e < 0:
             raise ValueError("negative exponent")
-        a = int(a)
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = int(self.mul_table[result, base])
-            base = int(self.mul_table[base, base])
-            e >>= 1
-        return result
+        if e >= self.q:
+            e = (e - 1) % (self.q - 1) + 1
+        return int(self.pow_table[int(a), e])
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
@@ -192,24 +195,16 @@ def make_field(q):
     p, t = _factor_prime_power(q)
     modulus = _MODULI.get(q, ()) if t > 1 else ()
 
-    add = np.zeros((q, q), dtype=np.uint8)
-    mul = np.zeros((q, q), dtype=np.uint8)
-    for a in range(q):
-        da = _digits(a, p, t)
-        for b in range(q):
-            db = _digits(b, p, t)
-            add[a, b] = _undigits([(x + y) % p for x, y in zip(da, db)], p)
-            if t == 1:
-                mul[a, b] = (a * b) % p
-            else:
-                mul[a, b] = _undigits(_poly_mul_mod(da, db, modulus, p), p)
-
-    neg = np.zeros(q, dtype=np.uint8)
-    inv = np.zeros(q, dtype=np.uint8)
-    for a in range(q):
-        neg[a] = np.where(add[a] == 0)[0][0]
-        if a:
-            inv[a] = np.where(mul[a] == 1)[0][0]
+    E = digits(np.arange(q), p, t)  # the coefficient vector of each element
+    add = undigits((E[:, None] + E) % p, p).astype(np.uint8)
+    if t == 1:
+        mul = (np.arange(q)[:, None] * np.arange(q) % p).astype(np.uint8)
+    else:
+        vecs = E.tolist()
+        mul = undigits([[_poly_mul_mod(a, b, modulus, p) for b in vecs] for a in vecs],
+                       p).astype(np.uint8)
+    neg = (add == 0).argmax(axis=1).astype(np.uint8)
+    inv = (mul == 1).argmax(axis=1).astype(np.uint8)  # row 0 has no 1: inv[0] = 0
 
     pow_table = np.zeros((q, q), dtype=np.uint8)
     pow_table[:, 0] = 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMatrix
+from .field import digits, undigits
 
 _MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to float32 at a time
 
@@ -151,17 +152,13 @@ def matmul(A, B, F):
     if F.t == 1:
         return _matmul_mod_p(A, B, F.p)
     p, t = F.p, F.t
-    powers = p ** np.arange(t)  # the codes of X^i
-    digits = (np.arange(F.q)[:, None] // powers % p).astype(np.uint8)
-    times = digits[F.mul_table[powers].T]  # times[b, i]: the digits of X^i b
+    E = digits(np.arange(F.q), p, t)  # E[a]: the digits of a
+    powers = undigits(np.eye(t, dtype=np.uint8), p)  # the codes of X^i
+    times = E[F.mul_table[powers].T]  # times[b, i]: the digits of X^i b
     (rows, inner), cols = A.shape, B.shape[1]
-    C = _matmul_mod_p(digits[A].reshape(rows, inner * t),
+    C = _matmul_mod_p(E[A].reshape(rows, inner * t),
                       times[B].transpose(0, 2, 1, 3).reshape(inner * t, cols * t), p)
-    C = C.reshape(rows, cols, t)
-    code = C[..., -1]
-    for i in range(t - 2, -1, -1):  # Horner on the digits
-        code = code * p + C[..., i]
-    return code
+    return undigits(C.reshape(rows, cols, t), p).astype(np.uint8)
 
 
 def inv_matrix(A, F):

@@ -134,15 +134,8 @@ class SparsePolynomial:
 
     def __add__(self, other):
         self._check_compatible(other)
-        F = self.field
-        terms = dict(self.terms)
-        for mu, c in other.terms.items():
-            s = int(F.add(terms.get(mu, 0), c))
-            if s:
-                terms[mu] = s
-            else:
-                terms.pop(mu, None)
-        return SparsePolynomial(self.field, self.rect, terms)
+        return _sum_terms(self.field, self.rect,
+                          itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         F = self.field
@@ -208,37 +201,35 @@ class SparsePolynomial:
         return " + ".join(parts)
 
 
+def _sum_terms(F, rect, pairs):
+    """The polynomial sum of c * mu over the (mu, c) pairs; a term whose
+    coefficients cancel is dropped by the constructor."""
+    terms = {}
+    for mu, c in pairs:
+        terms[mu] = F.add(terms.get(mu, 0), c)
+    return SparsePolynomial(F, rect, terms)
+
+
 def reduce_polynomial(f):
     """Apply the exponent-folding reduction entrywise and merge coefficients.
 
     Evaluation-preserving: Ev(f) = Ev(reduce_polynomial(f)) pointwise.
     """
-    F, q = f.field, f.field.q
-    terms = {}
-    for mu, c in f.terms.items():
-        red = tuple(reduce_exponent(e, q) for e in mu)
-        s = int(F.add(terms.get(red, 0), c))
-        if s:
-            terms[red] = s
-        else:
-            terms.pop(red, None)
-    return SparsePolynomial(f.field, f.rect, terms)
+    q = f.field.q
+    return _sum_terms(f.field, f.rect,
+                      ((tuple(reduce_exponent(e, q) for e in mu), c)
+                       for mu, c in f.terms.items()))
 
 
 def multiply_reduced(f, g):
-    """Product in the reduced-polynomial algebra: raw product, then reduce."""
+    """Product in the reduced-polynomial algebra: each product of terms
+    has its exponents folded as it is formed."""
     f._check_compatible(g)
-    F = f.field
-    raw = {}
-    for mu, a in f.terms.items():
-        for nu, b in g.terms.items():
-            key = tuple(x + y for x, y in zip(mu, nu))
-            s = int(F.add(raw.get(key, 0), F.mul(a, b)))
-            if s:
-                raw[key] = s
-            else:
-                raw.pop(key, None)
-    return reduce_polynomial(SparsePolynomial(f.field, f.rect, raw))
+    F, q = f.field, f.field.q
+    return _sum_terms(F, f.rect,
+                      ((tuple(reduce_exponent(x + y, q) for x, y in zip(mu, nu)),
+                        F.mul(a, b))
+                       for mu, a in f.terms.items() for nu, b in g.terms.items()))
 
 
 # ----------------------------------------------------- univariate basis sets

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
+from .field import undigits
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ def induced_permutation(T, pe):
     kron = F.mul(T.B.T[:, None, :, None], T.A_inv[None, :, None, :])
     imgs = F.add(linalg.matmul(pe.points, kron.reshape(rect.delta, rect.delta), F),
                  T.u.reshape(-1))
-    weights = F.q ** np.arange(rect.delta, dtype=np.int64)
-    return Permutation(imgs.astype(np.int64) @ weights)
+    return Permutation(undigits(imgs, F.q))
 
 
 def transpose_permutation(pe):
@@ -117,9 +117,8 @@ def transpose_permutation(pe):
     if rect.ell != rect.ell_prime:
         raise NotSquare("transpose needs ell = ell'")
     pts = pe.points.reshape(-1, rect.ell, rect.ell)
-    digits = np.swapaxes(pts, 1, 2).reshape(pts.shape[0], -1).astype(np.int64)
-    weights = pe.field.q ** np.arange(rect.delta, dtype=np.int64)
-    return Permutation(digits @ weights)
+    return Permutation(undigits(np.swapaxes(pts, 1, 2).reshape(pts.shape[0], -1),
+                                pe.field.q))
 
 
 def is_automorphism(C, perm):

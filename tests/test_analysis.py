@@ -186,10 +186,11 @@ class TestExhaustiveEnumeration:
         dual = _macwilliams({0: 1, **A}, C.n, q, C.k, 4)
         assert dual == analysis.low_weight_dual_search(C, 4).weight_counts
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         C = build_affine_grassmann(3, 6, 3, 2)
+        monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", 1000)
         with pytest.raises(TooLarge):
-            analysis.min_distance_exhaustive(C, cap=1000)
+            analysis.min_distance_exhaustive(C)
 
     def test_report_json_schema(self):
         C = build_affine_grassmann(1, 2, 1, 2)
@@ -455,14 +456,15 @@ class TestMinWeightWords:
         words = analysis.min_weight_codewords(C3, 9)
         assert words.tolist() == [[1] * 9]  # the constants, one per class
 
-    def test_dual_route_when_too_large(self):
+    def test_dual_route_when_too_large(self, monkeypatch):
         C = build_affine_grassmann(3, 6, 2, 2)
         D = build_dual_code(C)
-        words = analysis.min_weight_codewords(D, 4, cap=2 ** 10)
+        monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", 2 ** 10)
+        words = analysis.min_weight_codewords(D, 4)
         assert len(words) > 0
         assert all(int(np.count_nonzero(w)) == 4 for w in words)
 
-    def test_returns_one_uint8_matrix(self):
+    def test_returns_one_uint8_matrix(self, monkeypatch):
         """Both routes return a C-contiguous (m, n) uint8 matrix, (0, n)
         when no word has the weight."""
         C = build_affine_grassmann(2, 4, 2, 2)
@@ -470,27 +472,30 @@ class TestMinWeightWords:
         full = analysis.DEFAULT_ENUM_CAP
         for code, d, cap, m in [(C, 6, full, 16), (C, 5, full, 0),
                                 (D, 4, 2 ** 10, 68992), (D, 3, 2 ** 10, 0)]:
-            words = analysis.min_weight_codewords(code, d, cap=cap)
+            monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", cap)
+            words = analysis.min_weight_codewords(code, d)
             assert isinstance(words, np.ndarray) and words.dtype == np.uint8
             assert words.shape == (m, code.n) and words.flags.c_contiguous
 
     @pytest.mark.parametrize("q,ell,m,r,d", [(3, 1, 2, 1, 3), (3, 1, 3, 1, 3),
                                              (3, 1, 3, 1, 4), (2, 2, 4, 2, 4)])
-    def test_both_routes_list_the_same_words(self, q, ell, m, r, d):
+    def test_both_routes_list_the_same_words(self, q, ell, m, r, d, monkeypatch):
         """Enumeration and the support search list the same set of rows,
         one per projective class (first nonzero entry 1); on the dual of
         AGC(1,2;1)/F3 that is the one row [1, 1, 1]."""
         D = build_dual_code(build_affine_grassmann(ell, m, r, q))
         full = analysis.min_weight_codewords(D, d)
-        search = analysis.min_weight_codewords(D, d, cap=1)
+        monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", 1)
+        search = analysis.min_weight_codewords(D, d)
         assert len(full) and (_first_nonzero(full) == 1).all()
         assert sorted(w.tobytes() for w in full) == sorted(w.tobytes() for w in search)
 
-    def test_no_route_raises(self):
+    def test_no_route_raises(self, monkeypatch):
         C = build_affine_grassmann(3, 6, 2, 2)
         D = build_dual_code(C)
+        monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", 2 ** 10)
         with pytest.raises(TooLarge):
-            analysis.min_weight_codewords(D, 5, cap=2 ** 10)
+            analysis.min_weight_codewords(D, 5)
 
 
 class TestSpanGeneration:

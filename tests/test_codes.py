@@ -219,9 +219,10 @@ class TestBuildAffineGrassmann:
         assert subcode_check(codes[1], codes[2])
         assert not subcode_check(codes[2], codes[1])
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("agcodes.codes.DEFAULT_MAX_CELLS", 10)
         with pytest.raises(TooLarge):
-            build_affine_grassmann(2, 4, 2, 2, max_cells=10)
+            build_affine_grassmann(2, 4, 2, 2)
 
     def test_meta_recorded(self):
         C = build_affine_grassmann(1, 2, 1, 5)

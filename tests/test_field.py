@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from agcodes.codes import PointEnumeration
 from agcodes.errors import DivisionByZero, NotPrimePower, Unsupported
-from agcodes.field import make_field
+from agcodes.field import digits, make_field, undigits
+from agcodes.monomials import Rectangle
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -53,8 +55,9 @@ def test_pow_table_and_fermat(q):
     F = make_field(q)
     for a in range(q):
         acc = 1
-        for e in range(q):
-            assert F.pow_table[a, e] == acc
+        for e in range(3 * q):  # e >= q: pow folds the exponent
+            if e < q:
+                assert F.pow_table[a, e] == acc
             assert F.pow(a, e) == acc
             acc = int(F.mul(acc, a))
     for a in range(1, q):
@@ -120,3 +123,30 @@ def test_vectorized_ops_match_scalar():
 
 def test_make_field_is_cached():
     assert make_field(4) is make_field(4)
+
+
+@pytest.mark.parametrize("base", range(2, 17))
+def test_undigits_inverts_digits(base):
+    """Every value below base^width for widths 0..3, and random values of
+    up to 62 bits; digits are uint8, least significant first."""
+    for width in range(4):
+        v = np.arange(base ** width)
+        D = digits(v, base, width)
+        assert D.dtype == np.uint8 and D.shape == (v.size, width)
+        assert undigits(D, base).tolist() == v.tolist()
+    width = 62 // (base - 1).bit_length()
+    v = np.random.default_rng(base).integers(0, base ** width, (3, 5))
+    D = digits(v, base, width)
+    assert D.shape == (3, 5, width)
+    assert D[..., 0].tolist() == (v % base).tolist()
+    assert undigits(D, base).dtype == np.int64
+    assert undigits(D, base).tolist() == v.tolist()
+
+
+@pytest.mark.parametrize("q,ell,ell_prime", [(2, 1, 1), (2, 2, 3), (3, 2, 2),
+                                             (4, 1, 3), (16, 1, 2)])
+def test_points_are_digits_of_their_index(q, ell, ell_prime):
+    pe = PointEnumeration(Rectangle(ell, ell_prime), make_field(q))
+    assert np.array_equal(pe.points, digits(np.arange(pe.n), q, ell * ell_prime))
+    for i in range(0, pe.n, max(1, pe.n // 50)):
+        assert pe.index_of(pe.point(i)) == i
