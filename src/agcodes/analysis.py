@@ -71,11 +71,7 @@ def _enumerate(C, keep_weight=-1):
         lo += 1
 
     def table(M):  # q = 2: rows bit-packed into whole uint64 words
-        if q != 2:
-            return M
-        packed = np.zeros((len(M), -(-n // 64)), dtype=np.uint64)
-        packed.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(M, axis=1)
-        return packed
+        return linalg.pack_rows(M) if q == 2 else M
 
     low = table(linalg.matmul(digits(np.arange(q ** lo), q, lo), G[:lo], F))
     A = np.zeros(n + 1, dtype=np.int64)
@@ -99,7 +95,7 @@ def _enumerate(C, keep_weight=-1):
         return A, None
     words = np.concatenate(words)[1 if keep_weight == 0 else 0:]
     if q == 2:
-        words = np.unpackbits(words.view(np.uint8), axis=1, count=n)
+        words = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
     return A, words
 
 
@@ -166,8 +162,9 @@ def _words(F, lead, supports, coeffs):
         for col in digits.T:
             key = key * base + col
     by_key = np.argsort(key)
-    words = np.zeros((len(supports), len(lead)), dtype=np.uint8)
-    np.put_along_axis(words, supports[by_key], coeffs[by_key], axis=1)
+    n = len(lead)
+    words = np.zeros((len(supports), n), dtype=np.uint8)
+    np.put(words, supports[by_key] + np.arange(0, words.size, n)[:, None], coeffs[by_key])
     return words
 
 
@@ -391,9 +388,11 @@ def span_generation_test(C, words):
     Words that are not rows of length n raise DimensionMismatch.
     Membership of every word in C is asserted first: the syndromes are
     formed as M H^T, one block of about 2^22 entries of contiguous word
-    rows at a time, so no transposed copy of the words is cast.  Over
-    F_2 the rank then packs the columns of the tall word matrix into
-    bits (see linalg.gf2_rank).
+    rows at a time, so no transposed copy of the words is made.  Over
+    F_2 (and F_{2^t}) the product is exact XORs of byte tables of H^T's
+    packed rows, selected by the bytes of the packed words (see
+    linalg._matmul_gf2); over F_2 the rank then packs the columns of the
+    tall word matrix into bits (see linalg.gf2_rank).
     """
     M = np.asarray(words, dtype=np.uint8)
     if M.shape != (0,) and (M.ndim != 2 or M.shape[1] != C.n):  # (0,): no words

@@ -46,6 +46,72 @@ def test_gf2_rank_against_rref(rows):
             assert (bits[:, :rows] == M.T).all() and not bits[:, rows:].any()
 
 
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
+def test_packed_columns_against_packbits(rows):
+    """Strips of _STRIP_ROWS rows, the last one partial, any column count
+    and any memory layout give packbits' columns; pack_rows gives
+    packbits' rows, zero-padded to whole uint64 words."""
+    rng = np.random.default_rng(rows)
+    for cols in [1, 5, 8, 13, 77]:
+        M = _random_matrix(rng, rows, cols, 2)
+        by_columns = np.packbits(M, axis=0, bitorder="little").T
+        by_rows = np.packbits(M, axis=1, bitorder="little")
+        for view in [M, np.asfortranarray(M), M.T.copy().T, M.astype(bool)]:
+            assert np.array_equal(linalg._packed_columns(view), by_columns)
+            words = linalg.pack_rows(view)
+            assert words.dtype == np.uint64 and words.shape == (rows, -(-cols // 64))
+            packed = words.view(np.uint8)
+            assert np.array_equal(packed[:, :by_rows.shape[1]], by_rows)
+            assert not packed[:, by_rows.shape[1]:].any()
+
+
+def _gf2_reference(A, B):
+    return (A.astype(np.int64) @ B.astype(np.int64)) % 2
+
+
+@pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 64, 65, 513])
+def test_matmul_gf2_against_integer_product(inner):
+    """Bool input and F-ordered views of A and B give the integer
+    product mod 2, on every edge of a byte and of a uint64 word."""
+    rng = np.random.default_rng(inner)
+    for rows in [0, 1, 2049]:
+        for cols in [0, 1, 63, 64, 65, 130]:
+            A = _random_matrix(rng, rows, inner, 2)
+            B = _random_matrix(rng, inner, cols, 2)
+            expected = _gf2_reference(A, B)
+            for left, right in [(A, B), (A.astype(bool), B.astype(bool)),
+                                (A.T.copy().T, B.T.copy().T)]:
+                C = linalg._matmul_gf2(left, right)
+                assert C.dtype == np.uint8 and C.shape == (rows, cols)
+                assert np.array_equal(C, expected)
+
+
+@pytest.mark.parametrize("block_words", [1, 300, 512, 1024])
+def test_matmul_gf2_over_small_blocks(block_words, monkeypatch):
+    """Row blocks of one or more rows and groups of one or more byte
+    tables, ending part-way through the rows and the byte positions."""
+    monkeypatch.setattr(linalg, "_GF2_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(block_words)
+    for rows, inner, cols in [(301, 65, 1), (301, 513, 65), (77, 130, 130), (5, 9, 200)]:
+        A = _random_matrix(rng, rows, inner, 2)
+        B = _random_matrix(rng, inner, cols, 2)
+        assert np.array_equal(linalg._matmul_gf2(A, B), _gf2_reference(A, B))
+
+
+def test_characteristic_two_products_use_no_floats(monkeypatch):
+    """Every product over F_2 and F_{2^t} takes the byte-table kernel."""
+    def refuse(*args):
+        raise AssertionError("a p = 2 product reached the float32 path")
+    monkeypatch.setattr(linalg, "_matmul_mod_p", refuse)
+    rng = np.random.default_rng(3)
+    for q in [2, 4, 8, 16]:
+        F = make_field(q)
+        for rows, inner, cols in [(7, 33, 5), (1, 200, 1), (3, 0, 4), (0, 5, 3)]:
+            A = _random_matrix(rng, rows, inner, q)
+            B = _random_matrix(rng, inner, cols, q)
+            assert linalg.matmul(A, B, F).tolist() == _field_matmul_reference(A, B, F)
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_rref_shape_and_pivots(q):
     rng = np.random.default_rng(q)
