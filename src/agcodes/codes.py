@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .alist import _BLOCK_CELLS, _write_rows
+from .alist import _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import digits, make_field, undigits
 from .minors import enumerate_minors, minor_polynomial
@@ -30,6 +30,7 @@ from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
                         monomial_degree, reduce_exponent)
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
+_BLOCK_CELLS = 2 ** 16  # entries per block of evaluate_rows and dual.check_dual_basis
 
 
 @lru_cache(maxsize=None)

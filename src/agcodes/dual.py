@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alist import _BLOCK_CELLS
-from .codes import (DEFAULT_MAX_CELLS, Code, PointEnumeration,
+from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
                     delta_monomial_set, evaluate, evaluate_rows,
                     theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,

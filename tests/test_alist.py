@@ -1,9 +1,12 @@
 """MacKay alist export and round-trip parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from agcodes.alist import (_BLOCK_CELLS, _write_rows, export_parity_alist,
+from agcodes import alist
+from agcodes.alist import (_BLOCK_CELLS, _format, _write_rows, export_parity_alist,
                            read_alist, write_alist, write_qval)
 from agcodes.codes import Code, build_affine_grassmann, write_generator
 from agcodes.dual import build_dual_code
@@ -70,6 +73,43 @@ def test_weight_mismatch_detected(tmp_path):
     text = path.read_text().splitlines()
     text[2] = "2 1 1"  # corrupt a column weight
     path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ValueError):
+        read_alist(path)
+
+
+# H = [[1 0 1 0], [0 1 1 1]]: header, weights, then 4 column and 2 row lists.
+_GOOD = ["4 2", "2 3", "1 1 2 1", "2 3",
+         "1 0", "2 0", "1 2", "2 0",
+         "1 3 0", "2 3 4"]
+
+
+@pytest.mark.parametrize("line, text", [
+    (1, "2 4"),        # header maximum row weight
+    (1, "3 3"),        # header maximum column weight
+    (3, "3 2"),        # row weights (the maximum still matches)
+    (4, "2 0"),        # a column list: weight kept, row moved
+    (5, "2 2"),        # a column list with a repeated index
+    (6, "1 3"),        # a column list with an index out of range
+    (8, "1 4 0"),      # a row list: weight kept, column moved
+    (9, "2 3 0"),      # a row list one entry short
+    (9, "-1 3 4"),     # a row list with a negative index
+])
+def test_every_corrupted_line_is_detected(line, text, tmp_path):
+    path = tmp_path / "good.alist"
+    path.write_text("\n".join(_GOOD) + "\n")
+    H = read_alist(path)
+    assert H.tolist() == [[1, 0, 1, 0], [0, 1, 1, 1]]
+    lines = list(_GOOD)
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_alist(path)
+
+
+@pytest.mark.parametrize("lines", [_GOOD[:-1], _GOOD + ["1 2 3"], ["4 2"], []])
+def test_wrong_line_count_is_detected(lines, tmp_path):
+    path = tmp_path / "short.alist"
+    path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ValueError):
         read_alist(path)
 
@@ -197,3 +237,83 @@ def test_entry_width_limit(tmp_path):
     assert (tmp_path / "ok").read_bytes() == b"1000000 0\n1 10\n"
     with open(tmp_path / "big", "wb") as fh, pytest.raises(TooLarge):
         _write_rows(fh, np.array([[10_000_000]]))
+
+
+# --------------------------------------------- token-budgeted line blocks
+# The index and value lines are cut into blocks of at most _BLOCK_TOKENS
+# nonzeros and _BLOCK_CELLS scanned cells; the bytes must not depend on them.
+
+def _edge_matrices(q, rng):
+    H = _random_entries(rng, (9, 13), q, 0.4)
+    H[2] = 0                                 # a zero row
+    H[:, 5] = 0                              # a zero column
+    H[4] = rng.integers(1, q, size=13)       # a full-width row
+    H[:, 8] = rng.integers(1, q, size=9)     # a full-height column
+    yield H
+    yield _random_entries(rng, (1, 40), q, 1.0)   # one line heavier than any budget
+    yield _random_entries(rng, (40, 1), q, 1.0)
+    yield np.zeros((0, 6), dtype=np.uint8)
+    yield np.zeros((6, 0), dtype=np.uint8)
+    yield np.zeros((5, 7), dtype=np.uint8)
+    yield _random_entries(rng, (30, 30), q, 0.05)
+
+
+@pytest.mark.parametrize("tokens", [1, 2, 7])
+@pytest.mark.parametrize("cells", [1, 5, 64, 2 ** 16])
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_block_boundaries_do_not_change_the_bytes(q, tokens, cells, tmp_path, monkeypatch):
+    monkeypatch.setattr(alist, "_BLOCK_TOKENS", tokens)
+    monkeypatch.setattr(alist, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(100 * q + tokens)
+    for H in _edge_matrices(q, rng):
+        export_parity_alist(H, tmp_path / "new", q)
+        _ref_alist(H, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), H.shape
+        if q > 2:
+            _ref_qval(H, tmp_path / "ref.qval")
+            assert (tmp_path / "new.qval").read_bytes() == \
+                (tmp_path / "ref.qval").read_bytes(), H.shape
+
+
+@pytest.mark.parametrize("tokens, cells", [(1, 2 ** 16), (7, 1), (2 ** 14, 2 ** 16)])
+def test_blocks_respect_both_bounds(tokens, cells, monkeypatch):
+    monkeypatch.setattr(alist, "_BLOCK_TOKENS", tokens)
+    monkeypatch.setattr(alist, "_BLOCK_CELLS", cells)
+    weights = np.array([0, 3, 0, 0, 12, 1, 1, 1, 5, 0, 2])
+    blocks = list(alist._blocks(np.r_[0, np.cumsum(weights)], 4))
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == len(weights)
+    for start, stop in blocks:
+        assert stop > start
+        assert stop - start == 1 or (weights[start:stop].sum() <= tokens
+                                     and (stop - start) * 4 <= cells)
+    assert list(alist._blocks(np.zeros(1, dtype=int), 4)) == []
+
+
+@pytest.mark.parametrize("top", [0, 1, 9, 10, 9999, 10 ** 4, 65536, 10 ** 6, 9_999_999])
+def test_format_matches_str(top):
+    rng = np.random.default_rng(top)
+    edges = [t for k in range(8) for t in (10 ** k - 1, 10 ** k) if t <= top]
+    for v in (rng.integers(0, top + 1, size=500), np.array(edges + [top]),
+              np.full(7, top)):  # mixed widths (NUL filler) and full widths
+        ends = np.flatnonzero(rng.random(len(v)) < 0.2)
+        expected = "".join(str(x) + ("\n" if i in set(ends) else " ")
+                           for i, x in enumerate(v.tolist()))
+        assert bytes(_format(v, ends)).decode() == expected
+        assert bytes(_format(v.reshape(-1, 1), ends)).decode() == expected
+    with pytest.raises(TooLarge):
+        _format(np.array([5, 10 ** 7]), [])
+
+
+def test_export_memory_follows_the_blocks(tmp_path):
+    """A 4065 x 4096 0/1 matrix at 3 % density is exported with no copy of
+    H: the peak of traced allocations stays below half of H."""
+    rng = np.random.default_rng(3)
+    H = (rng.random((4065, 4096)) < 0.03).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        write_alist(H, tmp_path / "big.alist")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < H.nbytes // 2, peak

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agcodes import linalg
-from agcodes.codes import (Code, PointEnumeration, build_affine_grassmann,
-                           build_reed_muller, evaluate, evaluate_rows,
-                           gaussian_binomial, rm_theoretical_params,
+from agcodes.codes import (_BLOCK_CELLS, Code, PointEnumeration,
+                           build_affine_grassmann, build_reed_muller, evaluate,
+                           evaluate_rows, gaussian_binomial, rm_theoretical_params,
                            subcode_check, theoretical_params, write_generator)
-from agcodes.alist import _BLOCK_CELLS
 from agcodes.dual import dual_basis
 from agcodes.errors import (DimensionMismatch, NotPrimePower, OrderOutOfRange,
                             SizeOutOfRange, TooLarge, Unsupported)
