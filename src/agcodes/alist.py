@@ -7,10 +7,10 @@ likewise).  For q > 2 a companion ".qval" file lists the nonzero entry
 values in the same traversal order, one line per column then one per row.
 
 The writers stream blocks of at most ``_BLOCK_CELLS`` matrix entries, so
-memory stays flat.  The row and column weights come from one pass over
-row blocks of the nonzero mask of H (``_weights``), and
-``export_parity_alist`` hands them to both writers.  The index and value
-lines are written in blocks cut from the cumulative weights: at most
+memory stays flat.  Each writer takes the row and column weights from
+one pass over row blocks of the nonzero mask of H (``_weights``).  The
+index and value lines are written in blocks cut from the cumulative
+weights: at most
 ``_BLOCK_TOKENS`` nonzero entries and ``_BLOCK_CELLS`` scanned cells each,
 and at least one line, so a sparse H costs in proportion to its nonzeros.
 Each block is one ``flatnonzero`` over a C-contiguous bool mask (the
@@ -153,12 +153,11 @@ def _write_lines(fh, H, weights, columns, width=0, values=False):
         fh.write(b"".join(parts))
 
 
-def write_alist(H, path, weights=None):
-    """Write the m x n matrix H (nonzero pattern only) to an alist file.
-    weights, if given, is ``_weights(H)``."""
+def write_alist(H, path):
+    """Write the m x n matrix H (nonzero pattern only) to an alist file."""
     H = np.asarray(H)
     m, n = H.shape
-    col_wts, row_wts = _weights(H) if weights is None else weights
+    col_wts, row_wts = _weights(H)
     max_col = int(col_wts.max(initial=0))
     max_row = int(row_wts.max(initial=0))
     with open(path, "wb") as fh:
@@ -169,12 +168,11 @@ def write_alist(H, path, weights=None):
         _write_lines(fh, H, row_wts, columns=False, width=max_row)
 
 
-def write_qval(H, path, weights=None):
+def write_qval(H, path):
     """Companion value file for q > 2: the nonzero entries in the same
-    traversal order as the alist index lists (columns first, then rows).
-    weights, if given, is ``_weights(H)``."""
+    traversal order as the alist index lists (columns first, then rows)."""
     H = np.asarray(H)
-    col_wts, row_wts = _weights(H) if weights is None else weights
+    col_wts, row_wts = _weights(H)
     with open(path, "wb") as fh:
         _write_lines(fh, H, col_wts, columns=True, values=True)
         _write_lines(fh, H, row_wts, columns=False, values=True)
@@ -182,11 +180,9 @@ def write_qval(H, path, weights=None):
 
 def export_parity_alist(H, path, q):
     """Write H as alist; for q > 2 also write the .qval companion."""
-    H = np.asarray(H)
-    weights = _weights(H)
-    write_alist(H, path, weights)
+    write_alist(H, path)
     if q > 2:
-        write_qval(H, str(path) + ".qval", weights)
+        write_qval(H, str(path) + ".qval")
 
 
 def _incidence(lists, size):

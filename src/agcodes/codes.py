@@ -7,10 +7,11 @@ generator matrix in the package is reproducible bit for bit from this
 convention.
 
 Evaluation is one numpy kernel for every q: ``evaluate_rows`` writes the
-evaluations of a list of polynomials straight into one preallocated
-matrix, a block of rows at a time, building each distinct monomial's
-vector as a Kronecker product of power-table columns.  Every builder
-calls it once, and ``evaluate`` is its one-row case.
+evaluations of a list of polynomials into one preallocated matrix, a
+block of rows at a time, from the arrays of ``monomials.term_table``:
+each distinct monomial's vector is a Kronecker product of power-table
+columns, and ``monomials.add_terms`` sums each row's scaled terms.
+Every builder calls it once, and ``evaluate`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .alist import _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import digits, make_field, undigits
 from .minors import enumerate_minors, minor_polynomial
-from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
-                        monomial_degree, reduce_exponent)
+from .monomials import (Rectangle, SparsePolynomial, add_terms,
+                        all_reduced_monomials, monomial_degree, term_table)
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
 _BLOCK_CELLS = 2 ** 16  # entries per block of evaluate_rows and dual.check_dual_basis
@@ -70,11 +71,11 @@ def evaluate_rows(polys, pe):
     """The (len(polys), n) matrix whose row j is Ev(polys[j]).
 
     Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  Per block,
+    exponents are folded into [0, q-1] (x^e = x^(reduced e) on F_q) and
     each distinct monomial is evaluated once, as the Kronecker product of
     the columns ``pow_table[:, e_s]`` (slot s is digit q^s of the point
-    index, so each new slot goes on the outer axis); pass t then adds
-    c * Ev(mu) for the t-th term c * mu of every row, so that each scatter
-    writes to distinct rows.
+    index, so each new slot goes on the outer axis).  A negative exponent
+    or a coefficient outside F_q* raises ValueError.
     """
     F, n = pe.field, pe.n
     q = F.q
@@ -84,39 +85,16 @@ def evaluate_rows(polys, pe):
     H = np.zeros((len(polys), n), dtype=np.uint8)
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(polys), step):
-        index = {}  # monomial -> its row of V
-        passes = []  # pass t: rows, monomial indices and coefficients of t-th terms
-        for row, f in enumerate(polys[start:start + step]):
-            for t, (mu, c) in enumerate(f.terms.items()):
-                if not 0 <= c < q:
-                    raise ValueError(f"coefficient {c} is not an element of F_{q}")
-                if min(mu) < 0 or max(mu) >= q:  # x^e = x^(reduced e) on F_q
-                    mu = tuple(reduce_exponent(e, q) for e in mu)
-                if t == len(passes):
-                    passes.append(([], [], []))
-                rows, mons, coefs = passes[t]
-                rows.append(row)
-                mons.append(index.setdefault(mu, len(index)))
-                coefs.append(c)
-        if not index:
-            continue
-        E = np.array(list(index), dtype=np.intp)
+        E, *terms = term_table(polys[start:start + step], q, pe.rect.delta)
+        if E.min(initial=0) < 0:
+            raise ValueError("negative exponent")
+        if E.max(initial=0) >= q:  # fold as reduce_exponent does
+            E = np.where(E > 0, (E - 1) % (q - 1) + 1, 0)
         V = F.pow_table[:, E[:, 0]].T
         for s in range(1, E.shape[1]):
             digit = F.pow_table[:, E[:, s]].T
-            V = F.mul(digit[:, :, None], V[:, None, :]).reshape(len(E), -1)
-        block = H[start:start + step]
-        for t, (rows, mons, coefs) in enumerate(passes):
-            rows, mons, coefs = np.array(rows), np.array(mons), np.array(coefs)
-            for c in range(1, q):
-                sel = coefs == c
-                if not sel.any():
-                    continue
-                terms = V[mons[sel]]
-                if c != 1:
-                    terms = F.mul(c, terms)
-                r = rows[sel]
-                block[r] = terms if t == 0 else F.add(block[r], terms)
+            V = F.mul(digit[:, :, None], V[:, None, :]).reshape(len(E), q ** (s + 1))
+        add_terms(F, V, *terms, H[start:start + step])
     return H
 
 
@@ -161,12 +139,16 @@ class Code:
         """True iff every row of words is a codeword.  The test goes through
         whichever of the generator and the parity check has fewer rows:
         rank([G; words]) == rank(G), or a zero syndrome.  So a code of low
-        dimension never builds its parity check here."""
+        dimension never builds its parity check here.  Syndromes are taken
+        on blocks of about 2^22 entries of contiguous word rows."""
         F = self.field
         if self.k <= self.n - self.k:
             stacked = np.concatenate([self.generator, words])
             return linalg.rank(stacked, F) == linalg.rank(self.generator, F)
-        return not linalg.matmul(self.parity_check(), words.T, F).any()
+        Ht = self.parity_check().T
+        step = max(1, 2 ** 22 // max(1, self.n))
+        return not any(linalg.matmul(words[lo:lo + step], Ht, F).any()
+                       for lo in range(0, len(words), step))
 
     def __repr__(self):
         tag = self.meta.get("kind", "RAW")

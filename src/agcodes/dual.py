@@ -19,7 +19,8 @@ symbolically, on exponents, before it evaluates anything:
 
 With n - k independent rows orthogonal to the code, the basis spans the
 dual.  All of this is exact; any nonzero inner product is a hard error,
-never a warning.
+never a warning.  The proof reads the basis through ``term_table``, as
+``evaluate_rows`` does, and needs no H: ``verify``'s ``dual-dim`` runs it.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
 from .field import make_field, undigits
 from .minors import enumerate_minors, minor_terms
-from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
-                        full_product, monomial_div)
+from .monomials import (Rectangle, SparsePolynomial, add_terms,
+                        all_reduced_monomials, full_product, monomial_div,
+                        term_table)
 
 
 @dataclass(frozen=True)
@@ -117,26 +119,16 @@ def check_dual_basis(basis, ell, m, r, q):
     Works on exponents alone (see the module docstring): the 0/1 table of
     chi between each distinct basis monomial and each minor monomial,
     times the minors' coefficient matrix, gives each monomial's inner
-    products with the minors, and each row adds its scaled terms.  The
-    common factor (-1)^delta is a unit and is left out.  Raises
-    OrthogonalityViolation on a nonzero inner product and AssertionError
-    on an unreduced exponent or a dependent row.
+    products with the minors, and ``add_terms`` sums each row's scaled
+    terms.  The common factor (-1)^delta is a unit and is left out.
+    Raises OrthogonalityViolation on a nonzero inner product,
+    AssertionError on an unreduced exponent or a dependent row, and
+    ValueError on a coefficient outside F_q*.
     """
     F, rect = _params(ell, m, r, q)
-    index, rows, mons, coefs, pos = {}, [], [], [], []
-    for row, f in enumerate(basis):
-        for t, (mu, c) in enumerate(f.terms.items()):
-            rows.append(row)
-            mons.append(index.setdefault(mu, len(index)))
-            coefs.append(c)
-            pos.append(t)
-    rows, mons, coefs, pos = (np.array(a, dtype=np.int64)
-                              for a in (rows, mons, coefs, pos))
-    E = np.array(list(index), dtype=np.int64).reshape(len(index), rect.delta)
+    E, rows, mons, coefs, pos = term_table(basis, q, rect.delta)
     if E.size and (E.min() < 0 or E.max() >= q):
         raise AssertionError("dual basis has an unreduced exponent")
-    if coefs.size and (coefs.min() < 1 or coefs.max() >= q):
-        raise ValueError(f"a coefficient is not an element of F_{q}")
 
     full = q ** rect.delta - 1  # the key of the full product
     minors = delta_monomial_set(rect, r)
@@ -154,10 +146,7 @@ def check_dual_basis(basis, ell, m, r, q):
     inner = np.zeros((len(keys), len(minors)), dtype=np.uint8)
     inner[hit] = linalg.matmul(chi[hit], coeff, F)
     gram = np.zeros((len(basis), len(minors)), dtype=np.uint8)
-    scaled = F.mul(coefs[:, None], inner[mons])
-    for t in range(int(pos.max(initial=-1)) + 1):  # rows are distinct in a pass
-        sel = pos == t
-        gram[rows[sel]] = F.add(gram[rows[sel]], scaled[sel])
+    add_terms(F, inner, rows, mons, coefs, pos, gram)
     if gram.any():
         raise OrthogonalityViolation(
             "dual basis not orthogonal to the minors of the code's level")

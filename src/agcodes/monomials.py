@@ -5,12 +5,18 @@ rectangle [1,l] x [1,l']: slot (i-1)*l' + (j-1) holds the exponent of
 X_ij.  Reduced means every exponent lies in [0, q-1].  Canonical ordering
 everywhere is row-major lexicographic on this tuple, matching the point
 enumeration used by the code builders.
+
+``term_table`` and ``add_terms`` are the one place where the terms of
+polynomials become arrays and are summed per row, for both
+``codes.evaluate_rows`` and ``dual.check_dual_basis``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegreeTooLarge, DependentForms
 from . import linalg
@@ -45,14 +51,11 @@ class Rectangle:
 
 
 def reduce_exponent(alpha, q):
-    """Fold an exponent into [0, q-1]: alpha if already there, else the
-    representative of alpha mod (q-1) in [1, q-1]."""
+    """Fold an exponent into [0, q-1]: 0 stays 0, and alpha > 0 goes to
+    the representative of alpha mod (q-1) in [1, q-1]."""
     if alpha < 0:
         raise ValueError("negative exponent")
-    if alpha <= q - 1:
-        return alpha
-    r = alpha % (q - 1)
-    return r if r else q - 1
+    return (alpha - 1) % (q - 1) + 1 if alpha else 0
 
 
 def monomial_degree(mu):
@@ -232,6 +235,45 @@ def multiply_reduced(f, g):
                        for mu, a in f.terms.items() for nu, b in g.terms.items()))
 
 
+# ------------------------------------------------------------ terms as arrays
+
+def term_table(polys, q, delta):
+    """The terms of the polynomials polys, in row order, as arrays.
+
+    Returns (E, rows, mons, coefs, pos): E is the (len(E), delta) intp
+    array of the distinct monomials, in order of first use, and term i is
+    coefs[i] * E[mons[i]], the pos[i]-th term of row rows[i].  Exponents
+    are copied as they are; a coefficient outside F_q* raises ValueError.
+    """
+    index, rows, mons, coefs, pos = {}, [], [], [], []
+    for row, f in enumerate(polys):
+        for t, (mu, c) in enumerate(f.terms.items()):
+            if not 0 < c < q:
+                raise ValueError(f"coefficient {c} is not a nonzero element of F_{q}")
+            rows.append(row)
+            mons.append(index.setdefault(mu, len(index)))
+            coefs.append(c)
+            pos.append(t)
+    E = np.array(list(index), dtype=np.intp).reshape(len(index), delta)
+    rows, mons, pos = (np.array(a, dtype=np.intp) for a in (rows, mons, pos))
+    return E, rows, mons, np.array(coefs, dtype=np.uint8), pos
+
+
+def add_terms(F, X, rows, mons, coefs, pos, out):
+    """Row r of out becomes the sum over F of c * X[mu] over the terms
+    c * mu of row r in a term_table, X holding one row per distinct
+    monomial.  Pass t takes the t-th term of every row, so no pass writes a
+    row twice; pass 0 assigns, and only non-unit coefficients multiply."""
+    for t in range(int(pos.max(initial=-1)) + 1):
+        sel = pos == t
+        r, c = rows[sel], coefs[sel]
+        terms = X[mons[sel]]
+        scale = c != 1
+        if scale.any():
+            terms[scale] = F.mul(c[scale, None], terms[scale])
+        out[r] = terms if t == 0 else F.add(out[r], terms)
+
+
 # ----------------------------------------------------- univariate basis sets
 
 def _poly1_mul(a, b, F):
@@ -268,8 +310,6 @@ def linear_form_power_basis(F, forms):
     T_1..T_s.  Returns the q^s reduced polynomials over the 1 x s grid, in
     lexicographic order of the exponent vector (e_1, ..., e_s).
     """
-    import numpy as np
-
     s = len(forms)
     mat = np.array(forms, dtype=np.uint8)
     if mat.shape != (s, s) or linalg.rank(mat, F) < s:

@@ -519,7 +519,7 @@ class TestSpanGeneration:
     def test_bad_word_last_in_a_later_syndrome_block(self):
         """Every word is tested, up to the last one of each syndrome block."""
         D = build_dual_code(build_affine_grassmann(3, 6, 2, 2))
-        step = 2 ** 22 // D.n  # rows per syndrome block of span_generation_test
+        step = 2 ** 22 // D.n  # rows per syndrome block of Code._contains_rows
         words = D.generator[np.arange(2 * step + 5) % D.k]
         assert analysis.span_generation_test(D, words)["rank"] == D.k
         words[2 * step - 1, 0] ^= 1

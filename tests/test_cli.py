@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import agcodes
-from agcodes import cli, dual
+from agcodes import analysis, cli, dual
 from agcodes.alist import read_alist
+from agcodes.errors import OrthogonalityViolation
 
 
 def run_cli(*args, env_extra=None):
@@ -129,20 +130,41 @@ class TestVerify:
         assert all(c["pass"] for c in rec["checks"])
 
     def test_check_that_cannot_run_fails_alone(self, monkeypatch, capsys):
-        """A dual over the cell cap fails its dual-dim check with the error;
-        every other check still runs and reports."""
+        """A support search over the pair cap fails its dual-min-weight
+        check with the error; every other check still runs and reports."""
         argv = ["verify", "--deep", "--q", "2", "--l", "2", "--m", "4"]
         assert cli.main(argv) == 0
         passing = json.loads(capsys.readouterr().out)
-        monkeypatch.setattr(dual, "DEFAULT_MAX_CELLS", 16)
+        monkeypatch.setattr(analysis, "MAX_PAIR_COMBINATIONS", 16)
         assert cli.main(argv) == 1
         rec = json.loads(capsys.readouterr().out)
         assert rec["ok"] is False
         assert [c["name"] for c in rec["checks"]] == [c["name"] for c in passing["checks"]]
         for c in rec["checks"]:
-            failed = c["name"].startswith("dual-dim-r")
+            failed = c["name"].startswith("dual-min-weight-r")
             assert c["pass"] is not failed
             assert c.get("error", "").startswith("TooLarge: ") is failed
+
+    def test_dual_dim_is_the_proof_alone(self, monkeypatch, capsys):
+        """dual-dim-r* runs check_dual_basis on dual_basis and evaluates no
+        H; it fails when the proof does, and only it fails."""
+        def no_h(C):
+            raise AssertionError("H was evaluated")
+
+        def refuted(*args):
+            raise OrthogonalityViolation("refuted")
+
+        monkeypatch.setattr(dual, "build_dual_code", no_h)
+        argv = ["verify", "--q", "3", "--l", "2", "--m", "4"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dual, "check_dual_basis", refuted)
+        assert cli.main(argv) == 1
+        rec = json.loads(capsys.readouterr().out)
+        for c in rec["checks"]:
+            failed = c["name"].startswith("dual-dim-r")
+            assert c["pass"] is not failed
+            assert c.get("error", "").startswith("OrthogonalityViolation: ") is failed
 
     def test_exception_case_flagged_and_passes(self):
         res = run_cli("verify", "--q", "2", "--l", "1", "--m", "2")

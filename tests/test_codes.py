@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcodes import linalg
+from agcodes import codes, linalg
 from agcodes.codes import (_BLOCK_CELLS, Code, PointEnumeration,
                            build_affine_grassmann, build_reed_muller, evaluate,
                            evaluate_rows, gaussian_binomial, rm_theoretical_params,
@@ -119,6 +119,35 @@ class TestEvaluateRows:
         points = [tuple(int(x) for x in p) for p in pe.points]
         for j in range(0, len(polys), 97):
             assert H[j].tolist() == [polys[j].evaluate_at(p) for p in points]
+
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_patched_block_edges(self, monkeypatch, q, cells):
+        """Blocks of 1, 5 and 64 cells (one row per block, or 16, 7 and 4
+        rows at n = 4, 9 and 16): rows of 0, 1 and up to 7 terms, with
+        non-unit coefficients and unreduced exponents, straddle the block
+        edges and still match evaluate and evaluate_at."""
+        F, rect = make_field(q), Rectangle(1, 2)
+        pe = PointEnumeration(rect, F)
+        rng = np.random.default_rng(10 * q + cells)
+        polys = []
+        for size in [0, 1, 7, 0, 3, 1, 5, 2, 0, 4] * 3:
+            exps = rng.integers(0, 3 * q, size=(size, 2))
+            coefs = rng.integers(1, q, size=size)
+            polys.append(SparsePolynomial(F, rect, {
+                tuple(int(e) for e in mu): int(c) for mu, c in zip(exps, coefs)}))
+        points = [tuple(int(x) for x in p) for p in pe.points]
+        want = [[f.evaluate_at(p) for p in points] for f in polys]
+        monkeypatch.setattr(codes, "_BLOCK_CELLS", cells)
+        H = evaluate_rows(polys, pe)
+        assert H.tolist() == want
+        assert np.array_equal(H, np.array([evaluate(f, pe) for f in polys]))
+
+    def test_negative_exponent_rejected(self):
+        F, rect = make_field(3), Rectangle(1, 2)
+        pe = PointEnumeration(rect, F)
+        with pytest.raises(ValueError, match="negative exponent"):
+            evaluate_rows([SparsePolynomial(F, rect, {(1, -1): 1})], pe)
 
     def test_empty_list(self):
         pe = PointEnumeration(Rectangle(2, 2), make_field(3))

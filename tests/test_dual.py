@@ -225,6 +225,19 @@ class TestSymbolicCheck:
         with pytest.raises(AssertionError, match="unreduced"):
             check_dual_basis(bad, 1, 3, 1, 3)
 
+    @pytest.mark.parametrize("c", [3, -1, 7])
+    def test_coefficient_outside_field_rejected(self, c):
+        """A coefficient that is not a nonzero element of F_3 stops the
+        proof and the evaluation of the same basis with one ValueError."""
+        F, rect = make_field(3), Rectangle(2, 2)
+        basis = dual_basis(2, 4, 2, 3)
+        (mu, _), = basis[0].terms.items()
+        bad = [SparsePolynomial(F, rect, {mu: c})] + basis[1:]
+        with pytest.raises(ValueError, match="not a nonzero element of F_3"):
+            check_dual_basis(bad, 2, 4, 2, 3)
+        with pytest.raises(ValueError, match="not a nonzero element of F_3"):
+            evaluate_rows(bad, PointEnumeration(rect, F))
+
     def test_zero_row_is_dependent(self):
         F, rect = make_field(2), Rectangle(2, 2)
         basis = dual_basis(2, 4, 2, 2)
