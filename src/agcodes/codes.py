@@ -8,10 +8,11 @@ convention.
 
 Evaluation is one numpy kernel for every q: ``evaluate_rows`` writes the
 evaluations of a list of polynomials into one preallocated matrix, a
-block of rows at a time, from the arrays of ``monomials.term_table``:
-each distinct monomial's vector is a Kronecker product of power-table
-columns, and ``monomials.add_terms`` sums each row's scaled terms.
-Every builder calls it once, and ``evaluate`` is its one-row case.
+block of rows at a time, from the keys of ``monomials.term_table``: each
+term's vector is the outer product of two rows of one cached table W, the
+values of every monomial in ceil(delta/2) variables at every point of
+F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
+terms.  Every builder calls it once, and ``evaluate`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ _BLOCK_CELLS = 2 ** 16  # entries per block of evaluate_rows and dual.check_dual
 @lru_cache(maxsize=None)
 def _points(q, delta):
     return digits(np.arange(q ** delta), q, delta)
+
+
+@lru_cache(maxsize=None)
+def _monomial_values(q, width):
+    """W[key, i] is the monomial with base-q key ``key`` in width variables
+    at point i of F_q^width: the Kronecker power of pow_table.T."""
+    F = make_field(q)
+    P = W = F.pow_table.T
+    for _ in range(width - 1):
+        W = F.mul(P[:, None, :, None], W[None, :, None, :]).reshape(q * len(W), -1)
+    return W
 
 
 @dataclass(frozen=True)
@@ -70,31 +82,30 @@ def evaluate(f, pe):
 def evaluate_rows(polys, pe):
     """The (len(polys), n) matrix whose row j is Ev(polys[j]).
 
-    Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  Per block,
-    exponents are folded into [0, q-1] (x^e = x^(reduced e) on F_q) and
-    each distinct monomial is evaluated once, as the Kronecker product of
-    the columns ``pow_table[:, e_s]`` (slot s is digit q^s of the point
-    index, so each new slot goes on the outer axis).  A negative exponent
-    or a coefficient outside F_q* raises ValueError.
+    Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  A term
+    with key hi * q^h + lo, h = delta // 2, has at point i_hi * q^h + i_lo
+    the value W[hi, i_hi] * W[lo, i_lo]: one field lookup per block.  A
+    negative exponent or a coefficient outside F_q* raises ValueError in
+    ``term_table``.
     """
     F, n = pe.field, pe.n
     q = F.q
     for f in polys:
         if f.rect != pe.rect or f.field.q != q:
             raise DimensionMismatch("polynomial does not match the point enumeration")
+    delta = pe.rect.delta
+    keys, _, rows, mons, coefs, pos = term_table(polys, q, delta)
+    low = q ** (delta // 2)
+    hi, lo = np.divmod(keys[mons], low)  # one entry per term
+    W = _monomial_values(q, delta - delta // 2)
     H = np.zeros((len(polys), n), dtype=np.uint8)
     step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, len(polys), step):
-        E, *terms = term_table(polys[start:start + step], q, pe.rect.delta)
-        if E.min(initial=0) < 0:
-            raise ValueError("negative exponent")
-        if E.max(initial=0) >= q:  # fold as reduce_exponent does
-            E = np.where(E > 0, (E - 1) % (q - 1) + 1, 0)
-        V = F.pow_table[:, E[:, 0]].T
-        for s in range(1, E.shape[1]):
-            digit = F.pow_table[:, E[:, s]].T
-            V = F.mul(digit[:, :, None], V[:, None, :]).reshape(len(E), q ** (s + 1))
-        add_terms(F, V, *terms, H[start:start + step])
+    starts = range(0, len(polys), step)
+    cuts = np.searchsorted(rows, [*starts, len(polys)])  # rows ascend
+    for start, a, b in zip(starts, cuts, cuts[1:]):
+        V = F.mul(W[hi[a:b], :, None], W[lo[a:b], None, :low]).reshape(b - a, n)
+        add_terms(F, V, rows[a:b] - start, np.arange(b - a), coefs[a:b], pos[a:b],
+                  H[start:start + step])
     return H
 
 

@@ -10,7 +10,8 @@ symbolically, on exponents, before it evaluates anything:
   c_f c_g chi(mu + nu) over the terms c_f mu of f and c_g nu of g, where
   chi(e) = (-1)^delta if every slot of e is positive and divisible by
   q - 1, and chi(e) = 0 otherwise.  A minor's monomials are squarefree, so
-  for q > 2 the test is mu = full/nu, and for q = 2 it is mu OR nu = full.
+  for q > 2 the test is mu = full/nu, and for q = 2 it is mu OR nu = full,
+  both read on base-q keys (full/nu has the key full - nu).
 * Independence.  Reduced monomials are a basis of the functions on
   F_q^delta, so Ev is injective on reduced polynomials and the basis may
   be ranked as coefficient vectors.  A one-term row whose monomial no
@@ -20,7 +21,8 @@ symbolically, on exponents, before it evaluates anything:
 With n - k independent rows orthogonal to the code, the basis spans the
 dual.  All of this is exact; any nonzero inner product is a hard error,
 never a warning.  The proof reads the basis through ``term_table``, as
-``evaluate_rows`` does, and needs no H: ``verify``'s ``dual-dim`` runs it.
+``evaluate_rows`` does, using its keys as they come, and needs no H:
+``verify``'s ``dual-dim`` runs it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
                     theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
-from .field import make_field, undigits
-from .minors import enumerate_minors, minor_terms
+from .field import make_field
+from .minors import enumerate_minors, minor_polynomial, minor_terms
 from .monomials import (Rectangle, SparsePolynomial, add_terms,
                         all_reduced_monomials, full_product, monomial_div,
                         term_table)
@@ -123,20 +125,18 @@ def check_dual_basis(basis, ell, m, r, q):
     terms.  The common factor (-1)^delta is a unit and is left out.
     Raises OrthogonalityViolation on a nonzero inner product,
     AssertionError on an unreduced exponent or a dependent row, and
-    ValueError on a coefficient outside F_q*.
+    ValueError on a negative exponent or a coefficient outside F_q*.
     """
     F, rect = _params(ell, m, r, q)
-    E, rows, mons, coefs, pos = term_table(basis, q, rect.delta)
-    if E.size and (E.min() < 0 or E.max() >= q):
+    keys, reduced, rows, mons, coefs, pos = term_table(basis, q, rect.delta)
+    if not reduced:
         raise AssertionError("dual basis has an unreduced exponent")
 
     full = q ** rect.delta - 1  # the key of the full product
-    minors = delta_monomial_set(rect, r)
-    terms = [(g, t) for g, M in enumerate(minors) for t in minor_terms(M, F, rect)]
-    nu = undigits([t.monomial for _, t in terms], q)
-    coeff = np.zeros((len(terms), len(minors)), dtype=np.uint8)
-    coeff[np.arange(len(terms)), [g for g, _ in terms]] = [t.sign for _, t in terms]
-    keys = undigits(E, q)
+    minors = [minor_polynomial(M, F, rect) for M in delta_monomial_set(rect, r)]
+    nu, _, g, t, sign, _ = term_table(minors, q, rect.delta)  # sign * nu[t] in minor g
+    coeff = np.zeros((len(nu), len(minors)), dtype=np.uint8)
+    coeff[t, g] = sign
     chi = np.empty((len(keys), len(nu)), dtype=bool)
     step = max(1, _BLOCK_CELLS // len(nu))
     for lo in range(0, len(keys), step):  # blocks bound the int64 temporaries
@@ -211,21 +211,15 @@ def dual_min_weight_witness(ell, m, r, q, choice):
             raise InvalidWitnessParams("g witness requires q > 2")
         if a1 == a2 or a1 == 0 or a2 == 0 or not (0 < a1 < q and 0 < a2 < q):
             raise InvalidWitnessParams("need distinct nonzero a1, a2")
-        poly = SparsePolynomial.constant(F, rect, 1)
-        for (i, j) in rect.positions():
-            if (i, j) == (rect.ell, rect.ell_prime):
-                continue
-            factor = SparsePolynomial.monomial(
-                F, rect, tuple(q - 1 if s == rect.slot(i, j) else 0
-                               for s in range(rect.delta)))
-            factor = factor - SparsePolynomial.constant(F, rect, 1)
-            poly = poly * factor
+        one = poly = SparsePolynomial.constant(F, rect, 1)
+        for s in range(rect.delta - 1):  # X^(q-1) - 1 for all but X_{l,l'}
+            mu = [q - 1 if t == s else 0 for t in range(rect.delta)]
+            poly = poly * (SparsePolynomial.monomial(F, rect, mu) - one)
         # (X^{q-1} - 1) / ((X - a1)(X - a2)) = prod over the remaining roots
+        x = SparsePolynomial.variable(F, rect, rect.ell, rect.ell_prime)
         for a in range(1, q):
-            if a in (a1, a2):
-                continue
-            x = SparsePolynomial.variable(F, rect, rect.ell, rect.ell_prime)
-            poly = poly * (x - SparsePolynomial.constant(F, rect, a))
+            if a not in (a1, a2):
+                poly = poly * (x - one.scaled(a))
         return poly
     if kind == "h":
         _, p1, p2 = choice

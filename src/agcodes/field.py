@@ -82,6 +82,15 @@ def undigits(D, base):
     return out
 
 
+def reduce_exponent(alpha, q):
+    """Fold an exponent into [0, q-1]: 0 stays 0, and alpha > 0 goes to
+    alpha mod (q-1) in [1, q-1], as x^e = x^e' on F_q when e = e' mod q-1
+    and e, e' >= 1.  The package's one exponent fold."""
+    if alpha < 0:
+        raise ValueError("negative exponent")
+    return (alpha - 1) % (q - 1) + 1 if alpha else 0
+
+
 def _poly_mul_mod(a, b, modulus, p):
     # multiply two coefficient vectors, reduce mod the modulus over F_p
     t = len(modulus) - 1
@@ -157,23 +166,13 @@ class FieldSpec:
         return self._lookup(self.sub_table, self._sub, 0, a)
 
     def inv(self, a):
-        if np.isscalar(a) or isinstance(a, int):
-            if a == 0:
-                raise DivisionByZero("inverse of 0")
-            return int(self.inv_table[a])
-        a = np.asarray(a)
-        if (a == 0).any():
+        if np.any(np.asarray(a) == 0):
             raise DivisionByZero("inverse of 0")
-        return self.inv_table[a]
+        return int(self.inv_table[a]) if np.ndim(a) == 0 else self.inv_table[np.asarray(a)]
 
     def pow(self, a, e):
-        """a^e read off pow_table; an exponent e >= q is first folded into
-        [1, q-1], since x^e = x^(e') when e = e' mod q-1 and e, e' >= 1."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e >= self.q:
-            e = (e - 1) % (self.q - 1) + 1
-        return int(self.pow_table[int(a), e])
+        """a^e read off pow_table at the folded exponent."""
+        return int(self.pow_table[int(a), reduce_exponent(e, self.q)])
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"

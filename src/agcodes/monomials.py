@@ -6,9 +6,11 @@ X_ij.  Reduced means every exponent lies in [0, q-1].  Canonical ordering
 everywhere is row-major lexicographic on this tuple, matching the point
 enumeration used by the code builders.
 
-``term_table`` and ``add_terms`` are the one place where the terms of
-polynomials become arrays and are summed per row, for both
-``codes.evaluate_rows`` and ``dual.check_dual_basis``.
+As an array a monomial is its base-q key, ``field.undigits`` of its
+exponents.  ``term_table`` folds each distinct monomial once with
+``field.reduce_exponent`` and takes its key; it and ``add_terms`` are the
+one place where the terms of polynomials become arrays and are summed per
+row, for both ``codes.evaluate_rows`` and ``dual.check_dual_basis``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooLarge, DependentForms
+from .field import reduce_exponent, undigits
 from . import linalg
 
 
@@ -48,14 +51,6 @@ class Rectangle:
     def positions(self):
         return [(i, j) for i in range(1, self.ell + 1)
                 for j in range(1, self.ell_prime + 1)]
-
-
-def reduce_exponent(alpha, q):
-    """Fold an exponent into [0, q-1]: 0 stays 0, and alpha > 0 goes to
-    the representative of alpha mod (q-1) in [1, q-1]."""
-    if alpha < 0:
-        raise ValueError("negative exponent")
-    return (alpha - 1) % (q - 1) + 1 if alpha else 0
 
 
 def monomial_degree(mu):
@@ -161,10 +156,6 @@ class SparsePolynomial:
     def is_zero(self):
         return not self.terms
 
-    @property
-    def degree(self):
-        return max((monomial_degree(mu) for mu in self.terms), default=0)
-
     def is_reduced(self):
         q = self.field.q
         return all(all(0 <= e <= q - 1 for e in mu) for mu in self.terms)
@@ -240,10 +231,12 @@ def multiply_reduced(f, g):
 def term_table(polys, q, delta):
     """The terms of the polynomials polys, in row order, as arrays.
 
-    Returns (E, rows, mons, coefs, pos): E is the (len(E), delta) intp
-    array of the distinct monomials, in order of first use, and term i is
-    coefs[i] * E[mons[i]], the pos[i]-th term of row rows[i].  Exponents
-    are copied as they are; a coefficient outside F_q* raises ValueError.
+    Returns (keys, reduced, rows, mons, coefs, pos): keys holds the base-q
+    keys of the distinct monomials in order of first use, each folded once
+    in Python ints when reduced is False (some exponent is outside
+    [0, q-1]).  Term i is coefs[i] times monomial mons[i], the pos[i]-th
+    term of row rows[i].  A negative exponent or a coefficient outside F_q*
+    raises ValueError.
     """
     index, rows, mons, coefs, pos = {}, [], [], [], []
     for row, f in enumerate(polys):
@@ -254,9 +247,13 @@ def term_table(polys, q, delta):
             mons.append(index.setdefault(mu, len(index)))
             coefs.append(c)
             pos.append(t)
-    E = np.array(list(index), dtype=np.intp).reshape(len(index), delta)
+    mus = list(index)
+    reduced = set().union(*mus) <= set(range(q))
+    if not reduced:  # fold every monomial once, in Python ints
+        mus = [tuple(reduce_exponent(e, q) for e in mu) for mu in mus]
+    keys = undigits(np.array(mus, dtype=np.uint8).reshape(len(mus), delta), q)
     rows, mons, pos = (np.array(a, dtype=np.intp) for a in (rows, mons, pos))
-    return E, rows, mons, np.array(coefs, dtype=np.uint8), pos
+    return keys, reduced, rows, mons, np.array(coefs, dtype=np.uint8), pos
 
 
 def add_terms(F, X, rows, mons, coefs, pos, out):
@@ -316,13 +313,8 @@ def linear_form_power_basis(F, forms):
         raise DependentForms("forms are linearly dependent")
     rect = Rectangle(1, s)
     q = F.q
-    lin = []
-    for row in forms:
-        poly = SparsePolynomial.zero(F, rect)
-        for j, c in enumerate(row):
-            if c:
-                poly = poly + SparsePolynomial.variable(F, rect, 1, j + 1).scaled(int(c))
-        lin.append(poly)
+    units = [tuple(u) for u in np.eye(s, dtype=int).tolist()]  # T_1..T_s
+    lin = [SparsePolynomial(F, rect, dict(zip(units, row))) for row in forms]
     out = []
     for exps in itertools.product(range(q), repeat=s):
         prod = SparsePolynomial.constant(F, rect, 1)

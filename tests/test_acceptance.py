@@ -96,17 +96,23 @@ def test_criterion_03_512_20_168_and_dual(acceptance_log, big_codes):
             f"({elapsed:.2f}s, budget 10s)")
 
 
-def test_criterion_04_weight4_counts_equal(acceptance_log, big_codes):
+def test_criterion_04_weight4_counts_equal(acceptance_log, big_codes, macwilliams):
     C2, C3, _, _ = big_codes
     t0 = time.perf_counter()
     lw2 = analysis.low_weight_dual_search(C2, w_max=4)
     lw3 = analysis.low_weight_dual_search(C3, w_max=4)
     elapsed = time.perf_counter() - t0
+    # second route, outside the timed region: MacWilliams on the primal
+    # weight distributions of the full enumeration
+    B4 = [macwilliams({0: 1, **analysis.min_distance_exhaustive(C).weight_counts},
+                      C.n, 2, C.k, 4)[4] for C in (C2, C3)]
     ok = (lw2.weight_counts[4] == lw3.weight_counts[4] == WEIGHT4_COUNT_512
+          and B4 == [WEIGHT4_COUNT_512] * 2
           and elapsed < 1.0)
     _record(acceptance_log, 4, ok,
             f"weight-4 counts of both duals equal the pinned "
-            f"{WEIGHT4_COUNT_512} ({elapsed:.2f}s, budget 1s)")
+            f"{WEIGHT4_COUNT_512} and their MacWilliams B_4 "
+            f"({elapsed:.2f}s, budget 1s)")
 
 
 def test_criterion_05_span_tests(acceptance_log, big_codes):

@@ -79,20 +79,6 @@ def _brute_force_words(C):
     return words
 
 
-def _macwilliams(A, n, q, k, w_max):
-    """B_1..B_w_max of the dual from the weight distribution A (A[0] = 1),
-    with exact Krawtchouk sums: q^k B_j = sum_i A_i K_j(i)."""
-    def krawtchouk(j, i):
-        return sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
-                   for s in range(j + 1))
-    out = {}
-    for j in range(1, w_max + 1):
-        total = sum(a * krawtchouk(j, i) for i, a in A.items())
-        assert total % q ** k == 0
-        out[j] = total // q ** k
-    return out
-
-
 @st.composite
 def small_generators(draw):
     """Small generators over q <= 16: either pairwise non-proportional
@@ -177,13 +163,13 @@ class TestExhaustiveEnumeration:
                                            (4, 2, 4, 2), (16, 1, 2, 1),
                                            (2, 2, 6, 1), (2, 2, 6, 2),
                                            (2, 3, 6, 2)])
-    def test_macwilliams_matches_support_search(self, q, ell, m, r):
+    def test_macwilliams_matches_support_search(self, q, ell, m, r, macwilliams):
         """The dual counts B_1..B_4 by the MacWilliams transform of the full
         weight distribution, a route that shares no code with the search."""
         C = build_affine_grassmann(ell, m, r, q)
         A = analysis.min_distance_exhaustive(C).weight_counts
         assert 0 not in A and sum(A.values()) == q ** C.k - 1
-        dual = _macwilliams({0: 1, **A}, C.n, q, C.k, 4)
+        dual = macwilliams({0: 1, **A}, C.n, q, C.k, 4)
         assert dual == analysis.low_weight_dual_search(C, 4).weight_counts
 
     def test_cap(self, monkeypatch):

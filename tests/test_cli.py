@@ -104,6 +104,28 @@ class TestDual:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
         assert os.path.exists(out + ".alist.qval") == (q > 2)
 
+    @pytest.mark.parametrize("ell,m,r,q,text,record", [
+        (3, 6, 2, 2, "523c52b6c05e2f99399174b642c8d06b5d6065d4ab4b50b0de2f2de441d53ea5",
+         "ed59c01429f3adb6e1f3891eb0b1d6bef261a17d80f0cc75c5adc9b60ebba4d4"),
+        (2, 5, 2, 3, "b83a4ae1f3a8272eb086791cb6c8399e3d18c93242cc1290771cd580192d0a55",
+         "b6bbe72e88f5948f4e0ba90553e9ded2ebb042f5a0109b755dc903ea765c7d17"),
+        (2, 4, 2, 4, "602ab3bff5ba52b93a290ad656f757e90c076ec8c7b1f3de52dfcf54577a7377",
+         "41d11a109adbb32f3a038607426c112e7599ae08639c83f22acdd7a385213b9e"),
+        (1, 2, 1, 16, "5092c3d60381f3baf033323c89be78b664bc761b4dd68143e9e63f7a58be3aa2",
+         "a4e4cdde678c43a4a48ed2b944e7f061f0925beb418d7aafbb5ba7d70cf23af9"),
+        (3, 7, 2, 2, "9fdc3810c85b1b7c478ce8ea35e8c3999f9c8c9f8beb36def73301bee032250d",
+         "11d61f53747e6bdb8dc46a3514e2bcf32e16ba6188bdf4220c75f6c5a2bef5c4"),
+    ], ids=["agc362-f2", "agc252-f3", "agc242-f4", "agc121-f16", "agc372-f2"])
+    def test_generator_files_are_pinned(self, ell, m, r, q, text, record, tmp_path):
+        """The sha256 of the generator text and its .json record that
+        ``build --out`` writes."""
+        out = str(tmp_path / "gen.txt")
+        assert cli.main(["build", "--q", str(q), "--l", str(ell), "--m", str(m),
+                         "--r", str(r), "--out", out]) == 0
+        for suffix, digest in [("", text), (".json", record)]:
+            with open(out + suffix, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
+
 
 class TestExportAlist:
     def test_export(self, tmp_path):

@@ -1,5 +1,6 @@
 """Point enumeration, code builders, and closed-form parameters."""
 
+import functools
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from agcodes.codes import (_BLOCK_CELLS, Code, PointEnumeration,
 from agcodes.dual import dual_basis
 from agcodes.errors import (DimensionMismatch, NotPrimePower, OrderOutOfRange,
                             SizeOutOfRange, TooLarge, Unsupported)
-from agcodes.field import make_field
+from agcodes.field import digits, make_field
 from agcodes.monomials import Rectangle, SparsePolynomial, reduce_polynomial
 
 
@@ -68,6 +69,14 @@ class TestEvaluate:
         f = SparsePolynomial(F, rect, {(q, 0): 1, (2 * q - 1, q + 1): 1, (1, 0): 1})
         ev = evaluate(f, pe)
         assert np.array_equal(ev, evaluate(reduce_polynomial(f), pe))
+        assert ev.tolist() == [f.evaluate_at(tuple(p)) for p in pe.points]
+
+    def test_exponent_past_int64_folds(self):
+        F, rect = make_field(3), Rectangle(1, 2)
+        pe = PointEnumeration(rect, F)
+        f = SparsePolynomial.monomial(F, rect, (2 ** 70, 1))
+        ev = evaluate(f, pe)
+        assert ev.tolist() == [0, 0, 0, 0, 1, 1, 0, 2, 2]
         assert ev.tolist() == [f.evaluate_at(tuple(p)) for p in pe.points]
 
     def test_rect_mismatch_rejected(self):
@@ -143,6 +152,27 @@ class TestEvaluateRows:
         assert H.tolist() == want
         assert np.array_equal(H, np.array([evaluate(f, pe) for f in polys]))
 
+    @pytest.mark.parametrize("q,width", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
+    def test_monomial_value_table(self, q, width):
+        """W[key, i] is the product over the slots of x_s^e_s, where the
+        e_s are the digits of key and the x_s those of point i."""
+        F = make_field(q)
+        D = digits(np.arange(q ** width), q, width).tolist()
+        want = [[int(functools.reduce(F.mul, map(F.pow, X, E), 1)) for X in D] for E in D]
+        assert codes._monomial_values(q, width).tolist() == want
+
+    def test_one_field_multiplication_per_block(self, monkeypatch):
+        """Monomial values cost one F.mul per row block, whatever delta."""
+        F, rect = make_field(2), Rectangle(3, 3)
+        basis = dual_basis(3, 6, 2, 2)
+        pe = PointEnumeration(rect, F)
+        want = evaluate_rows(basis, pe)  # fills the cached table
+        calls = []
+        real = type(F).mul
+        monkeypatch.setattr(type(F), "mul", lambda *a: calls.append(1) or real(*a))
+        assert np.array_equal(evaluate_rows(basis, pe), want)
+        assert len(calls) == -(-len(basis) // (_BLOCK_CELLS // pe.n))
+
     def test_negative_exponent_rejected(self):
         F, rect = make_field(3), Rectangle(1, 2)
         pe = PointEnumeration(rect, F)
@@ -190,6 +220,10 @@ class TestGaussianBinomial:
         """[3,1]_2 counts the lines of F_2^3."""
         vecs = [v for v in itertools.product(range(2), repeat=3) if any(v)]
         assert gaussian_binomial(3, 1, 2) == len(vecs)
+
+    def test_b_above_a_rejected(self):
+        with pytest.raises(ValueError):
+            gaussian_binomial(2, 3, 2)
 
     def test_symmetry(self):
         for a in range(6):
@@ -247,6 +281,11 @@ class TestBuildAffineGrassmann:
         assert subcode_check(codes[1], codes[2])
         assert not subcode_check(codes[2], codes[1])
 
+    @pytest.mark.parametrize("other", [(2, 5, 1, 2), (2, 4, 1, 3)])
+    def test_subcode_check_needs_one_ambient_space(self, other):
+        with pytest.raises(DimensionMismatch):
+            subcode_check(build_affine_grassmann(2, 4, 1, 2), build_affine_grassmann(*other))
+
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("agcodes.codes.DEFAULT_MAX_CELLS", 10)
         with pytest.raises(TooLarge):
@@ -266,6 +305,8 @@ class TestCode:
         bad = C.generator[0].copy()
         bad[0] ^= 1
         assert not C.contains(bad)
+        with pytest.raises(DimensionMismatch):
+            C.contains(bad[1:])
         H = C.parity_check()
         assert H.shape == (C.n - C.k, C.n)
         assert not linalg.matmul(H, C.generator.T, C.field).any()

@@ -221,8 +221,15 @@ class TestSymbolicCheck:
     def test_unreduced_exponent_rejected(self):
         F, rect = make_field(3), Rectangle(1, 2)
         basis = dual_basis(1, 3, 1, 3)
-        bad = [SparsePolynomial.monomial(F, rect, (3, 0))] + basis[1:]
-        with pytest.raises(AssertionError, match="unreduced"):
+        for mu in [(3, 0), (2 ** 70, 1)]:  # the second is past int64
+            bad = [SparsePolynomial.monomial(F, rect, mu)] + basis[1:]
+            with pytest.raises(AssertionError, match="unreduced"):
+                check_dual_basis(bad, 1, 3, 1, 3)
+
+    def test_negative_exponent_rejected(self):
+        F, rect = make_field(3), Rectangle(1, 2)
+        bad = [SparsePolynomial.monomial(F, rect, (1, -1))] + dual_basis(1, 3, 1, 3)[1:]
+        with pytest.raises(ValueError, match="negative exponent"):
             check_dual_basis(bad, 1, 3, 1, 3)
 
     @pytest.mark.parametrize("c", [3, -1, 7])
@@ -313,6 +320,8 @@ class TestWitnesses:
             dual_min_weight_witness(2, 4, 2, 2, ("h", (1, 1), (2, 2)))  # diag
         with pytest.raises(InvalidWitnessParams):
             dual_min_weight_witness(2, 4, 0, 2, ("h", (1, 1), (1, 2)))
+        with pytest.raises(InvalidWitnessParams, match="unknown witness kind"):
+            dual_min_weight_witness(2, 4, 2, 2, ("k", 1, 2))
 
 
 def _self_orth_grid():

@@ -69,6 +69,12 @@ def test_pow_large_exponent_reduction():
     F = make_field(9)
     for a in range(1, 9):
         assert F.pow(a, 1000) == F.pow(a, 1000 % 8)
+        assert F.pow(a, 2 ** 70) == F.pow(a, 2 ** 70 % 8)  # past int64
+
+
+def test_pow_negative_exponent_rejected():
+    with pytest.raises(ValueError, match="negative exponent"):
+        make_field(3).pow(2, -1)
 
 
 @pytest.mark.parametrize("q", [6, 10, 12, 15, 1, 0])
@@ -91,6 +97,16 @@ def test_inverse_of_zero_raises():
         F.inv(0)
     with pytest.raises(DivisionByZero):
         F.inv(np.array([1, 0, 2], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_inverse_of_an_array(q):
+    F = make_field(q)
+    a = np.arange(1, q, dtype=np.uint8)
+    assert (F.mul(a, F.inv(a)) == 1).all()
+    assert F.inv(a.reshape(1, -1)).shape == (1, q - 1)
+    with pytest.raises(DivisionByZero):
+        F.inv(np.arange(q, dtype=np.uint8))
 
 
 def test_vectorized_ops_match_scalar():

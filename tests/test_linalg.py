@@ -385,6 +385,7 @@ def test_rowspace_equal_detects_difference():
     C = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8)
     assert linalg.rowspace_equal(A, B, F)
     assert not linalg.rowspace_equal(A, C, F)
+    assert not linalg.rowspace_equal(A, A[:1], F)  # unequal ranks
 
 
 def test_rank_of_empty_matrix():

@@ -8,8 +8,9 @@ import pytest
 
 from agcodes.errors import SizeOutOfRange
 from agcodes.field import make_field
-from agcodes.minors import (Minor, enumerate_minors, leading_principal_minor,
-                            minor_polynomial, minor_terms)
+from agcodes.minors import (MAX_EXPANSION_SIZE, Minor, enumerate_minors,
+                            leading_principal_minor, minor_polynomial,
+                            minor_terms)
 from agcodes.monomials import Rectangle
 
 
@@ -81,6 +82,11 @@ class TestLeibnizExpansion:
         terms = minor_terms(Minor((1, 2), (1, 2)), F, rect)
         assert terms[0].sign == 1
         assert terms[1].sign == int(F.neg(1))
+
+    def test_expansion_size_cap(self):
+        big = tuple(range(1, MAX_EXPANSION_SIZE + 2))
+        with pytest.raises(SizeOutOfRange, match="term expansion"):
+            minor_terms(Minor(big, big), make_field(2), Rectangle(len(big), len(big)))
 
     def test_empty_minor_is_constant_one(self):
         F = make_field(3)

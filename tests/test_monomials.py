@@ -179,6 +179,15 @@ class TestLinearFormPowerBasis:
         assert len(basis) == q ** s
         assert all(f.is_reduced() for f in basis)
 
+    def test_first_powers_are_the_forms(self):
+        """Exponents (0, 1) and (1, 0) give L_2 and L_1 themselves, with
+        coefficient j of a form on the variable T_(j+1)."""
+        F = make_field(3)
+        basis = linear_form_power_basis(F, [[1, 2], [0, 1]])
+        assert basis[1].terms == {(0, 1): 1}
+        assert basis[3].terms == {(1, 0): 1, (0, 1): 2}
+        assert basis[6] == basis[3] * basis[3]
+
     def test_dependent_forms_rejected(self):
         F = make_field(3)
         with pytest.raises(DependentForms):
