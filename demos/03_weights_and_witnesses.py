@@ -30,7 +30,7 @@ for (ell, m, r, q) in [(2, 4, 2, 3), (2, 4, 2, 2), (3, 6, 2, 2)]:
     else:
         w = dual_min_weight_witness(ell, m, r, q, ("h", (1, 1), (1, 2)))
         label = "h((1,1),(1,2))"
-    ev = evaluate(w, pe)
+    ev = evaluate([w], pe)[0]
     print(f"  witness {label}: weight {int(np.count_nonzero(ev))}, "
           f"in dual: {D.contains(ev)}")
     if q > 2:

@@ -6,7 +6,7 @@ from .monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
                         reduce_exponent, reduce_polynomial)
 from .minors import Minor, enumerate_minors, leading_principal_minor, minor_polynomial
 from .codes import (Code, CodeParams, PointEnumeration, build_affine_grassmann,
-                    build_reed_muller, evaluate, evaluate_rows, gaussian_binomial,
+                    build_reed_muller, evaluate, gaussian_binomial,
                     rm_theoretical_params, subcode_check, theoretical_params,
                     write_generator)
 from .dual import (MinorBinomial, binomials, build_dual_code, char_sum,

@@ -164,7 +164,7 @@ def _words(F, lead, supports, coeffs):
     by_key = np.argsort(key)
     n = len(lead)
     words = np.zeros((len(supports), n), dtype=np.uint8)
-    np.put(words, supports[by_key] + np.arange(0, words.size, n)[:, None], coeffs[by_key])
+    np.put(words, supports[by_key] + n * np.arange(len(supports))[:, None], coeffs[by_key])
     return words
 
 
@@ -370,7 +370,7 @@ def min_weight_codewords(C, d):
     total = C.field.q ** C.k - 1
     if total <= DEFAULT_ENUM_CAP:
         words = _enumerate(C, keep_weight=d)[1]
-        if d and C.field.q > 2:  # for q = 2 every word is its class
+        if d and C.field.q > 2 and len(words):  # for q = 2 every word is its class
             lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
             words = words[lead == 1]
         return words
@@ -391,17 +391,21 @@ def span_generation_test(C, words):
     dual, the syndromes M H^T are formed on blocks of contiguous word
     rows, so no transposed copy of the words is made.  Over F_2 the rank
     then packs the columns of the tall word matrix into bits (see
-    linalg.gf2_rank).
+    linalg.gf2_rank).  They generate C when their rank is rank G, or for a
+    dual from ``build_dual_code`` n - rank of the primal's (short) generator.
     """
     M = np.asarray(words, dtype=np.uint8)
     if M.shape != (0,) and (M.ndim != 2 or M.shape[1] != C.n):  # (0,): no words
         raise DimensionMismatch(f"words of shape {M.shape} for a code of length {C.n}")
+    primal = C.meta.get("dual_of")
+    dim = (C.n - linalg.rank(primal.generator, C.field) if primal is not None
+           else linalg.rank(C.generator, C.field))
     if not len(M):
-        return {"rank": 0, "generates": C.k == 0}
+        return {"rank": 0, "generates": dim == 0}
     if not C._contains_rows(M):
         raise WordNotInCode("a word is outside the code")
     r = linalg.rank(M, C.field)
-    return {"rank": r, "generates": r == C.k}
+    return {"rank": r, "generates": r == dim}
 
 
 def rank_counterexample_check(q, ell, ell_prime, c):
@@ -421,5 +425,5 @@ def rank_counterexample_check(q, ell, ell_prime, c):
         v = int(c[i - 1, j - 1])
         if v:
             f = f + SparsePolynomial.variable(F, rect, i, j).scaled(v)
-    w = int(np.count_nonzero(evaluate(f, pe)))
+    w = int(np.count_nonzero(evaluate([f], pe)))
     return w == theoretical_params(ell, ell + ell_prime, 1, q).d

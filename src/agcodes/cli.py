@@ -57,7 +57,7 @@ def _build(args):
         "n_theory": params.n, "k_theory": params.k, "d_theory": params.d,
         "match": C.n == params.n and C.k == params.k,
     }
-    if args.out:
+    if args.out is not None:
         write_generator(C, args.out)
         with open(args.out + ".json", "w") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -71,7 +71,7 @@ def _dual(args):
     D = dual_mod.build_dual_code(C)  # exact orthogonality verified inside
     record = {"schema": 1, "q": args.q, "l": args.l, "m": args.m,
               "r": args.r, "n": D.n, "k": D.k}
-    if args.out:
+    if args.out is not None:
         write_generator(D, args.out)
         export_parity_alist(D.generator, args.out + ".alist", args.q)
     _emit(record)

@@ -6,13 +6,13 @@ row-major, with entry (1,1) as the least significant digit.  Every
 generator matrix in the package is reproducible bit for bit from this
 convention.
 
-Evaluation is one numpy kernel for every q: ``evaluate_rows`` writes the
+Evaluation is one numpy kernel for every q: ``evaluate`` writes the
 evaluations of a list of polynomials into one preallocated matrix, a
 block of rows at a time, from the keys of ``monomials.term_table``: each
 term's vector is the outer product of two rows of one cached table W, the
 values of every monomial in ceil(delta/2) variables at every point of
 F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
-terms.  Every builder calls it once, and ``evaluate`` is its one-row case.
+terms.  Every builder calls it once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .monomials import (Rectangle, SparsePolynomial, add_terms,
                         all_reduced_monomials, monomial_degree, term_table)
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
-_BLOCK_CELLS = 2 ** 16  # entries per block of evaluate_rows and dual.check_dual_basis
+_BLOCK_CELLS = 2 ** 16  # entries per block of evaluate and dual.check_dual_basis
 
 
 @lru_cache(maxsize=None)
@@ -74,13 +74,9 @@ class PointEnumeration:
         return int(undigits(np.reshape(matrix, -1), self.field.q))
 
 
-def evaluate(f, pe):
-    """Ev(f): coordinate i is f(P_i).  Linear in f."""
-    return evaluate_rows([f], pe)[0]
-
-
-def evaluate_rows(polys, pe):
-    """The (len(polys), n) matrix whose row j is Ev(polys[j]).
+def evaluate(polys, pe):
+    """The (len(polys), n) matrix whose row j is Ev(polys[j]), coordinate i
+    being polys[j](P_i).  One polynomial f is ``evaluate([f], pe)[0]``.
 
     Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  A term
     with key hi * q^h + lo, h = delta // 2, has at point i_hi * q^h + i_lo
@@ -244,8 +240,8 @@ def build_affine_grassmann(ell, m, r, q):
     if params.n * params.k > DEFAULT_MAX_CELLS:
         raise TooLarge(f"n*k = {params.n * params.k} exceeds cap {DEFAULT_MAX_CELLS}")
     pe = PointEnumeration(rect, F)
-    G = evaluate_rows([minor_polynomial(M, F, rect)
-                       for M in delta_monomial_set(rect, r)], pe)
+    G = evaluate([minor_polynomial(M, F, rect)
+                  for M in delta_monomial_set(rect, r)], pe)
     if linalg.rank(G, F) != params.k:
         raise AssertionError("minor evaluations unexpectedly dependent")
     if r >= 1 and (~G.any(axis=0)).any():
@@ -266,7 +262,7 @@ def build_reed_muller(r, delta, q):
                  key=lambda mu: (monomial_degree(mu), mu))
     if pe.n * len(mus) > DEFAULT_MAX_CELLS:
         raise TooLarge("RM build exceeds the size cap")
-    G = evaluate_rows([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
+    G = evaluate([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
     if G.shape[0] != params.k:
         raise AssertionError("monomial count disagrees with the dimension formula")
     return Code(field=F, generator=G, rect=rect,

@@ -21,12 +21,13 @@ symbolically, on exponents, before it evaluates anything:
 With n - k independent rows orthogonal to the code, the basis spans the
 dual.  All of this is exact; any nonzero inner product is a hard error,
 never a warning.  The proof reads the basis through ``term_table``, as
-``evaluate_rows`` does, using its keys as they come, and needs no H:
+``codes.evaluate`` does, using its keys as they come, and needs no H:
 ``verify``'s ``dual-dim`` runs it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,8 +36,7 @@ import numpy as np
 
 from . import linalg
 from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
-                    delta_monomial_set, evaluate, evaluate_rows,
-                    theoretical_params)
+                    delta_monomial_set, evaluate, theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
 from .field import make_field
@@ -187,7 +187,7 @@ def build_dual_code(C):
     F = C.field
     basis = dual_basis(ell, m, r, q)
     check_dual_basis(basis, ell, m, r, q)
-    H = evaluate_rows(basis, PointEnumeration(C.rect, F))
+    H = evaluate(basis, PointEnumeration(C.rect, F))
     return Code(field=F, generator=H, rect=C.rect,
                 meta={"kind": "DUAL", "dual_of": C,
                       "ell": ell, "m": m, "r": r, "q": q})
@@ -260,11 +260,8 @@ def char_sum(mu, pe):
     """Sum of mu(P) over all points; 0 unless mu is the full product, in
     which case it is (-1)^delta."""
     F = pe.field
-    vals = evaluate(SparsePolynomial.monomial(F, pe.rect, tuple(mu)), pe)
-    total = 0
-    for v in vals:
-        total = int(F.add(total, int(v)))
-    return total
+    vals = evaluate([SparsePolynomial.monomial(F, pe.rect, tuple(mu))], pe)[0]
+    return int(functools.reduce(F.add, vals.tolist(), 0))
 
 
 def maximal_nonforbidden(ell, m, r, q):

@@ -10,7 +10,7 @@ As an array a monomial is its base-q key, ``field.undigits`` of its
 exponents.  ``term_table`` folds each distinct monomial once with
 ``field.reduce_exponent`` and takes its key; it and ``add_terms`` are the
 one place where the terms of polynomials become arrays and are summed per
-row, for both ``codes.evaluate_rows`` and ``dual.check_dual_basis``.
+row, for both ``codes.evaluate`` and ``dual.check_dual_basis``.
 """
 
 from __future__ import annotations

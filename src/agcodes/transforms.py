@@ -52,7 +52,7 @@ class Permutation:
 
 @dataclass(eq=False)
 class AffineTransform:
-    """The map P -> B P A^{-1} + u; B and A must be invertible."""
+    """The map P -> B P A^{-1} + u; B and A invertible, u's entries in F_q."""
 
     B: np.ndarray
     A: np.ndarray
@@ -62,7 +62,9 @@ class AffineTransform:
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=np.uint8)
         self.A = np.asarray(self.A, dtype=np.uint8)
-        self.u = np.asarray(self.u, dtype=np.uint8)
+        self.u = self.field.elements(self.u)
+        if self.u.shape != (len(self.B), len(self.A)):  # a smaller u would broadcast
+            raise DimensionMismatch("u must be l x l', as B is l x l and A l' x l'")
         for M in (self.B, self.A):
             if not linalg.is_invertible(M, self.field):
                 raise SingularMatrix("transform matrix is singular")

@@ -191,7 +191,7 @@ def test_criterion_08_dual_minimum_distance(acceptance_log):
         ok &= lw.min_distance == 3
         ok &= lw.weight_counts[1] == 0 and lw.weight_counts[2] == 0
         g = dual_min_weight_witness(ell, m, r, q, ("g", 1, 2))
-        ev = evaluate(g, PointEnumeration(C.rect, C.field))
+        ev = evaluate([g], PointEnumeration(C.rect, C.field))[0]
         ok &= int(np.count_nonzero(ev)) == 3 and D.contains(ev)
     # q = 2, l' > 1: distance 4 plus a weight-4 witness h
     for (ell, m, r) in [(1, 3, 1), (2, 4, 1), (2, 4, 2), (2, 5, 2)]:
@@ -201,7 +201,7 @@ def test_criterion_08_dual_minimum_distance(acceptance_log):
         ok &= lw.min_distance == 4
         ok &= all(lw.weight_counts[w] == 0 for w in (1, 2, 3))
         h = dual_min_weight_witness(ell, m, r, 2, ("h", (1, 1), (1, 2)))
-        ev = evaluate(h, PointEnumeration(C.rect, C.field))
+        ev = evaluate([h], PointEnumeration(C.rect, C.field))[0]
         ok &= int(np.count_nonzero(ev)) == 4 and D.contains(ev)
     _record(acceptance_log, 8, ok,
             "dual distance 3 (q > 2, witness g) and 4 (q = 2, l' > 1, "
@@ -297,9 +297,8 @@ def test_criterion_11_property_suites(acceptance_log):
         F = make_field(q)
         rect = Rectangle(1, delta)
         pe = PointEnumeration(rect, F)
-        E = np.array([evaluate(SparsePolynomial.monomial(F, rect, mu), pe)
-                      for mu in all_reduced_monomials(rect, q)],
-                     dtype=np.uint8)
+        E = evaluate([SparsePolynomial.monomial(F, rect, mu)
+                      for mu in all_reduced_monomials(rect, q)], pe)
         ok &= linalg.rank(E, F) == q ** delta
     # char-sum dichotomy
     for q, ell, lp in [(2, 2, 2), (3, 1, 2), (4, 1, 2)]:
@@ -329,7 +328,7 @@ def test_criterion_11_property_suites(acceptance_log):
         forms[0] = 1  # still triangular, hence independent
         basis = linear_form_power_basis(F, forms.tolist())
         pe = PointEnumeration(Rectangle(1, s), F)
-        E = np.array([evaluate(f, pe) for f in basis], dtype=np.uint8)
+        E = evaluate(basis, pe)
         ok &= linalg.rank(E, F) == q ** s
     _record(acceptance_log, 11, ok,
             "reduction, injectivity, char-sum dichotomy, split-set and "

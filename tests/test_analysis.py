@@ -425,6 +425,16 @@ class TestLowWeightSearch:
         assert rep.weight_counts[2] == 2  # q - 1 words on the pair
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+def test_words_of_a_code_of_length_zero(q, w):
+    """A code with no coordinates has no word, or dual word, of any
+    positive weight."""
+    C = Code(make_field(q), np.zeros((2, 0), dtype=np.uint8))
+    assert analysis.dual_codewords_of_weight(C, w).shape == (0, 0)
+    assert analysis.min_weight_codewords(C, w).shape == (0, 0)
+
+
 class TestMinWeightWords:
     def test_small_code_words(self):
         C = build_affine_grassmann(2, 4, 2, 2)
@@ -550,9 +560,31 @@ class TestSpanGeneration:
             analysis.span_generation_test(C, cut(C.generator))
 
     def test_empty_word_list(self):
+        """No words generate only the zero code, whatever its row count."""
         C = build_affine_grassmann(2, 4, 2, 2)
         assert analysis.span_generation_test(C, []) == \
             {"rank": 0, "generates": False}
+        Z = Code(make_field(2), np.zeros((2, 3), dtype=np.uint8))
+        assert analysis.span_generation_test(Z, []) == {"rank": 0, "generates": True}
+
+    def test_repeated_generator_rows_generate(self):
+        """A generator with dependent rows is generated by its own rows:
+        generation compares with the rank of G, not its row count."""
+        G = [[1, 1, 0], [1, 1, 0]]
+        res = analysis.span_generation_test(Code(make_field(2), G), G)
+        assert res == {"rank": 1, "generates": True}
+
+    def test_dual_dimension_needs_no_rank_of_its_generator(self, monkeypatch):
+        """For a dual from build_dual_code, dim is n - rank of the primal's
+        generator: linalg.rank never sees the (n - k) x n generator."""
+        C = build_affine_grassmann(2, 4, 2, 3)
+        D = build_dual_code(C)
+        words = analysis.dual_codewords_of_weight(C, 3)
+        real = linalg.rank
+        seen = []
+        monkeypatch.setattr(linalg, "rank", lambda M, F: seen.append(M) or real(M, F))
+        assert analysis.span_generation_test(D, words) == {"rank": D.k, "generates": True}
+        assert not any(M is D.generator for M in seen)
 
 
 class TestRankCounterexample:

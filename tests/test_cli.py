@@ -249,6 +249,15 @@ class TestFailurePaths:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("command", ["build", "dual", "export-alist"])
+    def test_empty_out_path_exits_with_record(self, command, capsys):
+        """--out '' names no file: every writing command fails alike."""
+        assert cli.main([command, "--q", "2", "--l", "1", "--m", "2", "--r", "1",
+                         "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "FileNotFoundError"
+
     def test_huge_grid_rejected_without_computing_n(self):
         res = run_cli("report", "--q", "3", "--l", "2000000", "--m", "4000000",
                       "--r", "1")

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcodes import codes, linalg
+from agcodes import codes, dual, linalg
 from agcodes.codes import (_BLOCK_CELLS, Code, PointEnumeration,
                            build_affine_grassmann, build_reed_muller, evaluate,
-                           evaluate_rows, gaussian_binomial, rm_theoretical_params,
-                           subcode_check, theoretical_params, write_generator)
-from agcodes.dual import dual_basis
+                           gaussian_binomial, rm_theoretical_params, subcode_check,
+                           theoretical_params, write_generator)
+from agcodes.dual import build_dual_code, dual_basis
 from agcodes.errors import (DimensionMismatch, NotPrimePower, OrderOutOfRange,
                             SizeOutOfRange, TooLarge, Unsupported)
 from agcodes.field import digits, make_field
@@ -47,8 +47,8 @@ class TestEvaluate:
         pe = PointEnumeration(rect, F)
         f = SparsePolynomial.variable(F, rect, 1, 2)
         g = SparsePolynomial.variable(F, rect, 2, 1)
-        lhs = evaluate(f + g.scaled(2), pe)
-        rhs = F.add(evaluate(f, pe), F.mul(2, evaluate(g, pe)))
+        lhs = evaluate([f + g.scaled(2)], pe)[0]
+        rhs = F.add(evaluate([f], pe)[0], F.mul(2, evaluate([g], pe)[0]))
         assert np.array_equal(lhs, rhs)
 
     def test_matches_pointwise(self):
@@ -56,7 +56,7 @@ class TestEvaluate:
         rect = Rectangle(1, 2)
         pe = PointEnumeration(rect, F)
         f = SparsePolynomial(F, rect, {(3, 2): 2, (0, 1): 1, (0, 0): 3})
-        ev = evaluate(f, pe)
+        ev = evaluate([f], pe)[0]
         for i in range(pe.n):
             assert ev[i] == f.evaluate_at(tuple(pe.points[i]))
 
@@ -67,24 +67,46 @@ class TestEvaluate:
         rect = Rectangle(1, 2)
         pe = PointEnumeration(rect, F)
         f = SparsePolynomial(F, rect, {(q, 0): 1, (2 * q - 1, q + 1): 1, (1, 0): 1})
-        ev = evaluate(f, pe)
-        assert np.array_equal(ev, evaluate(reduce_polynomial(f), pe))
+        ev = evaluate([f], pe)[0]
+        assert np.array_equal(ev, evaluate([reduce_polynomial(f)], pe)[0])
         assert ev.tolist() == [f.evaluate_at(tuple(p)) for p in pe.points]
 
     def test_exponent_past_int64_folds(self):
         F, rect = make_field(3), Rectangle(1, 2)
         pe = PointEnumeration(rect, F)
         f = SparsePolynomial.monomial(F, rect, (2 ** 70, 1))
-        ev = evaluate(f, pe)
+        ev = evaluate([f], pe)[0]
         assert ev.tolist() == [0, 0, 0, 0, 1, 1, 0, 2, 2]
         assert ev.tolist() == [f.evaluate_at(tuple(p)) for p in pe.points]
+
+    def test_bare_polynomial_rejected(self):
+        F, rect = make_field(2), Rectangle(1, 2)
+        with pytest.raises(TypeError):
+            evaluate(SparsePolynomial.constant(F, rect, 1), PointEnumeration(rect, F))
+
+    def test_builders_evaluate_once_through_the_module_name(self, monkeypatch):
+        """Each builder writes its whole matrix with one call of the
+        module-level ``evaluate``, so a wrapper installed on codes.evaluate
+        and dual.evaluate sees every matrix the package evaluates."""
+        C = build_affine_grassmann(2, 4, 2, 2)
+        calls = []
+        for module in (codes, dual):
+            real = module.evaluate
+            monkeypatch.setattr(module, "evaluate", lambda polys, pe, real=real:
+                                calls.append(len(polys)) or real(polys, pe))
+        for build, rows in [(lambda: build_affine_grassmann(2, 4, 2, 2), 6),
+                            (lambda: build_reed_muller(1, 3, 2), 4),
+                            (lambda: build_dual_code(C), 10)]:
+            calls.clear()
+            assert build().k == rows
+            assert calls == [rows]
 
     def test_rect_mismatch_rejected(self):
         F = make_field(2)
         pe = PointEnumeration(Rectangle(1, 2), F)
         f = SparsePolynomial.constant(F, Rectangle(1, 3), 1)
         with pytest.raises(DimensionMismatch):
-            evaluate(f, pe)
+            evaluate([f], pe)
 
 
 @st.composite
@@ -108,7 +130,7 @@ class TestEvaluateRows:
     @given(polynomial_lists())
     def test_matches_pointwise(self, case):
         pe, polys = case
-        H = evaluate_rows(polys, pe)
+        H = evaluate(polys, pe)
         assert H.dtype == np.uint8 and H.shape == (len(polys), pe.n)
         points = [tuple(int(x) for x in p) for p in pe.points]
         assert H.tolist() == [[f.evaluate_at(p) for p in points] for f in polys]
@@ -123,8 +145,8 @@ class TestEvaluateRows:
         polys = [SparsePolynomial(F, rect, {pool[i]: int(c) for i, c in zip(
                      rng.integers(0, len(pool), size=3), rng.integers(1, 3, size=3))})
                  for _ in range(3 * _BLOCK_CELLS // pe.n + 11)]
-        H = evaluate_rows(polys, pe)
-        assert np.array_equal(H, np.array([evaluate(f, pe) for f in polys]))
+        H = evaluate(polys, pe)
+        assert np.array_equal(H, np.array([evaluate([f], pe)[0] for f in polys]))
         points = [tuple(int(x) for x in p) for p in pe.points]
         for j in range(0, len(polys), 97):
             assert H[j].tolist() == [polys[j].evaluate_at(p) for p in points]
@@ -148,9 +170,9 @@ class TestEvaluateRows:
         points = [tuple(int(x) for x in p) for p in pe.points]
         want = [[f.evaluate_at(p) for p in points] for f in polys]
         monkeypatch.setattr(codes, "_BLOCK_CELLS", cells)
-        H = evaluate_rows(polys, pe)
+        H = evaluate(polys, pe)
         assert H.tolist() == want
-        assert np.array_equal(H, np.array([evaluate(f, pe) for f in polys]))
+        assert np.array_equal(H, np.array([evaluate([f], pe)[0] for f in polys]))
 
     @pytest.mark.parametrize("q,width", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
     def test_monomial_value_table(self, q, width):
@@ -166,22 +188,22 @@ class TestEvaluateRows:
         F, rect = make_field(2), Rectangle(3, 3)
         basis = dual_basis(3, 6, 2, 2)
         pe = PointEnumeration(rect, F)
-        want = evaluate_rows(basis, pe)  # fills the cached table
+        want = evaluate(basis, pe)  # fills the cached table
         calls = []
         real = type(F).mul
         monkeypatch.setattr(type(F), "mul", lambda *a: calls.append(1) or real(*a))
-        assert np.array_equal(evaluate_rows(basis, pe), want)
+        assert np.array_equal(evaluate(basis, pe), want)
         assert len(calls) == -(-len(basis) // (_BLOCK_CELLS // pe.n))
 
     def test_negative_exponent_rejected(self):
         F, rect = make_field(3), Rectangle(1, 2)
         pe = PointEnumeration(rect, F)
         with pytest.raises(ValueError, match="negative exponent"):
-            evaluate_rows([SparsePolynomial(F, rect, {(1, -1): 1})], pe)
+            evaluate([SparsePolynomial(F, rect, {(1, -1): 1})], pe)
 
     def test_empty_list(self):
         pe = PointEnumeration(Rectangle(2, 2), make_field(3))
-        H = evaluate_rows([], pe)
+        H = evaluate([], pe)
         assert H.dtype == np.uint8 and H.shape == (0, 81)
 
     def test_mismatch_in_a_later_position_rejected(self):
@@ -189,23 +211,23 @@ class TestEvaluateRows:
         pe = PointEnumeration(Rectangle(1, 2), F)
         ok = SparsePolynomial.constant(F, Rectangle(1, 2), 1)
         with pytest.raises(DimensionMismatch):
-            evaluate_rows([ok, ok, SparsePolynomial.constant(F, Rectangle(1, 3), 1)], pe)
+            evaluate([ok, ok, SparsePolynomial.constant(F, Rectangle(1, 3), 1)], pe)
         with pytest.raises(DimensionMismatch):
-            evaluate_rows([ok, SparsePolynomial.constant(make_field(4), Rectangle(1, 2), 1)], pe)
+            evaluate([ok, SparsePolynomial.constant(make_field(4), Rectangle(1, 2), 1)], pe)
 
     def test_coefficient_outside_field_rejected(self):
         F = make_field(3)
         rect = Rectangle(1, 2)
         pe = PointEnumeration(rect, F)
         with pytest.raises(ValueError):
-            evaluate_rows([SparsePolynomial(F, rect, {(1, 0): 3})], pe)
+            evaluate([SparsePolynomial(F, rect, {(1, 0): 3})], pe)
 
     @pytest.mark.parametrize("q,ell,m,r", [(2, 3, 6, 2), (3, 2, 5, 2), (4, 2, 4, 2)])
     def test_dual_basis_matches_single_rows(self, q, ell, m, r):
         basis = dual_basis(ell, m, r, q)
         pe = PointEnumeration(Rectangle(ell, m - ell), make_field(q))
-        H = evaluate_rows(basis, pe)
-        assert np.array_equal(H, np.array([evaluate(f, pe) for f in basis]))
+        H = evaluate(basis, pe)
+        assert np.array_equal(H, np.array([evaluate([f], pe)[0] for f in basis]))
 
 
 class TestGaussianBinomial:

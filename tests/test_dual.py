@@ -8,7 +8,7 @@ import pytest
 
 from agcodes import linalg
 from agcodes.codes import (PointEnumeration, build_affine_grassmann,
-                           evaluate, evaluate_rows, theoretical_params)
+                           evaluate, theoretical_params)
 from agcodes.dual import (SELF_ORTH_EXCEPTIONS, binomials, build_dual_code,
                           char_sum, check_dual_basis, dual_basis,
                           dual_min_weight_witness, forbidden_monomials,
@@ -80,7 +80,7 @@ class TestBinomials:
         C = build_affine_grassmann(2, 4, 2, 3)
         pe = PointEnumeration(C.rect, C.field)
         for b in binomials(2, 4, 2, 3):
-            ev = evaluate(b.poly, pe)
+            ev = evaluate([b.poly], pe)[0]
             assert not linalg.matmul(C.generator, ev[:, None], C.field).any()
 
 
@@ -111,7 +111,7 @@ class TestDualBasis:
 def _dense_verdict(basis, C):
     """The dense route, kept here as the reference: the Gram matrix
     H G^T and the rank of H."""
-    H = evaluate_rows(basis, PointEnumeration(C.rect, C.field))
+    H = evaluate(basis, PointEnumeration(C.rect, C.field))
     if linalg.matmul(H, C.generator.T, C.field).any():
         return "orthogonality"
     if len(basis) and linalg.rank(H, C.field) != len(basis):
@@ -243,7 +243,7 @@ class TestSymbolicCheck:
         with pytest.raises(ValueError, match="not a nonzero element of F_3"):
             check_dual_basis(bad, 2, 4, 2, 3)
         with pytest.raises(ValueError, match="not a nonzero element of F_3"):
-            evaluate_rows(bad, PointEnumeration(rect, F))
+            evaluate(bad, PointEnumeration(rect, F))
 
     def test_zero_row_is_dependent(self):
         F, rect = make_field(2), Rectangle(2, 2)
@@ -289,7 +289,7 @@ class TestWitnesses:
         D = build_dual_code(C)
         pe = PointEnumeration(C.rect, C.field)
         g = dual_min_weight_witness(ell, m, r, q, ("g", 1, 2))
-        ev = evaluate(g, pe)
+        ev = evaluate([g], pe)[0]
         assert int(np.count_nonzero(ev)) == 3
         assert D.contains(ev)
 
@@ -301,7 +301,7 @@ class TestWitnesses:
         pe = PointEnumeration(C.rect, C.field)
         p2 = (1, 2)
         h = dual_min_weight_witness(ell, m, r, 2, ("h", (1, 1), p2))
-        ev = evaluate(h, pe)
+        ev = evaluate([h], pe)[0]
         assert int(np.count_nonzero(ev)) == 4
         assert D.contains(ev)
 

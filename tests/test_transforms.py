@@ -47,6 +47,22 @@ class TestAffineTransform:
                                A=np.eye(2, dtype=np.uint8),
                                u=np.zeros((2, 2), dtype=np.uint8), field=F)
 
+    @pytest.mark.parametrize("u", [[[3, 0]], [[0, -1]]])
+    def test_translation_outside_field_rejected(self, u):
+        """An entry of u outside F_3 raises; read through the flat add
+        table, 3 would act as another element."""
+        F = make_field(3)
+        with pytest.raises(ValueError, match="not an element of F_3"):
+            tr.AffineTransform(B=np.eye(1, dtype=np.uint8),
+                               A=np.eye(2, dtype=np.uint8), u=u, field=F)
+
+    @pytest.mark.parametrize("u", [[[1]], [[0, 0, 0]], [[0], [0]]])
+    def test_translation_of_wrong_shape_rejected(self, u):
+        """u = [[1]] on a 1 x 2 grid would broadcast to [[1, 1]]."""
+        with pytest.raises(DimensionMismatch):
+            tr.AffineTransform(B=np.eye(1, dtype=np.uint8), A=np.eye(2, dtype=np.uint8),
+                               u=u, field=make_field(3))
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_inverse_roundtrip(self, q):
         F = make_field(q)
