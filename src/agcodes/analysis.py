@@ -2,10 +2,15 @@
 codeword search, codewords of a given weight and span tests.
 
 All counts are exact.  Full enumeration yields the weight distribution
-of every nonzero message with one meet-in-the-middle kernel for every q: a
-table of all combinations of the first rows is added to each combination
-of the other rows in one array operation, and the weights of the sums are
-histogrammed (bit-packed uint64 words added by XOR for q = 2).
+of every nonzero message with one meet-in-the-middle kernel for every q,
+with no special case for q = 2 and no BLAS product.  Each word is held
+as ceil(log2 q) bit-planes of its element codes, 64 coordinates to a
+uint64 word.  A table of the combinations of the first rows meets the
+negated combinations -h of the other rows: low + h vanishes exactly
+where the codes of low and -h agree, so its weight is the popcount of
+the OR over the planes of low XOR -h (for q = 2, of low XOR h).  The
+combinations are built by doubling with field lookups, and the weights
+are histogrammed.
 
 The dual search counts weights <= 4 with one sort-and-group kernel for
 every q, on projectively normalized int64 keys of the columns and of the
@@ -31,7 +36,8 @@ from .monomials import Rectangle, SparsePolynomial
 DEFAULT_ENUM_CAP = 2 ** 24
 # Pair combinations the support search may form (2^25 int64 keys, 256 MiB).
 MAX_PAIR_COMBINATIONS = 2 ** 25
-# Cells of the combinations one block forms (support search, enumeration).
+# Cells of the combinations one block forms (support search, enumeration),
+# and bytes of the enumeration's packed table and of one batch of its words.
 _BLOCK_CELLS = 2 ** 18
 # Cells of the word matrix dual_codewords_of_weight may list (256 MiB).
 MAX_WORD_CELLS = 2 ** 28
@@ -53,50 +59,105 @@ class WeightReport:
 
 # ---------------------------------------------------------- full enumeration
 
+def _combinations(F, M):
+    """The q^r combinations of the r rows of M, the one of message i (the
+    coefficients digits(i, q, r)) at row i, as consecutive uint8 blocks
+    of q^a rows and at most _BLOCK_CELLS cells (one row when a row alone
+    is larger).  The combinations of the first a rows are built once, by
+    doubling with field lookups; each block adds to them one combination
+    of the other rows."""
+    q, (r, n) = F.q, M.shape
+    a = 0
+    while a < r and q ** (a + 1) * n <= _BLOCK_CELLS:
+        a += 1
+    scale = np.arange(q, dtype=np.uint8)[:, None]
+    base = np.zeros((1, n), dtype=np.uint8)
+    for row in M[:a]:  # row t q^j + i is row i plus t M_j
+        base = F.add(F.mul(scale, row)[:, None], base).reshape(q * len(base), n)
+    for coeffs in digits(np.arange(q ** (r - a)), q, r - a).tolist():
+        outer = np.zeros(n, dtype=np.uint8)
+        for t, row in zip(coeffs, M[a:]):
+            if t:
+                outer = F.add(outer, F.mul(t, row))
+        yield F.add(base, outer)
+
+
+def _planes(X, b):
+    """The (rows, b, ceil(n / 64)) uint64 bit-planes of the (rows, n)
+    element codes X: plane j holds bit j of each code, packed as
+    linalg.pack_rows packs a 0/1 matrix."""
+    return np.stack([linalg.pack_rows((X >> j) & 1) for j in range(b)], axis=1)
+
+
+def _codes(P, n):
+    """The (m, n) element codes of the (b, words, m) bit-planes P."""
+    bits = np.unpackbits(np.ascontiguousarray(P.transpose(2, 0, 1)).view(np.uint8),
+                         axis=2, count=n, bitorder="little")
+    X = bits[:, 0]
+    for j in range(1, len(P)):
+        X |= bits[:, j] << j
+    return X
+
+
 def _enumerate(C, keep_weight=-1):
     """Weight distribution of the codewords of all q^k - 1 nonzero messages.
 
     Returns (A, words): A[w] counts the nonzero messages whose codeword has
     weight w, and words is the (m, n) uint8 matrix of those of weight
-    keep_weight (None by default).  Meet in the middle: a table of all
-    combinations of the first lo rows (q^lo n <= _BLOCK_CELLS cells) is
-    added, in one array operation, to each combination of the other rows;
-    those are formed in blocks of about _BLOCK_CELLS / n.  For q = 2 the
-    words are bit-packed into uint64 and added by XOR.
+    keep_weight, in message order (None by default).
+
+    Meet in the middle, one kernel for every q: each word is held as
+    b = ceil(log2 q) bit-planes of its element codes (_planes), 64
+    coordinates to a uint64.  A table of the combinations of the first lo
+    rows, stored (plane, word, row), meets each combination -h of the
+    other rows negated: low + h is zero exactly where the codes of low and
+    -h agree, so its weight is the popcount of the OR over the planes of
+    low XOR -h, summed over the words of each table row as contiguous
+    integer adds.  lo is ceil(k / 2), so both sides cost about the same
+    to build, or less if the table would pass _BLOCK_CELLS bytes; the -h
+    are compared in batches of about _BLOCK_CELLS bytes of words, so the
+    number of numpy calls follows the work, not the table's size.  Every combination is built by field
+    lookups in blocks of at most _BLOCK_CELLS cells (_combinations); no
+    float product is taken.
     """
-    F, G = C.field, C.generator
+    F = C.field
+    G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
+    b, nwords = (q - 1).bit_length(), -(-n // 64)
+    words_cap = _BLOCK_CELLS // 8  # uint64 words in _BLOCK_CELLS bytes
     lo = 0
-    while lo < k and q ** (lo + 1) * n <= _BLOCK_CELLS:
+    while lo < k - k // 2 and q ** (lo + 1) * b * max(1, nwords) <= words_cap:
         lo += 1
-
-    def table(M):  # q = 2: rows bit-packed into whole uint64 words
-        return linalg.pack_rows(M) if q == 2 else M
-
-    low = table(linalg.matmul(digits(np.arange(q ** lo), q, lo), G[:lo], F))
+    low = np.empty((b, nwords, q ** lo), dtype=np.uint64)
+    top = 0
+    for block in _combinations(F, G[:lo]):
+        low[:, :, top:top + len(block)] = _planes(block, b).transpose(1, 2, 0)
+        top += len(block)
+    step = max(1, words_cap // (max(1, nwords) * q ** lo))  # -h per batch
+    diffs = np.empty((2, step) + low.shape[1:], dtype=np.uint64)
+    ones = np.empty(diffs.shape[1:], dtype=np.uint8)
+    wide = np.uint16 if n < 2 ** 16 else np.uint32  # holds a weight <= n
     A = np.zeros(n + 1, dtype=np.int64)
-    words = []
-    step, stop = max(1, _BLOCK_CELLS // max(1, n)), q ** (k - lo)
-    for start in range(0, stop, step):
-        high = linalg.matmul(digits(np.arange(start, min(start + step, stop)), q, k - lo),
-                             G[lo:], F)
-        for h in table(high):
-            if q == 2:
-                block = low ^ h
-                w = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
-            else:
-                block = F.add(low, h)
-                w = np.count_nonzero(block, axis=1)
-            A += np.bincount(w, minlength=n + 1)
+    words = [np.zeros((0, n), dtype=np.uint8)]
+    for block in _combinations(F, F.neg(G[lo:])):
+        planes = _planes(block, b)[..., None]
+        for start in range(0, len(block), step):
+            h = planes[start:start + step]
+            diff, other = diffs[:, :len(h)]
+            np.bitwise_xor(low[0], h[:, 0], out=diff)
+            for j in range(1, b):
+                np.bitwise_xor(low[j], h[:, j], out=other)
+                diff |= other
+            w = np.bitwise_count(diff, out=ones[:len(h)]).sum(axis=1, dtype=wide)
+            A += np.bincount(w.ravel(), minlength=n + 1)
             if keep_weight >= 0:
-                words.append(block[w == keep_weight])
+                hi, li = np.nonzero(w == keep_weight)
+                if len(hi):  # low - (-h)
+                    words.append(F.sub(_codes(low[:, :, li], n), block[start + hi]))
     A[0] -= 1  # the zero message
     if keep_weight < 0:
         return A, None
-    words = np.concatenate(words)[1 if keep_weight == 0 else 0:]
-    if q == 2:
-        words = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
-    return A, words
+    return A, np.concatenate(words)[1 if keep_weight == 0 else 0:]
 
 
 def min_distance_exhaustive(C):
@@ -242,8 +303,9 @@ def _pair_search(D, keys, F, w_max, collect):
 
 
 def low_weight_dual_search(C, w_max=4):
-    """Count the dual codewords of weight 1..w_max (w_max <= 4) as column
-    dependencies of C's generator matrix.
+    """Count the dual codewords of weight 1..w_max as column dependencies
+    of C's generator matrix.  w_max must be an int in 1..4 (not a bool or
+    a float); anything else raises WMaxUnsupported.
 
     With z zero columns, B_w = sum_j C(z, j) (q-1)^j B'_{w-j}, where B'
     counts on the n' nonzero columns: B'_0 = 1, B'_1 = 0 and
@@ -272,8 +334,9 @@ def low_weight_dual_search(C, w_max=4):
 def _search(C, w_max, collect):
     """low_weight_dual_search, with the words of weight w_max as the
     matrix dual_codewords_of_weight returns (None without collect)."""
-    if not 1 <= w_max <= 4:
-        raise WMaxUnsupported(f"w_max must be in 1..4, got {w_max}")
+    if (isinstance(w_max, bool) or not isinstance(w_max, (int, np.integer))
+            or not 1 <= w_max <= 4):
+        raise WMaxUnsupported(f"w_max must be an int in 1..4, got {w_max!r}")
     F = C.field
     G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
@@ -338,10 +401,11 @@ def _search(C, w_max, collect):
 
 
 def dual_codewords_of_weight(C_primal, w):
-    """Dual codewords of weight w (1 <= w <= 4) as one C-contiguous (m, n)
-    uint8 matrix: one word per projective class, scaled so its first
-    entry is 1 (the q - 2 other multiples are not listed; for q = 2 that
-    is every word), in order of support, then coefficients.
+    """Dual codewords of weight w (an int in 1..4, as w_max of
+    low_weight_dual_search) as one C-contiguous (m, n) uint8 matrix: one
+    word per projective class, scaled so its first entry is 1 (the q - 2
+    other multiples are not listed; for q = 2 that is every word), in
+    order of support, then coefficients.
 
     Each word is read off one match of the support search: a zero column
     (w = 1), two columns of one projective class (w = 2), or a pair entry
@@ -365,8 +429,11 @@ def min_weight_codewords(C, d):
 
     Uses full enumeration when feasible; falls back to the support search
     (dual_codewords_of_weight) when C is a dual code and d <= 4.  Both
-    routes list the same set of words, in their own orders.
+    routes list the same set of words, in their own orders.  A weight
+    outside 0..n has no word, on every route.
     """
+    if not 0 <= d <= C.n:
+        return np.zeros((0, C.n), dtype=np.uint8)
     total = C.field.q ** C.k - 1
     if total <= DEFAULT_ENUM_CAP:
         words = _enumerate(C, keep_weight=d)[1]

@@ -185,6 +185,44 @@ class TestExhaustiveEnumeration:
         assert set(data) == {"d", "count", "method", "enumerated"}
         assert data["method"] == "full-enumeration"
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_bit_planes_across_words_and_blocks(self, q, n, monkeypatch):
+        """Weights and words against brute force when a row spans several
+        uint64 words, the last one partial, and _BLOCK_CELLS is patched to
+        the table-size thresholds (8 b W q^j bytes, and 1.5 times that), so
+        the low table is built in several chunks, the -h side comes in
+        several blocks, and batches of -h end part-way through a block."""
+        F = make_field(q)
+        k = {2: 8, 3: 5, 4: 4, 5: 4}.get(q, 3)
+        G = np.random.default_rng(1000 * q + n).integers(0, q, (k, n)).astype(np.uint8)
+        C = Code(field=F, generator=G)
+        # row 0's coefficient varies fastest, as in the enumeration's order
+        words = _brute_force_words(Code(field=F, generator=G[::-1]))
+        weights = np.count_nonzero(words, axis=1)
+        light, common = int(weights.min()), int(np.bincount(weights).argmax())
+        b, nwords = (q - 1).bit_length(), -(-n // 64)
+        blocks, combinations = [], analysis._combinations
+
+        def counting(F, M):
+            out = list(combinations(F, M))
+            blocks.append(len(out))
+            return iter(out)
+        monkeypatch.setattr(analysis, "_combinations", counting)
+        split = False
+        for cap in sorted({f * b * nwords * q ** j for j in range(1, k) for f in (8, 12)}):
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cap)
+            blocks.clear()
+            assert analysis.min_distance_exhaustive(C).weight_counts == \
+                Counter(weights.tolist())
+            split |= min(blocks) >= 2  # the low table and the -h side
+            for d in (light, common):
+                listed = weights == d
+                if q > 2:  # one word per projective class
+                    listed &= _first_nonzero(words) == 1
+                assert np.array_equal(analysis.min_weight_codewords(C, d), words[listed])
+        assert split
+
 
 class TestLowWeightSearch:
     @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 1), (2, 2, 4, 2),
@@ -351,6 +389,19 @@ class TestLowWeightSearch:
         with pytest.raises(WMaxUnsupported):
             analysis.low_weight_dual_search(C, w_max=0)
 
+    @pytest.mark.parametrize("w", [3.0, 2.0, True, False, "3", None])
+    def test_wmax_must_be_an_int(self, w):
+        """A float, a bool or a string is no weight: it raises
+        WMaxUnsupported instead of failing inside the search (True would
+        otherwise be read as 1)."""
+        C = build_affine_grassmann(2, 4, 2, 3)
+        with pytest.raises(WMaxUnsupported):
+            analysis.low_weight_dual_search(C, w_max=w)
+        with pytest.raises(WMaxUnsupported):
+            analysis.dual_codewords_of_weight(C, w)
+        assert analysis.low_weight_dual_search(C, w_max=np.int64(3)).weight_counts == \
+            analysis.low_weight_dual_search(C, w_max=3).weight_counts
+
     def test_collect_returns_valid_dual_words(self):
         C = build_affine_grassmann(2, 4, 2, 2)
         D = build_dual_code(C)
@@ -486,12 +537,42 @@ class TestMinWeightWords:
         assert len(full) and (_first_nonzero(full) == 1).all()
         assert sorted(w.tobytes() for w in full) == sorted(w.tobytes() for w in search)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_negative_weight_has_no_words(self, q, monkeypatch):
+        """d < 0, like d > n, gives the empty (0, n) matrix on both routes,
+        before any enumeration or search."""
+        C = build_affine_grassmann(1, 2, 1, q)
+        D = build_dual_code(C)
+        for code, cap in [(C, analysis.DEFAULT_ENUM_CAP), (D, analysis.DEFAULT_ENUM_CAP),
+                          (D, 1)]:
+            monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", cap)
+            for d in (-1, -5, code.n + 1):
+                words = analysis.min_weight_codewords(code, d)
+                assert words.dtype == np.uint8 and words.shape == (0, code.n)
+
     def test_no_route_raises(self, monkeypatch):
         C = build_affine_grassmann(3, 6, 2, 2)
         D = build_dual_code(C)
         monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", 2 ** 10)
         with pytest.raises(TooLarge):
             analysis.min_weight_codewords(D, 5)
+
+
+def test_enumeration_takes_no_matrix_product(monkeypatch):
+    """Full enumeration builds its tables by field lookups: it runs with
+    linalg.matmul replaced by a spy that raises."""
+    codes = [build_affine_grassmann(2, 5, 2, 3), build_affine_grassmann(3, 6, 2, 2)]
+    expected = [(432, 2106), (192, 784)]  # d of theoretical_params; criterion 2
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("linalg.matmul called")
+    monkeypatch.setattr(linalg, "matmul", no_product)
+    for C, (d, count) in zip(codes, expected):
+        rep = analysis.min_distance_exhaustive(C)
+        assert (rep.min_distance, rep.min_weight_count) == (d, count)
+        words = analysis.min_weight_codewords(C, d)
+        assert len(words) == count // (C.field.q - 1)
+        assert (np.count_nonzero(words, axis=1) == d).all()
 
 
 class TestSpanGeneration:
