@@ -91,8 +91,7 @@ def _planes(X, b):
 
 def _codes(P, n):
     """The (m, n) element codes of the (b, words, m) bit-planes P."""
-    bits = np.unpackbits(np.ascontiguousarray(P.transpose(2, 0, 1)).view(np.uint8),
-                         axis=2, count=n, bitorder="little")
+    bits = linalg.unpack_rows(P.transpose(2, 0, 1), n)
     X = bits[:, 0]
     for j in range(1, len(P)):
         X |= bits[:, j] << j
@@ -123,7 +122,8 @@ def _enumerate(C, keep_weight=-1):
     F = C.field
     G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
-    b, nwords = (q - 1).bit_length(), -(-n // 64)
+    b = (q - 1).bit_length()
+    nwords = linalg.pack_rows(G[:0]).shape[1]  # uint64 words of one packed word
     words_cap = _BLOCK_CELLS // 8  # uint64 words in _BLOCK_CELLS bytes
     lo = 0
     while lo < k - k // 2 and q ** (lo + 1) * b * max(1, nwords) <= words_cap:
@@ -430,8 +430,11 @@ def min_weight_codewords(C, d):
     Uses full enumeration when feasible; falls back to the support search
     (dual_codewords_of_weight) when C is a dual code and d <= 4.  Both
     routes list the same set of words, in their own orders.  A weight
-    outside 0..n has no word, on every route.
+    outside 0..n has no word, on every route.  d must be an int (not a
+    bool or a float); anything else raises TypeError.
     """
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise TypeError(f"the weight d must be an int, got {d!r}")
     if not 0 <= d <= C.n:
         return np.zeros((0, C.n), dtype=np.uint8)
     total = C.field.q ** C.k - 1
@@ -461,7 +464,7 @@ def span_generation_test(C, words):
     linalg.gf2_rank).  They generate C when their rank is rank G, or for a
     dual from ``build_dual_code`` n - rank of the primal's (short) generator.
     """
-    M = np.asarray(words, dtype=np.uint8)
+    M = C.field.elements(words)
     if M.shape != (0,) and (M.ndim != 2 or M.shape[1] != C.n):  # (0,): no words
         raise DimensionMismatch(f"words of shape {M.shape} for a code of length {C.n}")
     primal = C.meta.get("dual_of")
@@ -479,10 +482,12 @@ def rank_counterexample_check(q, ell, ell_prime, c):
     """Verify the level-1 counterexample: a rank >= 2 coefficient matrix
     (so some 2 x 2 minor of c is nonzero) gives a minimum-weight word of
     the level-1 code that cannot be a transformed leading 1 x 1 minor."""
-    c = np.asarray(c, dtype=np.uint8)
     if ell < 2:
         raise RankTooLow("need ell >= 2")
     F = make_field(q)
+    c = F.elements(c)
+    if c.shape != (ell, ell_prime):
+        raise DimensionMismatch(f"c must be {ell} x {ell_prime}, not of shape {c.shape}")
     if linalg.rank(c, F) < 2:
         raise RankTooLow("coefficient matrix must have rank >= 2")
     rect = Rectangle(ell, ell_prime)

@@ -71,7 +71,12 @@ class PointEnumeration:
         return self.points[i].reshape(self.rect.ell, self.rect.ell_prime)
 
     def index_of(self, matrix):
-        return int(undigits(np.reshape(matrix, -1), self.field.q))
+        """The index i with P_i equal to the l x l' matrix over F_q."""
+        M = self.field.elements(matrix)
+        if M.shape != (self.rect.ell, self.rect.ell_prime):
+            raise DimensionMismatch(f"a point is {self.rect.ell} x {self.rect.ell_prime}, "
+                                    f"not of shape {M.shape}")
+        return int(undigits(M.reshape(-1), self.field.q))
 
 
 def evaluate(polys, pe):
@@ -115,7 +120,7 @@ class Code:
     rect: Rectangle = None
 
     def __post_init__(self):
-        self.generator = np.asarray(self.generator, dtype=np.uint8)
+        self.generator = self.field.elements(self.generator)
         self._parity = None
 
     @property
@@ -137,7 +142,7 @@ class Code:
         return self._parity
 
     def contains(self, word):
-        word = np.asarray(word, dtype=np.uint8)
+        word = self.field.elements(word)
         if word.shape != (self.n,):
             raise DimensionMismatch("word length mismatch")
         return self._contains_rows(word[None, :])

@@ -1,22 +1,27 @@
 """Linear algebra over F_q on small dense matrices.
 
-Matrices are numpy arrays of element codes (uint8).  Elimination is one
-loop for every q on the field's table lookups.  Products over F_2 are
-exact XORs on packed bits, with no floats (the Method of Four Russians on
-bytes, _matmul_gf2): A's rows packed eight entries to a byte select, for
-each byte position, one row of a 256-row table of the XOR sums of eight of
-B's rows, packed into uint64 words.  Products over an odd prime field run
-as exact float32 BLAS products, reduced mod p in int32, with A cast to
-float32 one row block of about 2^20 entries at a time.  Over an extension
-field F_{p^t} the product is taken over F_p on A's base-p digits and on B
-with each entry expanded into its t x t multiplication matrix, and the
-digits are then encoded again, so F_{2^t} takes the F_2 kernel too.  rank
-eliminates whichever of M and its transpose has fewer rows.  For q = 2
-that side is bit-packed into Python ints and reduced against an XOR basis
-(gf2_rank): the rows of a wide M, or the columns of a tall M, read in
-strips of _STRIP_ROWS rows, eight rows ORed into one byte row on uint64
-lanes and each strip's transpose written into place, so no transposed
-uint8 copy of M is made.
+Matrices are numpy arrays of element codes (uint8), and every result is
+exact: no float is formed and no BLAS routine is called.  Elimination is
+one loop for every q on the field's table lookups.  Products over F_2
+are XORs on packed bits (the Method of Four Russians on bytes,
+_matmul_gf2): A's rows packed eight entries to a byte select, for each
+byte position, one row of a 256-row table of the XOR sums of eight of
+B's rows, packed into uint64 words.  Products over an odd prime field
+are numpy's integer products in int64, reduced mod p, with A cast one
+row block of about 2^20 entries at a time; entries below p <= 13 keep
+every sum far below 2^63.  Over an extension field F_{p^t} the product
+is taken over F_p on A's base-p digits and on B with each entry expanded
+into its t x t multiplication matrix, and the digits are then encoded
+again, so F_{2^t} takes the F_2 kernel too.
+
+pack_rows and unpack_rows are the one GF(2) bit codec: bit b of byte g
+of a packed row is entry 8g + b, in rows of whole uint64 words, and no
+other module knows that order or the word size.  pack_rows packs a
+C-contiguous matrix along its rows (packbits) and any other layout as
+the columns of its transpose (_packed_columns), so packbits never runs
+along a strided axis.  rank eliminates whichever of M and its transpose
+has fewer rows; for q = 2 that side is packed by pack_rows into Python
+ints and reduced against an XOR basis (gf2_rank).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from .errors import SingularMatrix
 from .field import digits, undigits
 
-_MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to float32 at a time (odd p)
+_MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to int64 at a time (odd p)
 # uint64 words of one row block of a packed GF(2) product, and of one group
 # of byte tables; a group holds at least one table (256 packed rows of B)
 _GF2_BLOCK_WORDS = 2 ** 13
@@ -65,11 +70,12 @@ def _packed_columns(M):
 def pack_rows(M):
     """The rows of the 0/1 matrix M packed eight entries to a byte (bit b
     of byte g in row i is M[i, 8g + b]) and zero-padded to whole uint64
-    words: a (rows, ceil(cols / 64)) uint64 matrix.  An F-ordered M is
-    packed as the columns of its C-ordered transpose."""
+    words: a (rows, ceil(cols / 64)) uint64 matrix.  A C-contiguous M is
+    packed by packbits, any other layout as the columns of its
+    transpose."""
     rows, cols = M.shape
     out = np.zeros((rows, -(-cols // 64)), dtype=np.uint64)
-    if M.flags.c_contiguous or not M.T.flags.c_contiguous:
+    if M.flags.c_contiguous:
         packed = np.packbits(M, axis=1, bitorder="little")
     else:
         packed = _packed_columns(M.T)
@@ -77,28 +83,27 @@ def pack_rows(M):
     return out
 
 
+def unpack_rows(P, n):
+    """The inverse of pack_rows: the (..., n) 0/1 uint8 matrix whose rows
+    the uint64 words P pack, along P's last axis."""
+    return np.unpackbits(np.ascontiguousarray(P).view(np.uint8), axis=-1,
+                         count=n, bitorder="little")
+
+
 def gf2_rank(M):
     """Rank of a 0/1 matrix over GF(2).
 
-    Whichever of the rows and the columns are fewer become Python ints,
-    entry i at bit i: the rows of a wide M by packbits, the columns of a
-    tall M by _packed_columns, so no transposed uint8 copy of M is made.
-    An M that is not C-contiguous but whose transpose is (an F-ordered
-    view) is ranked as its transpose, so packbits never runs along a
-    strided axis.  Each vector is reduced against an XOR basis keyed by
-    the highest set bit (bit_length) and joins it when it does not
-    reduce to 0.
+    Whichever of the rows and the columns are fewer are packed by
+    pack_rows (of M, or of M's transpose) and read as Python ints, entry
+    i at bit i.  Each vector is reduced against an XOR basis keyed by the
+    highest set bit (bit_length) and joins it when it does not reduce to
+    0.
     """
     M = np.asarray(M, dtype=np.uint8)
     if M.size == 0:
         return 0
-    if not M.flags.c_contiguous and M.T.flags.c_contiguous:
-        M = M.T  # rank M^T = rank M
-    if M.shape[0] > M.shape[1]:
-        packed = _packed_columns(M)
-    else:
-        packed = np.packbits(M, axis=1, bitorder="little")
-    width = packed.shape[1]
+    packed = pack_rows(M.T if M.shape[0] > M.shape[1] else M)
+    width = 8 * packed.shape[1]
     data = packed.tobytes()
     basis = {}  # bit_length -> basis vector with that highest bit
     for lo in range(0, len(data), width):
@@ -150,9 +155,8 @@ def rank(M, F):
 
 def nullspace(M, F):
     """Rows form a basis of the right kernel {x : M x = 0}."""
-    M = np.asarray(M, dtype=np.uint8)
-    n = M.shape[1]
     R, pivots = rref(M, F)
+    n = R.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
@@ -173,7 +177,7 @@ def _matmul_gf2(A, B):
     and each group is applied to the packed product (an eighth of the
     uint8 result) in row blocks; a group's tables and a row block are
     each about _GF2_BLOCK_WORDS words.  The packed product is then
-    unpacked to the uint8 (rows, cols) result.
+    unpacked to the uint8 (rows, cols) result (unpack_rows).
     """
     (rows, inner), cols = A.shape, B.shape[1]
     nbytes = -(-inner // 8)
@@ -198,33 +202,26 @@ def _matmul_gf2(A, B):
                 # into t without a buffered copy
                 np.take(T[g], Ab[top:top + block, g0 + g], axis=0, out=t, mode="clip")
                 a ^= t
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=cols, bitorder="little")
+    return unpack_rows(acc, cols)
 
 
 def _matmul_mod_p(A, B, p):
-    """A B mod p for uint8 matrices with entries in [0, p)."""
-    # float32 BLAS is exact while every partial sum stays below 2^24, so
-    # the inner dimension is sliced and each slice's product is added to
-    # int32 residues, reduced mod p by integer division.  A is cast one row
-    # block at a time, so no float32 copy of all of A is made.
-    step = (2 ** 24 - p) // (p - 1) ** 2
+    """A B mod p for uint8 matrices with entries in [0, p), as int64
+    products, A cast one row block of about _MATMUL_BLOCK_CELLS entries
+    at a time.  numpy's integer matmul calls no BLAS, and with p <= 13
+    each term is at most 144 < 2^8, so no sum of fewer than 2^55 terms
+    reaches 2^63."""
     rows = max(1, _MATMUL_BLOCK_CELLS // max(A.shape[1], 1))
     out = np.empty(A.shape[:1] + B.shape[1:], dtype=np.uint8)
-    B32 = B.astype(np.float32)
+    B64 = B.astype(np.int64)
     for top in range(0, A.shape[0], rows):
-        A32 = A[top:top + rows].astype(np.float32)
-        acc = np.zeros(A32.shape[:1] + B.shape[1:], dtype=np.int32)
-        for start in range(0, A.shape[1], step):
-            np.add(acc, A32[:, start:start + step] @ B32[start:start + step],
-                   out=acc, casting="unsafe")
-            acc %= p
-        out[top:top + rows] = acc
+        out[top:top + rows] = A[top:top + rows].astype(np.int64) @ B64 % p
     return out
 
 
 def _matmul_fp(A, B, p):
-    """A B over the prime field F_p: byte tables for p = 2, float32 BLAS
-    for odd p."""
+    """A B over the prime field F_p: byte tables for p = 2, int64
+    products for odd p."""
     return _matmul_gf2(A, B) if p == 2 else _matmul_mod_p(A, B, p)
 
 
@@ -251,7 +248,7 @@ def matmul(A, B, F):
 
 
 def inv_matrix(A, F):
-    A = np.asarray(A, dtype=np.uint8)
+    A = F.elements(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise SingularMatrix("not a square matrix")
@@ -263,13 +260,12 @@ def inv_matrix(A, F):
 
 
 def is_invertible(A, F):
-    A = np.asarray(A, dtype=np.uint8)
+    A = F.elements(A)
     return A.shape[0] == A.shape[1] and rank(A, F) == A.shape[0]
 
 
 def rowspace_equal(A, B, F):
-    A = np.asarray(A, dtype=np.uint8)
-    B = np.asarray(B, dtype=np.uint8)
+    A, B = F.elements(A), F.elements(B)
     ra, rb = rank(A, F), rank(B, F)
     if ra != rb:
         return False

@@ -308,7 +308,7 @@ def linear_form_power_basis(F, forms):
     lexicographic order of the exponent vector (e_1, ..., e_s).
     """
     s = len(forms)
-    mat = np.array(forms, dtype=np.uint8)
+    mat = F.elements(forms)
     if mat.shape != (s, s) or linalg.rank(mat, F) < s:
         raise DependentForms("forms are linearly dependent")
     rect = Rectangle(1, s)

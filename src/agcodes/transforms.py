@@ -60,8 +60,8 @@ class AffineTransform:
     field: object
 
     def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=np.uint8)
-        self.A = np.asarray(self.A, dtype=np.uint8)
+        self.B = self.field.elements(self.B)
+        self.A = self.field.elements(self.A)
         self.u = self.field.elements(self.u)
         if self.u.shape != (len(self.B), len(self.A)):  # a smaller u would broadcast
             raise DimensionMismatch("u must be l x l', as B is l x l and A l' x l'")
@@ -92,6 +92,8 @@ def identity_transform(rect, F):
 def compose(T1, T2):
     """(u,A,B) o (v,A',B') = (B v A^{-1} + u, A A', B B')."""
     F = T1.field
+    if T2.field.q != F.q:
+        raise DimensionMismatch(f"transforms over F_{F.q} and F_{T2.field.q}")
     w = F.add(linalg.matmul(linalg.matmul(T1.B, T2.u, F), T1.A_inv, F), T1.u)
     return AffineTransform(B=linalg.matmul(T1.B, T2.B, F),
                            A=linalg.matmul(T1.A, T2.A, F),
@@ -105,6 +107,8 @@ def induced_permutation(T, pe):
     digit vector p (B^T kron A^{-1}) + u, so all n images are one product
     over F_q of the points by a delta x delta matrix."""
     rect, F = pe.rect, pe.field
+    if T.field.q != F.q:
+        raise DimensionMismatch(f"a transform over F_{T.field.q} and points over F_{F.q}")
     if T.B.shape != (rect.ell, rect.ell) or T.A.shape != (rect.ell_prime, rect.ell_prime):
         raise DimensionMismatch("transform shapes do not match the rectangle")
     kron = F.mul(T.B.T[:, None, :, None], T.A_inv[None, :, None, :])

@@ -437,10 +437,14 @@ class TestLowWeightSearch:
 
     @pytest.mark.parametrize("q", [3, 4, 16])
     def test_entries_outside_the_field_rejected(self, q):
-        """An entry >= q would index past the field's tables; the search
-        rejects it as min_distance_exhaustive does."""
-        C = Code(field=make_field(q),
-                 generator=np.array([[1, 0, 1], [1, q, 1]], dtype=np.uint8))
+        """An entry >= q would index past the field's tables.  Code
+        rejects it, and so does the search, as min_distance_exhaustive
+        does, on a generator that was changed after construction."""
+        bad = np.array([[1, 0, 1], [1, q, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError):
+            Code(field=make_field(q), generator=bad)
+        C = Code(field=make_field(q), generator=np.zeros_like(bad))
+        C.generator[:] = bad
         for call in [lambda: analysis.low_weight_dual_search(C, w_max=4),
                      lambda: analysis.dual_codewords_of_weight(C, 4),
                      lambda: analysis.dual_codewords_of_weight(C, 3),
@@ -556,6 +560,22 @@ class TestMinWeightWords:
         monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", 2 ** 10)
         with pytest.raises(TooLarge):
             analysis.min_weight_codewords(D, 5)
+
+    @pytest.mark.parametrize("d", [True, 2.0, 2.5, "2", None])
+    def test_weight_must_be_an_int(self, d, monkeypatch):
+        """A bool, float or anything else is refused on both routes, where
+        True and 2.0 would read as 1 and 2, and 2.5 as no words; a numpy
+        int is an int."""
+        C = build_affine_grassmann(1, 2, 1, 3)
+        D = build_dual_code(C)
+        for code, cap in [(C, analysis.DEFAULT_ENUM_CAP), (D, analysis.DEFAULT_ENUM_CAP),
+                          (D, 1)]:
+            monkeypatch.setattr(analysis, "DEFAULT_ENUM_CAP", cap)
+            with pytest.raises(TypeError):
+                analysis.min_weight_codewords(code, d)
+            d_min = 6 if code is C else 3
+            assert (analysis.min_weight_codewords(code, np.int64(d_min)).tolist()
+                    == analysis.min_weight_codewords(code, d_min).tolist())
 
 
 def test_enumeration_takes_no_matrix_product(monkeypatch):
@@ -678,6 +698,16 @@ class TestRankCounterexample:
             analysis.rank_counterexample_check(2, 2, 2, [[1, 1], [1, 1]])
         with pytest.raises(RankTooLow):
             analysis.rank_counterexample_check(2, 1, 2, [[1, 1]])
+
+    def test_shape_must_be_the_grid(self):
+        """The rank test and the polynomial read the same l x l' matrix:
+        a 3 x 3 c on a 2 x 2 grid, whose leading block has rank 1, is
+        refused rather than judged by its full rank 2."""
+        for c in [[[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0], [0, 1], [0, 0]], [1, 0, 0, 1]]:
+            with pytest.raises(DimensionMismatch):
+                analysis.rank_counterexample_check(2, 2, 2, c)
+        with pytest.raises(ValueError):
+            analysis.rank_counterexample_check(2, 2, 2, [[1, 0], [0, 3]])
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_larger_grid(self, q):

@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from agcodes.codes import PointEnumeration
-from agcodes.errors import DivisionByZero, NotPrimePower, Unsupported
+from agcodes import analysis, linalg, transforms
+from agcodes.codes import Code, PointEnumeration
+from agcodes.errors import DimensionMismatch, DivisionByZero, NotPrimePower, Unsupported
 from agcodes.field import digits, make_field, undigits
-from agcodes.monomials import Rectangle
+from agcodes.monomials import Rectangle, linear_form_power_basis
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -166,3 +167,59 @@ def test_points_are_digits_of_their_index(q, ell, ell_prime):
     assert np.array_equal(pe.points, digits(np.arange(pe.n), q, ell * ell_prime))
     for i in range(0, pe.n, max(1, pe.n // 50)):
         assert pe.index_of(pe.point(i)) == i
+
+
+def test_index_of_checks_shape_and_entries():
+    """A point is an l x l' matrix over F_q: any other shape, or an entry
+    that would give an index >= n, is rejected."""
+    pe = PointEnumeration(Rectangle(1, 2), make_field(2))
+    for bad in [np.zeros((3, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8),
+                np.zeros((2, 1), dtype=np.uint8)]:
+        with pytest.raises(DimensionMismatch):
+            pe.index_of(bad)
+    with pytest.raises(ValueError):
+        pe.index_of(np.array([[5, 5]]))
+    assert pe.index_of([[1, 1]]) == 3
+
+
+def _past_a_byte(M):
+    """M as int64 with 256 added to its first entry: a uint8 cast would
+    read it as the valid entry it was."""
+    M = np.array(M, dtype=np.int64)
+    M.reshape(-1)[0] += 256
+    return M
+
+
+_F3 = make_field(3)
+_I2 = np.eye(2, dtype=np.uint8)
+_C3 = Code(_F3, np.array([[2, 1, 2], [0, 1, 1]], dtype=np.uint8))
+
+_PAST_A_BYTE = {
+    "Code": lambda: Code(_F3, _past_a_byte(_C3.generator)),
+    "Code.contains": lambda: _C3.contains(_past_a_byte(_C3.generator[0])),
+    "span_generation_test": lambda: analysis.span_generation_test(
+        _C3, _past_a_byte(_C3.generator)),
+    "nullspace": lambda: linalg.nullspace(_past_a_byte(_I2), _F3),
+    "inv_matrix": lambda: linalg.inv_matrix(_past_a_byte(_I2), _F3),
+    "is_invertible": lambda: linalg.is_invertible(_past_a_byte(_I2), _F3),
+    "rowspace_equal(A)": lambda: linalg.rowspace_equal(_past_a_byte(_I2), _I2, _F3),
+    "rowspace_equal(B)": lambda: linalg.rowspace_equal(_I2, _past_a_byte(_I2), _F3),
+    "AffineTransform(B)": lambda: transforms.AffineTransform(
+        B=_past_a_byte(np.eye(1)), A=_I2, u=np.zeros((1, 2)), field=make_field(2)),
+    "AffineTransform(A)": lambda: transforms.AffineTransform(
+        B=np.eye(1), A=_past_a_byte(_I2), u=np.zeros((1, 2)), field=make_field(2)),
+    "rank_counterexample_check": lambda: analysis.rank_counterexample_check(
+        3, 2, 2, _past_a_byte(_I2)),
+    "linear_form_power_basis": lambda: linear_form_power_basis(_F3, _past_a_byte(_I2)),
+    "index_of": lambda: PointEnumeration(Rectangle(1, 2), _F3).index_of(
+        _past_a_byte([[0, 0]])),
+}
+
+
+@pytest.mark.parametrize("entry", list(_PAST_A_BYTE))
+def test_entries_past_a_byte_rejected(entry):
+    """Every public entry point that takes a matrix or a word checks its
+    entries against F_q before any uint8 cast, so 256 + a is not read as
+    a; each raises ValueError."""
+    with pytest.raises(ValueError, match="not an element of F_"):
+        _PAST_A_BYTE[entry]()

@@ -29,15 +29,17 @@ def test_gf2_reducer_matches_dense_rank():
 @pytest.mark.parametrize("rows", [1, 7, 8, 9, 63, 65])
 def test_gf2_rank_against_rref(rows):
     """Over F_2, rank packs the columns of a tall matrix and the rows of a
-    wide one; rref of the same matrix is the reference."""
+    wide one, from any memory layout; rref of the same matrix is the
+    reference."""
     F = make_field(2)
     rng = np.random.default_rng(rows)
     for cols in sorted({1, 3, 8, 64, rows, rows + 5, 2 * rows + 3}):
         M = _random_matrix(rng, rows, cols, 2)
         low = linalg.matmul(_random_matrix(rng, rows, 3, 2),
                             _random_matrix(rng, 3, cols, 2), F)  # rank <= 3
+        strided = np.repeat(np.repeat(M, 2, axis=0), 3, axis=1)[::2, ::3]
         for A in [M, low, np.zeros((rows, cols), dtype=np.uint8),
-                  np.ones((rows, cols), dtype=np.uint8)]:
+                  np.ones((rows, cols), dtype=np.uint8), strided]:
             expected = len(linalg.rref(A, F)[1])
             assert linalg.rank(A, F) == linalg.rank(A.T, F) == expected
         if rows > cols:  # bit b of byte g in row j is M[8g + b, j]
@@ -56,13 +58,29 @@ def test_packed_columns_against_packbits(rows):
         M = _random_matrix(rng, rows, cols, 2)
         by_columns = np.packbits(M, axis=0, bitorder="little").T
         by_rows = np.packbits(M, axis=1, bitorder="little")
-        for view in [M, np.asfortranarray(M), M.T.copy().T, M.astype(bool)]:
+        strided = np.repeat(M, 2, axis=1)[:, ::2]  # neither C- nor F-ordered
+        for view in [M, np.asfortranarray(M), M.T.copy().T, M.astype(bool), strided]:
             assert np.array_equal(linalg._packed_columns(view), by_columns)
             words = linalg.pack_rows(view)
             assert words.dtype == np.uint64 and words.shape == (rows, -(-cols // 64))
             packed = words.view(np.uint8)
             assert np.array_equal(packed[:, :by_rows.shape[1]], by_rows)
             assert not packed[:, by_rows.shape[1]:].any()
+            assert np.array_equal(linalg.unpack_rows(words, cols), M)
+
+
+def test_unpack_rows_inverts_pack_rows():
+    """unpack_rows reads the words along the last axis of any layout and
+    any number of leading axes, and stops at n entries."""
+    rng = np.random.default_rng(4)
+    for cols in [0, 1, 8, 63, 64, 65, 130]:
+        M = _random_matrix(rng, 6, cols, 2)
+        P = linalg.pack_rows(M)
+        U = linalg.unpack_rows(P, cols)
+        assert U.dtype == np.uint8 and U.shape == (6, cols) and np.array_equal(U, M)
+        stacked = np.stack([P, P[::-1]], axis=2)  # (6, words, 2)
+        U3 = linalg.unpack_rows(stacked.transpose(2, 0, 1), cols)
+        assert np.array_equal(U3, np.stack([M, M[::-1]]))
 
 
 def _gf2_reference(A, B):
@@ -101,7 +119,7 @@ def test_matmul_gf2_over_small_blocks(block_words, monkeypatch):
 def test_characteristic_two_products_use_no_floats(monkeypatch):
     """Every product over F_2 and F_{2^t} takes the byte-table kernel."""
     def refuse(*args):
-        raise AssertionError("a p = 2 product reached the float32 path")
+        raise AssertionError("a p = 2 product reached the odd-prime path")
     monkeypatch.setattr(linalg, "_matmul_mod_p", refuse)
     rng = np.random.default_rng(3)
     for q in [2, 4, 8, 16]:
@@ -170,7 +188,8 @@ def _field_matmul_reference(A, B, F):
 def test_extension_matmul_matches_elementwise(q, monkeypatch):
     rng = np.random.default_rng(40 + q)
     F = make_field(q)
-    shapes = [(7, 33, 5), (1, 200, 1), (3, 0, 4), (0, 5, 3), (4, 6, 0), (0, 0, 0)]
+    shapes = [(7, 33, 5), (1, 200, 1), (3, 0, 4), (0, 5, 3), (4, 6, 0), (0, 0, 0),
+              (5, 8, 66), (9, 64, 3), (2, 65, 9)]
     for rows, inner, cols in shapes:
         A = _random_matrix(rng, rows, inner, q)
         B = _random_matrix(rng, inner, cols, q)
@@ -194,7 +213,7 @@ def test_prime_matmul_is_exact(p):
     rng = np.random.default_rng(50 + p)
     F = make_field(p)
     for rows, inner, cols in [(7, 33, 5), (1, 200, 1), (3, 0, 4), (0, 5, 3),
-                              (4, 6, 0), (0, 0, 0)]:
+                              (4, 6, 0), (0, 0, 0), (5, 8, 66), (9, 64, 3), (2, 65, 9)]:
         A = _random_matrix(rng, rows, inner, p)
         B = _random_matrix(rng, inner, cols, p)
         C = linalg.matmul(A, B, F)
@@ -207,8 +226,8 @@ def test_prime_matmul_is_exact(p):
 
 @pytest.mark.parametrize("inner, value", [(120_000, 12), (150_001, 11)])
 def test_prime_matmul_past_float32_integers(inner, value):
-    # inner * value^2 exceeds 2^24; 150001 * 121 is odd, so no single
-    # float32 sum can hold it and the inner dimension must be sliced
+    # inner * value^2 exceeds 2^24, past which float32 holds no odd integer
+    # (150001 * 121 is odd): the int64 products stay exact
     F = make_field(13)
     A = np.full((1, inner), value, dtype=np.uint8)
     assert inner * value ** 2 > 2 ** 24

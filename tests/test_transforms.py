@@ -137,6 +137,18 @@ class TestInducedPermutation:
         with pytest.raises(DimensionMismatch):
             tr.induced_permutation(T, pe)
 
+    def test_transforms_over_different_fields_rejected(self):
+        """compose and induced_permutation name both fields rather than
+        mixing one field's codes into the other's arithmetic."""
+        rect = Rectangle(1, 2)
+        F2, F4 = make_field(2), make_field(4)
+        T2, T4 = tr.identity_transform(rect, F2), tr.identity_transform(rect, F4)
+        for call in [lambda: tr.compose(T4, T2), lambda: tr.compose(T2, T4),
+                     lambda: tr.induced_permutation(T2, PointEnumeration(rect, F4)),
+                     lambda: tr.induced_permutation(T4, PointEnumeration(rect, F2))]:
+            with pytest.raises(DimensionMismatch, match=r"F_(2|4)\b.*F_(2|4)\b"):
+                call()
+
 
 class TestAutomorphisms:
     def test_random_transforms_preserve_code_and_dual(self, setup_224):
