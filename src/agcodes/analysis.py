@@ -12,10 +12,18 @@ the OR over the planes of low XOR -h (for q = 2, of low XOR h).  The
 combinations are built by doubling with field lookups, and the weights
 are histogrammed.
 
-The dual search counts weights <= 4 with one sort-and-group kernel for
-every q, on projectively normalized int64 keys of the columns and of the
-pair combinations c_a + t c_b: B_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3
-over groups of g equal pair keys (see low_weight_dual_search).
+The dual search counts weights <= 4 on one of two routes.  On a code
+that build_affine_grassmann or build_reed_muller made, still unchanged,
+the orbit route uses the automorphism group: translations make every
+coordinate alike, and the maps P -> B P A^{-1} make alike the points of
+one rank class, so B_3 and B_4 follow from lookups at one representative
+a of each class, of c_0 + t c_a and c_0 + t c_a + v c_b among the
+columns (see _orbit_counts).  Every other generator takes one
+sort-and-group kernel for every q, on projectively normalized int64 keys
+of the columns and of the pair combinations c_a + t c_b:
+B_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3 over groups of g equal pair
+keys (see low_weight_dual_search).  The kernel is also the orbit route's
+differential test, and lists the words (dual_codewords_of_weight).
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .codes import PointEnumeration, evaluate, theoretical_params
+from . import linalg, transforms
+from .codes import (PointEnumeration, evaluate, rm_theoretical_params,
+                    theoretical_params)
 from .errors import (DimensionMismatch, RankTooLow, TooLarge, Unsupported,
                      WMaxUnsupported, WordNotInCode)
 from .field import digits, make_field, undigits
@@ -48,7 +57,7 @@ class WeightReport:
     min_distance: int
     min_weight_count: int
     method: str
-    enumerated: int  # codewords walked, or pair combinations formed
+    enumerated: int  # codewords walked, pair combinations formed, or orbit lookups
     weight_counts: dict = None  # {w: count}: every weight met, or w = 1..w_max
 
     def to_json(self):
@@ -302,10 +311,105 @@ def _pair_search(D, keys, F, w_max, collect):
     return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, read
 
 
+def _orbit_classes(C):
+    """transforms.rank_classes of C's points when C is a level r >= 1 code
+    that build_affine_grassmann or build_reed_muller made and its
+    generator is still the read-only array that function returned; None
+    for every other code.  Such a code is fixed by the translations and by the maps
+    P -> B P A^{-1}, has no zero and no proportional columns, and each
+    column starts with the 1 of the constant row."""
+    meta, G, q = C.meta, C.generator, C.field.q
+    if G.flags.writeable or not G.flags.owndata or meta.get("q") != q:
+        return None  # changed, a view (a permutation of it, say), or unnamed
+    if meta.get("kind") == "AGC" and meta.get("r", 0) >= 1:
+        ell, m = meta["ell"], meta["m"]
+        params, rect = theoretical_params(ell, m, meta["r"], q), Rectangle(ell, m - ell)
+    elif meta.get("kind") == "RM" and meta.get("r", 0) >= 1:
+        params = rm_theoretical_params(meta["r"], meta["delta"], q)
+        rect = Rectangle(1, meta["delta"])
+    else:
+        return None
+    if G.shape != (params.k, params.n):
+        return None
+    return transforms.rank_classes(rect, q)
+
+
+def _orbit_counts(F, G, classes, w_max):
+    """(B_3, B_4, lookups) for w_max >= 3 (B_4 = 0 when w_max is 3) of a
+    code that _orbit_classes admits, with its rank classes ``classes``.
+
+    The translations act transitively on the n coordinates, so
+    B_w = (q-1) n N_0 / w, where N_0 counts the projective weight-w dual
+    words through coordinate 0.  The maps P -> B P A^{-1} fix 0 and have
+    the rank classes as orbits, so the words through 0 and a point a are
+    as many for every a in a class: they are counted at its
+    representative a and weighted by its size N.  With T = c_0 + t c_a
+    for t in F_q*, each column c outside {0, a} proportional to T is a
+    weight-3 word, and each column outside {0, a, b} proportional to
+    T + v c_b, for a column b outside {0, a} and v in F_q*, a weight-4
+    word.  A word through 0 is met once for each ordered choice of a (and
+    b) among its other coordinates, so the weighted hits are 2 N_0 at
+    weight 3 and 6 N_0 at weight 4.
+
+    Every column starts with 1, so a vector is proportional to column c
+    exactly when scaling it by the inverse of its first digit gives c (a
+    first digit 0 scales it to the zero vector, which is no column).  The
+    columns are keyed by their bytes as one np.void value and found by
+    binary search, so a key has no width limit; the weight-4 vectors are
+    formed in blocks of about _BLOCK_CELLS cells.  ``lookups`` counts the
+    searched vectors: (q-1) + (q-1)^2 (n-2) per class at w_max = 4.
+    """
+    q, (k, n) = F.q, G.shape
+    cols = np.ascontiguousarray(G.T)
+    key = np.dtype((np.void, k))
+    col_keys = cols.view(key).ravel()
+    order = np.argsort(col_keys)
+    col_keys = col_keys[order]
+
+    def find(V):
+        """The column proportional to each vector (last axis) of V, or -1."""
+        V = F.mul(F.inv_table[V[..., :1]], V)
+        keys = V.reshape(-1, k).view(key).ravel()
+        pos = np.minimum(np.searchsorted(col_keys, keys), n - 1)
+        return np.where(col_keys[pos] == keys, order[pos], -1).reshape(V.shape[:-1])
+
+    def total(hits, orders, w):  # B_w from the weighted hits, checked whole
+        n0, rest = divmod(hits, orders)
+        b, rest2 = divmod((q - 1) * n * n0, w)
+        if rest or rest2:
+            raise AssertionError("orbit counts are not whole: the group does not fix the code")
+        return b
+
+    t = np.arange(1, q, dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // ((q - 1) ** 2 * k))  # columns b per block
+    hits3 = hits4 = lookups = 0
+    for a, size in classes:
+        T = F.add(cols[0], F.mul(t[:, None], cols[a]))  # (t, digit)
+        c = find(T)
+        hits3 += size * int(np.count_nonzero((c > 0) & (c != a)))  # c = -1: no column
+        lookups += q - 1
+        if w_max < 4:
+            continue
+        others = np.delete(np.arange(n), [0, a])
+        for lo in range(0, n - 2, step):
+            b = others[lo:lo + step]
+            c = find(F.add(T[:, None, None], F.mul(t[:, None, None], cols[b])))  # (t, v, b)
+            hits4 += size * int(np.count_nonzero((c > 0) & (c != a) & (c != b)))
+        lookups += (q - 1) ** 2 * (n - 2)
+    return total(hits3, 2, 3), total(hits4, 6, 4) if w_max >= 4 else 0, lookups
+
+
 def low_weight_dual_search(C, w_max=4):
     """Count the dual codewords of weight 1..w_max as column dependencies
     of C's generator matrix.  w_max must be an int in 1..4 (not a bool or
     a float); anything else raises WMaxUnsupported.
+
+    A code that build_affine_grassmann or build_reed_muller made at level
+    r >= 1 is counted on the orbit route (_orbit_counts) while its meta
+    names its parameters, its shape matches them and its generator is
+    still the read-only array it was built with: ``method`` is "orbit" and
+    ``enumerated`` the number of lookups.  Every other code takes the
+    kernel below, with ``method`` "support-search".
 
     With z zero columns, B_w = sum_j C(z, j) (q-1)^j B'_{w-j}, where B'
     counts on the n' nonzero columns: B'_0 = 1, B'_1 = 0 and
@@ -331,6 +435,12 @@ def low_weight_dual_search(C, w_max=4):
     return _search(C, w_max, False)[0]
 
 
+def _report(counts, method, enumerated):
+    d = next((w for w in sorted(counts) if counts[w]), None)
+    return WeightReport(min_distance=d, min_weight_count=counts[d] if d else 0,
+                        method=method, enumerated=enumerated, weight_counts=counts)
+
+
 def _search(C, w_max, collect):
     """low_weight_dual_search, with the words of weight w_max as the
     matrix dual_codewords_of_weight returns (None without collect)."""
@@ -338,6 +448,12 @@ def _search(C, w_max, collect):
             or not 1 <= w_max <= 4):
         raise WMaxUnsupported(f"w_max must be an int in 1..4, got {w_max!r}")
     F = C.field
+    classes = None if collect else _orbit_classes(C)
+    if classes is not None:  # no zero and no proportional columns: B_1 = B_2 = 0
+        b3, b4, lookups = (_orbit_counts(F, C.generator, classes, w_max) if w_max >= 3
+                           else (0, 0, 0))
+        counts = {1: 0, 2: 0, 3: b3, 4: b4}
+        return _report({w: counts[w] for w in range(1, w_max + 1)}, "orbit", lookups), None
     G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
     if q ** k > 2 ** 63:
@@ -377,13 +493,7 @@ def _search(C, w_max, collect):
                               "weights >= 3 are not counted")
     counts = {w: sum(math.comb(z, j) * (q - 1) ** j * b[w - j] for j in range(w + 1))
               for w in range(1, w_max + 1)}
-    d = next((w for w in range(1, w_max + 1) if counts[w]), None)
-    report = WeightReport(
-        min_distance=d,
-        min_weight_count=counts[d] if d else 0,
-        method="support-search",
-        enumerated=examined,
-        weight_counts=counts)
+    report = _report(counts, "support-search", examined)
     if not collect:
         return report, None
     listed = counts[w_max] // (q - 1)  # one word per projective class

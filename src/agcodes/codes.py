@@ -237,7 +237,10 @@ def delta_monomial_set(rect, r):
 def build_affine_grassmann(ell, m, r, q):
     """Generator rows are Ev(M) for M in the minor set, in enumeration order.
 
-    Rank and (for r >= 1) nondegeneracy are verified on build.
+    Rank and (for r >= 1) nondegeneracy are verified on build.  The
+    generator is read-only: analysis.low_weight_dual_search uses the
+    code's automorphism group only while the generator is this array,
+    unchanged.
     """
     F = make_field(q)
     params = theoretical_params(ell, m, r, q)
@@ -251,13 +254,15 @@ def build_affine_grassmann(ell, m, r, q):
         raise AssertionError("minor evaluations unexpectedly dependent")
     if r >= 1 and (~G.any(axis=0)).any():
         raise AssertionError("unexpected zero column in a level >= 1 code")
+    G.flags.writeable = False
     return Code(field=F, generator=G, rect=rect,
                 meta={"kind": "AGC", "ell": ell, "m": m, "r": r, "q": q})
 
 
 def build_reed_muller(r, delta, q):
     """RM(r, delta): evaluations of all reduced monomials of degree <= r
-    on F_q^delta (realized as the 1 x delta grid)."""
+    on F_q^delta (realized as the 1 x delta grid).  The generator is
+    read-only, as build_affine_grassmann's is."""
     F = make_field(q)
     params = rm_theoretical_params(r, delta, q)
     rect = Rectangle(1, delta)
@@ -270,6 +275,7 @@ def build_reed_muller(r, delta, q):
     G = evaluate([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
     if G.shape[0] != params.k:
         raise AssertionError("monomial count disagrees with the dimension formula")
+    G.flags.writeable = False
     return Code(field=F, generator=G, rect=rect,
                 meta={"kind": "RM", "r": r, "delta": delta, "q": q})
 

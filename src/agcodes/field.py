@@ -146,9 +146,15 @@ class FieldSpec:
 
     def elements(self, M):
         """M as a uint8 array of element codes.  Raises ValueError on an
-        entry outside [0, q-1], which a table lookup would silently read
-        as another entry."""
+        entry that is not an integer (2.5, say, which the cast would read
+        as 2) or lies outside [0, q-1], which a table lookup would silently
+        read as another entry.  Integral floats, as np.eye gives, are
+        accepted."""
         M = np.asarray(M)
+        if M.dtype.kind in "fc":
+            if not (M == np.round(M.real)).all():
+                raise ValueError(f"a non-integral entry is not an element of F_{self.q}")
+            M = M.real
         if M.size and (M.max() >= self.q or M.min() < 0):
             raise ValueError(f"a matrix entry is not an element of F_{self.q}")
         return M.astype(np.uint8, copy=False)

@@ -1,13 +1,21 @@
-"""Affine maps P -> B P A^{-1} + u and their coordinate permutations.
+"""Affine maps P -> B P A^{-1} + u, their coordinate permutations, and
+the orbits of the group they form.
 
 Every such map permutes the point set and the induced permutation is an
 automorphism of the level-r code for every r.  Permutations are stored as
 index arrays: perm[i] is the point index of the image of P_i, and applying
 a permutation to a codeword c gives c[perm].
+
+The translations P -> P + u act transitively on the points.  The maps
+P -> B P A^{-1} fix the zero point, and their orbits on the others are the
+rank classes, one for each rank rho >= 1 (``rank_classes``).  So a count
+over the words through coordinate 0 needs one representative per class;
+``analysis.low_weight_dual_search`` counts the dual's low-weight words so.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +147,27 @@ def is_automorphism(C, perm):
     if primal is not None and primal.k < C.k:
         C = primal
     return C._contains_rows(C.generator[:, perm.map])
+
+
+def rank_classes(rect, q):
+    """The orbits of the maps P -> B P A^{-1} on the nonzero points: for
+    rho = 1..min(l, l'), the pair (index, size) of the point index of
+    a_rho = [I_rho 0; 0 0] and the number N_rho of l x l' matrices of
+    rank rho.  A 1 x delta rectangle (Reed-Muller) has the one class of
+    the q^delta - 1 nonzero points.
+
+    Each N_rho is one exact product divided once: dividing factor by
+    factor would truncate (at l = l' = 3 over F_2, 49/3 is not whole)."""
+    ell, ell_prime = rect.ell, rect.ell_prime
+    classes = []
+    for rho in range(1, min(ell, ell_prime) + 1):
+        index = sum(q ** (i * (ell_prime + 1)) for i in range(rho))  # digits (i, i)
+        size = (math.prod((q ** ell - q ** i) * (q ** ell_prime - q ** i) for i in range(rho))
+                // math.prod(q ** rho - q ** i for i in range(rho)))
+        classes.append((index, size))
+    if sum(size for _, size in classes) != q ** rect.delta - 1:
+        raise AssertionError("the rank classes do not partition the nonzero points")
+    return classes
 
 
 def subgroup_order_bound(ell, m, q):

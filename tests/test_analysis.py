@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcodes import analysis, linalg
+from agcodes import analysis, linalg, transforms
 from agcodes.codes import (Code, build_affine_grassmann, build_reed_muller,
-                           theoretical_params)
+                           rm_theoretical_params, theoretical_params)
 from agcodes.dual import build_dual_code
 from agcodes.errors import (DimensionMismatch, RankTooLow, TooLarge,
                             Unsupported, WMaxUnsupported, WordNotInCode)
@@ -478,6 +478,127 @@ class TestLowWeightSearch:
         rep = analysis.low_weight_dual_search(C, w_max=2)
         assert rep.weight_counts[1] == 2  # q - 1 words on the zero column
         assert rep.weight_counts[2] == 2  # q - 1 words on the pair
+
+
+def _kernel(C, w_max):
+    """The sort-and-group kernel's report on C's generator: a Code
+    without meta never takes the orbit route."""
+    rep = analysis.low_weight_dual_search(Code(C.field, C.generator), w_max)
+    assert rep.method == "support-search"
+    return rep
+
+
+# Every level r >= 1 of AGC(l, m) for each q, and some RM codes, all within
+# the kernel's pair cap (n <= 4096) and fast enough for it.
+_ORBIT_CODES = (
+    [("AGC", ell, m, r, q) for ell, m, q in [(2, 4, 2), (2, 6, 2), (3, 6, 2), (2, 4, 3),
+                                            (2, 5, 3), (2, 4, 4), (1, 4, 4), (2, 4, 5),
+                                            (1, 3, 7), (1, 4, 7), (1, 3, 8), (1, 4, 8),
+                                            (1, 3, 9), (1, 4, 9), (1, 2, 16), (1, 3, 16)]
+     for r in range(1, ell + 1)]
+    + [("RM", r, delta, q) for r, delta, q in [(1, 3, 2), (2, 4, 2), (3, 5, 2), (1, 2, 3),
+                                              (2, 3, 3), (3, 2, 4), (1, 2, 5), (4, 2, 7)]])
+
+
+def _build(spec):
+    kind, *args = spec
+    return build_affine_grassmann(*args) if kind == "AGC" else build_reed_muller(*args)
+
+
+class TestOrbitRoute:
+    @pytest.mark.parametrize("spec", _ORBIT_CODES, ids=lambda s: "-".join(map(str, s)))
+    def test_counts_match_the_kernel(self, spec):
+        """A built code at r >= 1 takes the orbit route, and its counts
+        are the kernel's at every w_max; lookups number (q-1) per class
+        at weight 3 and (q-1)^2 (n-2) more at weight 4."""
+        C = _build(spec)
+        q, n = C.field.q, C.n
+        classes = len(transforms.rank_classes(C.rect, q))
+        for w in (1, 2, 3, 4):
+            rep, kernel = analysis.low_weight_dual_search(C, w), _kernel(C, w)
+            assert rep.method == "orbit"
+            assert rep.weight_counts == kernel.weight_counts
+            assert (rep.min_distance, rep.min_weight_count) == \
+                (kernel.min_distance, kernel.min_weight_count)
+            lookups = classes * ((q - 1) * (w >= 3) + (q - 1) ** 2 * (n - 2) * (w >= 4))
+            assert rep.enumerated == lookups
+
+    @pytest.mark.parametrize("ell,m,r,q,b3,b4", [
+        (2, 4, 2, 9, 48988800, 596108315520),
+        (3, 6, 2, 3, 2217618, 1437016464),
+        (4, 8, 2, 2, 0, 197836800),
+    ])
+    def test_counts_beyond_the_kernel_cap(self, ell, m, r, q, b3, b4):
+        """Codes whose pair keys pass MAX_PAIR_COMBINATIONS (n = 6561,
+        19683, 65536), or whose columns pass 63 bits (k = 53 at n =
+        65536), are counted by the orbit route alone."""
+        C = build_affine_grassmann(ell, m, r, q)
+        t0 = time.perf_counter()
+        rep = analysis.low_weight_dual_search(C, w_max=4)
+        assert time.perf_counter() - t0 < 3.0
+        assert rep.weight_counts == {1: 0, 2: 0, 3: b3, 4: b4}
+        with pytest.raises((TooLarge, Unsupported)):
+            _kernel(C, 4)
+
+    @pytest.mark.parametrize("ell,m,q", [(2, 4, 2), (3, 6, 2), (3, 7, 2), (4, 8, 2),
+                                         (2, 4, 3), (2, 5, 3), (2, 4, 4), (1, 3, 5),
+                                         (1, 4, 7), (1, 3, 8), (2, 4, 9), (1, 3, 16)])
+    def test_level_one_closed_form(self, ell, m, q):
+        """Level 1 is RM(1, delta), whose dual RM(delta(q-1) - 2, delta)
+        has its minimum distance and minimum-weight count in closed form:
+        a second route that shares no code with the search."""
+        delta = ell * (m - ell)
+        p = rm_theoretical_params(delta * (q - 1) - 2, delta, q)
+        rep = analysis.low_weight_dual_search(build_affine_grassmann(ell, m, 1, q), w_max=4)
+        assert rep.method == "orbit"
+        assert (rep.min_distance, rep.min_weight_count) == (p.d, p.min_weight_count)
+        if (ell, m, q) == (4, 8, 2):  # 2^14 [16 choose 2]_2, the affine planes of F_2^16
+            assert rep.min_weight_count == 11727587164160
+
+    def test_build_functions_return_read_only_generators(self):
+        for C in (build_affine_grassmann(2, 4, 2, 3), build_reed_muller(2, 3, 3)):
+            with pytest.raises(ValueError):
+                C.generator[0, 0] = 0
+
+    def test_changed_generator_takes_the_kernel(self):
+        """A generator made writeable again and changed is no longer the
+        code that was built: the kernel counts it."""
+        C = build_affine_grassmann(2, 4, 2, 3)
+        before = analysis.low_weight_dual_search(C, w_max=4).weight_counts
+        C.generator.flags.writeable = True
+        C.generator[-1, 0] = 1  # a 2 x 2 minor of 1 at the zero point
+        rep = analysis.low_weight_dual_search(C, w_max=4)
+        assert rep.method == "support-search"
+        assert rep.weight_counts == _kernel(C, 4).weight_counts != before
+
+    def test_permuted_copy_with_meta_takes_the_kernel(self):
+        """Column-permuted generators carrying AGC meta, as a copy or as a
+        read-only view, reach the kernel: the group acts on the point order
+        of the built code only."""
+        C = build_affine_grassmann(2, 4, 2, 3)
+        want = analysis.low_weight_dual_search(C, w_max=4).weight_counts
+        perm = np.random.default_rng(0).permutation(C.n)
+        for G in (C.generator[:, perm], C.generator[:, ::-1]):
+            P = Code(C.field, G, meta=dict(C.meta), rect=C.rect)
+            rep = analysis.low_weight_dual_search(P, w_max=4)
+            assert rep.method == "support-search"
+            assert rep.weight_counts == want  # a permutation keeps every weight
+
+    def test_code_without_meta_takes_the_kernel(self):
+        """The kernel keeps criterion 4's pin on the two n = 512 codes."""
+        for r in (2, 3):
+            C = build_affine_grassmann(3, 6, r, 2)
+            assert _kernel(C, 4).weight_counts[4] == 68992
+            assert analysis.low_weight_dual_search(C, 4).weight_counts[4] == 68992
+
+    @pytest.mark.parametrize("meta", [{"kind": "AGC", "ell": 2, "m": 4, "r": 2, "q": 2},
+                                      {"kind": "AGC", "ell": 2, "m": 4, "r": 0, "q": 3},
+                                      {"kind": "AGC", "ell": 2, "m": 4, "r": 1, "q": 3}],
+                             ids=["other-q", "level-0", "other-shape"])
+    def test_meta_that_does_not_name_the_code_takes_the_kernel(self, meta):
+        C = build_affine_grassmann(2, 4, 2, 3)
+        rep = analysis.low_weight_dual_search(Code(C.field, C.generator, meta=meta), 4)
+        assert rep.method == "support-search"
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4])

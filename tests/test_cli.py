@@ -153,10 +153,13 @@ class TestVerify:
 
     def test_check_that_cannot_run_fails_alone(self, monkeypatch, capsys):
         """A support search over the pair cap fails its dual-min-weight
-        check with the error; every other check still runs and reports."""
+        check with the error; every other check still runs and reports.
+        The codes are sent to the pair kernel, as the orbit route has no
+        cap to pass."""
         argv = ["verify", "--deep", "--q", "2", "--l", "2", "--m", "4"]
         assert cli.main(argv) == 0
         passing = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(analysis, "_orbit_classes", lambda C: None)
         monkeypatch.setattr(analysis, "MAX_PAIR_COMBINATIONS", 16)
         assert cli.main(argv) == 1
         rec = json.loads(capsys.readouterr().out)
@@ -211,6 +214,36 @@ class TestReport:
                       "--deep")
         rec = json.loads(res.stdout)
         assert rec["dual_weight_report"]["d"] == 4
+
+
+class TestTopRung:
+    """The n = 65536 rung, AGC(4,8;r)/F2, run in process.  Its keys pass
+    63 bits at r = 3 and 4, and its pair combinations the kernel's cap at
+    every level; the orbit route counts them all, in about 0.2 s a level
+    on a 2-core machine."""
+
+    ARGS = ["--q", "2", "--l", "4", "--m", "8"]
+
+    def test_report_deep_at_every_level(self, capsys):
+        t0 = time.perf_counter()
+        for r in range(1, 5):
+            assert cli.main(["report", "--deep", *self.ARGS, "--r", str(r)]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            count = 11727587164160 if r == 1 else 197836800
+            assert rec["dual_weight_counts"] == {"1": 0, "2": 0, "3": 0, "4": count}
+            assert rec["dual_weight_report"] == {"d": 4, "count": count, "method": "orbit",
+                                                 "enumerated": 4 * 65535}
+        assert time.perf_counter() - t0 < 8.0
+
+    def test_verify_deep_passes(self, capsys):
+        t0 = time.perf_counter()
+        assert cli.main(["verify", "--deep", *self.ARGS]) == 0
+        assert time.perf_counter() - t0 < 15.0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["ok"] is True
+        weights = [c for c in rec["checks"] if c["name"].startswith("dual-min-weight-r")]
+        assert [c["name"] for c in weights] == [f"dual-min-weight-r{r}" for r in range(1, 5)]
+        assert all(c["pass"] for c in rec["checks"])
 
 
 class TestFailurePaths:

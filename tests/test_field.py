@@ -223,3 +223,36 @@ def test_entries_past_a_byte_rejected(entry):
     a; each raises ValueError."""
     with pytest.raises(ValueError, match="not an element of F_"):
         _PAST_A_BYTE[entry]()
+
+
+_NON_INTEGRAL = {
+    "Code": lambda: Code(_F3, np.array([[2.5, 1, 0]])),
+    "Code.contains": lambda: _C3.contains(np.array([2, 1.5, 2])),
+    "rank": lambda: linalg.rank(np.array([[1, 0.5], [0, 1]]), _F3),
+    "rank over F_2": lambda: linalg.rank(np.array([[1, 0.5], [0, 1]]), make_field(2)),
+    "matmul(A)": lambda: linalg.matmul(np.array([[0.5, 1]]), _I2, _F3),
+    "matmul(B)": lambda: linalg.matmul(_I2, np.array([[1, 0], [0, 1.25]]), _F3),
+    "nan": lambda: Code(_F3, np.array([[np.nan, 1, 0]])),
+    "complex": lambda: Code(_F3, np.array([[1 + 1j, 1, 0]])),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NON_INTEGRAL))
+def test_non_integral_entries_rejected(entry):
+    """A float entry that is not an integer raises ValueError instead of
+    being truncated by the uint8 cast (2.5 would be read as 2)."""
+    with pytest.raises(ValueError, match="non-integral entry"):
+        _NON_INTEGRAL[entry]()
+
+
+def test_integral_floats_accepted():
+    """Integrality is tested, not the dtype: np.eye and np.zeros give
+    floats that hold integers."""
+    C = Code(_F3, np.array([[2.0, 1, 0], [0, 0, 1 + 0j]]))
+    assert C.generator.dtype == np.uint8
+    assert C.generator.tolist() == [[2, 1, 0], [0, 0, 1]]
+    assert C.contains(np.array([1.0, 2.0, 0.0]))
+    assert linalg.rank(np.eye(3), _F3) == 3
+    assert linalg.matmul(np.eye(2), np.array([[2.0, 1.0], [0.0, 1.0]]), _F3).tolist() == \
+        [[2, 1], [0, 1]]
+    assert linalg.rank(np.zeros((2, 2)), make_field(2)) == 0

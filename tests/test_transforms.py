@@ -218,3 +218,30 @@ class TestAutomorphisms:
         C, _ = setup_224
         with pytest.raises(DimensionMismatch):
             tr.is_automorphism(C, tr.Permutation(np.arange(4)))
+
+
+class TestRankClasses:
+    @pytest.mark.parametrize("ell,ell_prime,q", [(1, 1, 2), (1, 3, 3), (2, 2, 2), (2, 3, 2),
+                                                 (2, 2, 3), (3, 3, 2), (1, 2, 4), (2, 2, 4)])
+    def test_classes_are_the_ranks_of_the_points(self, ell, ell_prime, q):
+        """Class rho holds the points of rank rho, as many as the rank of
+        every point says, and a_rho = [I_rho 0; 0 0] represents it."""
+        F, rect = make_field(q), Rectangle(ell, ell_prime)
+        pe = PointEnumeration(rect, F)
+        ranks = [linalg.rank(pe.point(i), F) for i in range(pe.n)]
+        classes = tr.rank_classes(rect, q)
+        assert [size for _, size in classes] == \
+            [ranks.count(rho) for rho in range(1, min(ell, ell_prime) + 1)]
+        for rho, (index, _) in enumerate(classes, start=1):
+            a = np.zeros((ell, ell_prime), dtype=np.uint8)
+            a[range(rho), range(rho)] = 1
+            assert np.array_equal(pe.point(index), a)
+
+    def test_sizes_are_not_floored_factor_by_factor(self):
+        """At l = l' = 3 over F_2, N_2 = 49 * 36 / 6; flooring 49 / 3
+        first gives another size and a wrong B_4."""
+        assert [size for _, size in tr.rank_classes(Rectangle(3, 3), 2)] == [49, 294, 168]
+
+    @pytest.mark.parametrize("delta,q", [(1, 2), (4, 2), (5, 3), (2, 16)])
+    def test_reed_muller_rectangle_has_one_class(self, delta, q):
+        assert tr.rank_classes(Rectangle(1, delta), q) == [(1, q ** delta - 1)]
