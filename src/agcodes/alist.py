@@ -6,19 +6,27 @@ the maximum column weight), and per-row 1-based column indices (zero-padded
 likewise).  For q > 2 a companion ".qval" file lists the nonzero entry
 values in the same traversal order, one line per column then one per row.
 
-The writers stream blocks of at most ``_BLOCK_CELLS`` matrix entries, so
-memory stays flat.  Each writer takes the row and column weights from
-one pass over row blocks of the nonzero mask of H (``_weights``).  The
-index and value lines are written in blocks cut from the cumulative
-weights: at most
-``_BLOCK_TOKENS`` nonzero entries and ``_BLOCK_CELLS`` scanned cells each,
-and at least one line, so a sparse H costs in proportion to its nonzeros.
-Each block is one ``flatnonzero`` over a C-contiguous bool mask (the
-row-major mask of a column block, sorted into column order); only its
-nonzero entries are formatted, and an index line's padding is a slice of
-one constant "0 0 ... 0" run.  ``_format`` is the one decimal formatter:
-it reads each value's text from a fixed table of 0..9999, one table read
-per four digits.
+Each writer keys the nonzero H[i, j] as the integer ``j << s | i``: uint32
+with s = 16 when m and n are at most 2^16, uint64 with s = 32 otherwise.
+One pass over contiguous row blocks of H, each at most ``_BLOCK_CELLS``
+entries, writes every key and the row weights (``_scan``).  The keys are
+sorted once in place, and then they are the column lines in order; the
+column weights are where each column's keys start.  The same keys rotated
+in place to ``i << s | j`` and sorted again are the row lines.  A writer
+holds at most ``_key_cap(m, n)`` keys: one per 16 entries of H, but at
+least 2^17 and at most 2^20.  A denser H takes its weights from a pass over
+row blocks of its nonzero mask (``_weights``) and is keyed in runs of at
+most that many nonzeros: runs of columns scanned from column slices of H,
+then runs of rows, whose row-major keys need no sort.  Beside the keys, a
+scan block holds its mask and one uint64 per nonzero.
+
+The lines are formatted in rounds cut from the cumulative weights, each
+of at most ``_BLOCK_TOKENS`` nonzero entries or one line, and each round
+is written in blocks of at most ``_BLOCK_CELLS`` padded cells or one line.
+Only the nonzero entries are formatted, and an index line's padding is a
+slice of one constant "0 0 ... 0" run.
+``_format`` is the one decimal formatter: it reads each value's text from
+a fixed table of 0..9999, one table read per four digits.
 """
 
 from __future__ import annotations
@@ -27,8 +35,9 @@ import numpy as np
 
 from .errors import TooLarge
 
-_BLOCK_CELLS = 2 ** 16  # matrix entries formatted (_write_rows) or masked at a time
-_BLOCK_TOKENS = 2 ** 14  # nonzero entries formatted per write (_write_lines)
+_BLOCK_CELLS = 2 ** 16  # entries formatted (_write_rows), scanned, or padded per write
+_BLOCK_TOKENS = 2 ** 14  # nonzero entries formatted at a time (_write_lines)
+_KEYS_MIN, _KEYS_MAX = 2 ** 17, 2 ** 20  # bounds of the keys a writer holds (_key_cap)
 _MAX_DIGITS = 7  # the widest decimal entry the writers accept
 _GROUP = 10 ** 4  # values per table read
 
@@ -109,73 +118,188 @@ def _weights(H):
     return col_wts, row_wts
 
 
-def _blocks(lead, cells):
+def _blocks(lead, tokens, most):
     """Cut the lines whose first tokens have the indices lead (with the
-    token count appended), each line of ``cells`` cells, into runs
-    [start, stop) of at most _BLOCK_TOKENS nonzeros and _BLOCK_CELLS cells,
-    each holding at least one line."""
-    most = max(1, _BLOCK_CELLS // max(cells, 1))
+    token count appended) into runs [start, stop) of at most tokens
+    nonzeros and most lines, each holding at least one line."""
     start = 0
     while start < len(lead) - 1:
-        stop = int(np.searchsorted(lead, lead[start] + _BLOCK_TOKENS, "right")) - 1
+        stop = int(np.searchsorted(lead, lead[start] + tokens, "right")) - 1
         stop = max(start + 1, min(stop, start + most))
         yield start, stop
         start = stop
 
 
-def _write_lines(fh, H, weights, columns, width=0, values=False):
-    """Write each column (columns=True) or row of H, whose weights are
-    given, as a line of its nonzero entries (values=True) or their 1-based
-    positions, then width - weight zeros; an empty line is a bare newline."""
+def _key_cap(m, n):
+    """The most keys a writer holds at once for an m x n matrix: one per
+    16 entries, clipped to [_KEYS_MIN, _KEYS_MAX]."""
+    return min(max(m * n // 16, _KEYS_MIN), _KEYS_MAX)
+
+
+def _scan(H, keys, r0=0, c0=0):
+    """Write into keys the key (c0 + j) << s | (r0 + i) of each nonzero
+    H[i, j], in row-major order, from one pass over row blocks of at most
+    _BLOCK_CELLS entries; s is half the key's bits.  Return the row weights
+    of H.  A block holds one uint64 per nonzero beside its mask."""
+    h, w = H.shape
+    shift = 4 * keys.itemsize
+    step = max(1, _BLOCK_CELLS // max(w, 1))
+    row_ends = w * np.arange(1, step + 1, dtype=np.uint64)  # a block's row ends, flat
+    ends = np.empty(h, dtype=np.int64)  # each row's end in keys
+    pos = 0
+    for s in range(0, h, step):
+        flat = np.flatnonzero(H[s:s + step] != 0).view(np.uint64)
+        ends[s:s + step] = pos + np.searchsorted(flat, row_ends[:min(step, h - s)])
+        key = keys[pos:pos + flat.size]
+        np.floor_divide(flat, w, out=key, casting="unsafe")  # the row in the block
+        flat %= w
+        flat += c0
+        flat <<= shift
+        flat += key
+        flat += r0 + s
+        key[...] = flat
+        pos += flat.size
+        del flat  # before the next block's is made
+    return np.diff(ends, prepend=0)
+
+
+def _rotate(keys):
+    """Swap the halves of every key in place: line << s | position becomes
+    position << s | line."""
+    shift = 4 * keys.itemsize
+    for s in range(0, keys.size, _BLOCK_CELLS):
+        k = keys[s:s + _BLOCK_CELLS]
+        high = k >> shift
+        k <<= shift
+        k |= high
+
+
+def _keyed(H):
+    """The column and row weights of H, and the runs (columns, lines, keys)
+    of its lines: columns=True, then False for the rows; lines a slice of
+    consecutive lines; keys the sorted keys line << s | position of their
+    nonzeros.  The runs cover each line once, in order, and hold at most
+    _key_cap keys (or one line).  When H has no more nonzeros than that,
+    one scan keys all of them and gives the row weights, and the column
+    weights are where each column's keys start; otherwise _weights gives
+    the weights and each run is scanned on its own."""
     m, n = H.shape
+    dtype = np.uint32 if max(m, n) <= 1 << 16 else np.uint64
+    cap = _key_cap(m, n)
+    total = np.count_nonzero(H)
+    if total <= cap:
+        keys = np.empty(total, dtype=dtype)
+        row_wts = _scan(H, keys)
+        keys.sort()
+        starts = np.searchsorted(keys, np.arange(n, dtype=dtype) << (4 * keys.itemsize))
+        col_wts = np.diff(starts, append=total)
+
+        def runs():
+            yield True, slice(0, n), keys
+            _rotate(keys)
+            keys.sort()
+            yield False, slice(0, m), keys
+    else:
+        col_wts, row_wts = _weights(H)
+        buf = np.empty(max(cap, int(col_wts.max()), int(row_wts.max())), dtype=dtype)
+
+        def runs():  # each run's keys are a prefix of buf, valid until the next run
+            for columns, wts in ((True, col_wts), (False, row_wts)):
+                lead = np.r_[0, np.cumsum(wts)]
+                for lo, hi in _blocks(lead, cap, len(wts)):
+                    keys = buf[:lead[hi] - lead[lo]]
+                    if columns:
+                        _scan(H[:, lo:hi], keys, c0=lo)
+                        keys.sort()
+                    else:
+                        _scan(H[lo:hi], keys, r0=lo)
+                        _rotate(keys)  # row-major order is already row order
+                    yield columns, slice(lo, hi), keys
+    return col_wts, row_wts, runs()
+
+
+def _text(H, keys, heads, ends, columns, values):
+    """The text of lines whose sorted keys line << s | position are keys
+    and whose first keys have the indices heads (with the key count
+    appended): each line's nonzero entries (values=True) or their 1-based
+    positions, a newline after the tokens at the indices ends and a space
+    after the others; and the byte at which each line starts (with the
+    text's length appended)."""
+    shift = 4 * keys.itemsize
+    low = keys.dtype.type((1 << shift) - 1)
+    if not values:
+        entries = (keys & low) + 1
+    elif columns:
+        entries = H[keys & low, keys >> shift]
+    else:
+        entries = H[keys >> shift, keys & low]
+    text = _format(entries, ends)
+    sep = np.empty(len(text) + 1, dtype=bool)  # sep[i]: a token starts at byte i
+    sep[0] = True
+    np.less(text, ord("0"), out=sep[1:])
+    return text, np.flatnonzero(sep)[heads].tolist()
+
+
+def _write_lines(fh, H, keys, weights, columns, width=0, values=False):
+    """Write the column (columns=True) or row lines of H whose sorted keys
+    line << s | position are keys and whose weights are given, each as its
+    nonzero entries (values=True) or their 1-based positions, then
+    width - weight zeros; an empty line is a bare newline.  Each format
+    round takes at most _BLOCK_TOKENS nonzeros, and each write at most
+    _BLOCK_CELLS // width lines, or one line."""
     run = memoryview(b"0 " * (width - 1) + b"0\n")  # the longest padding; ends in a newline
     pad = np.maximum(width - weights, 0)
     tails = np.maximum(2 * pad, weights == 0).tolist()  # padding, or an empty line's newline
     lead = np.r_[0, np.cumsum(weights)]  # each line's first token, then the token count
     full = (pad == 0) & (weights > 0)  # lines whose last token ends in a newline
-    for start, stop in _blocks(lead, m if columns else n):
-        if columns:  # scan the block row-major, then sort into column order
-            row, col = np.divmod(np.flatnonzero(H[:, start:stop] != 0), stop - start)
-            line, pos = np.divmod(np.sort(col * m + row), m)
-            entries = H[pos, start + line] if values else pos + 1
-        else:
-            line, pos = np.divmod(np.flatnonzero(H[start:stop] != 0), n)
-            entries = H[start + line, pos] if values else pos + 1
+    most = max(1, _BLOCK_CELLS // max(width, 1))  # lines per write
+    for start, stop in _blocks(lead, _BLOCK_TOKENS, len(lead)):
         heads = lead[start:stop + 1] - lead[start]
-        text = _format(entries, heads[1:][full[start:stop]] - 1)
-        sep = np.empty(len(text) + 1, dtype=bool)  # sep[i]: a token starts at byte i
-        sep[0] = True
-        np.less(text, ord("0"), out=sep[1:])
-        bounds = np.flatnonzero(sep)[heads].tolist()
-        parts = []
-        for lo, hi, tail in zip(bounds, bounds[1:], tails[start:stop]):
-            parts += text[lo:hi], run[len(run) - tail:]
-        fh.write(b"".join(parts))
+        text, bounds = _text(H, keys[lead[start]:lead[stop]], heads,
+                             heads[1:][full[start:stop]] - 1, columns, values)
+        for first in range(0, stop - start, most):  # the round's lines [first, last) of one write
+            last = min(first + most, stop - start)
+            parts = []
+            for lo, hi, tail in zip(bounds[first:last], bounds[first + 1:last + 1],
+                                    tails[start + first:start + last]):
+                parts += text[lo:hi], run[len(run) - tail:]
+            fh.write(b"".join(parts))
+
+
+def _checked(H):
+    """H as an array, or TooLarge if an index of H has more than
+    _MAX_DIGITS digits, before any file is opened."""
+    H = np.asarray(H)
+    if max(H.shape) >= 10 ** _MAX_DIGITS:
+        raise TooLarge(f"a {H.shape[0]} x {H.shape[1]} matrix has indices "
+                       f"of more than {_MAX_DIGITS} digits")
+    return H
 
 
 def write_alist(H, path):
     """Write the m x n matrix H (nonzero pattern only) to an alist file."""
-    H = np.asarray(H)
+    H = _checked(H)
     m, n = H.shape
-    col_wts, row_wts = _weights(H)
-    max_col = int(col_wts.max(initial=0))
-    max_row = int(row_wts.max(initial=0))
+    col_wts, row_wts, runs = _keyed(H)
+    width = {True: int(col_wts.max(initial=0)), False: int(row_wts.max(initial=0))}
     with open(path, "wb") as fh:
-        fh.write(f"{n} {m}\n{max_col} {max_row}\n".encode())
+        fh.write(f"{n} {m}\n{width[True]} {width[False]}\n".encode())
         _write_rows(fh, col_wts[None, :])
         _write_rows(fh, row_wts[None, :])
-        _write_lines(fh, H, col_wts, columns=True, width=max_col)
-        _write_lines(fh, H, row_wts, columns=False, width=max_row)
+        for columns, lines, keys in runs:
+            wts = (col_wts if columns else row_wts)[lines]
+            _write_lines(fh, H, keys, wts, columns, width=width[columns])
 
 
 def write_qval(H, path):
     """Companion value file for q > 2: the nonzero entries in the same
     traversal order as the alist index lists (columns first, then rows)."""
-    H = np.asarray(H)
-    col_wts, row_wts = _weights(H)
+    H = _checked(H)
+    col_wts, row_wts, runs = _keyed(H)
     with open(path, "wb") as fh:
-        _write_lines(fh, H, col_wts, columns=True, values=True)
-        _write_lines(fh, H, row_wts, columns=False, values=True)
+        for columns, lines, keys in runs:
+            wts = (col_wts if columns else row_wts)[lines]
+            _write_lines(fh, H, keys, wts, columns, values=True)
 
 
 def export_parity_alist(H, path, q):

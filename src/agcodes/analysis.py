@@ -196,12 +196,16 @@ def _normalize(F, V):
 
     Returns (scaled, lead, key): a zero vector stays zero with lead 1, and
     the key is undigits(scaled, q), digit 0 least significant (for q = 2,
-    the bits).
+    the bits), or, when q^k passes 2^63 for k digits, the scaled vector's
+    bytes as one np.void value.
     """
     lead = np.ones(V.shape[:-1], dtype=np.uint8)
     for i in range(V.shape[-1] - 1, -1, -1):
         lead = np.where(V[..., i] != 0, V[..., i], lead)
     V = F.mul(F.inv_table[lead][..., None], V)
+    if F.q ** V.shape[-1] > 2 ** 63:
+        V = np.ascontiguousarray(V)
+        return V, lead, V.view(np.dtype((np.void, V.shape[-1])))[..., 0]
     return V, lead, undigits(V, F.q)
 
 
@@ -429,7 +433,8 @@ def low_weight_dual_search(C, w_max=4):
     pairs, and a collinear triple q-2 times per shared index.  If all
     nonzero columns lie in one class (a level-0 code),
     B'_w = C(n', w) ((q-1)^w + (-1)^w (q-1)) / q.  Any other proportional
-    columns raise Unsupported for w_max >= 3, as do keys above 63 bits;
+    columns raise Unsupported for w_max >= 3, as do pair keys above 63
+    bits (q^k > 2^63), where B_1 and B_2 group the columns by their bytes;
     more than MAX_PAIR_COMBINATIONS pair combinations raise TooLarge.
     """
     return _search(C, w_max, False)[0]
@@ -456,8 +461,6 @@ def _search(C, w_max, collect):
         return _report({w: counts[w] for w in range(1, w_max + 1)}, "orbit", lookups), None
     G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
-    if q ** k > 2 ** 63:
-        raise Unsupported(f"a column of {k} digits over F_{q} needs a key above 63 bits")
     cols = G.T
     zero = ~cols.any(axis=1)
     z = int(zero.sum())
@@ -476,6 +479,9 @@ def _search(C, w_max, collect):
     examined = 0
     if w_max >= 3:
         if proportional == 0:
+            if q ** k > 2 ** 63:
+                raise Unsupported(f"a pair of {k}-digit columns over F_{q} needs a "
+                                  "key above 63 bits")
             examined = (q - 1) * (n1 * (n1 - 1) // 2)
             if examined > MAX_PAIR_COMBINATIONS:
                 raise TooLarge(f"{examined} pair combinations exceed the cap "

@@ -1,5 +1,6 @@
 """MacKay alist export and round-trip parsing."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -200,6 +201,40 @@ def test_writers_match_reference_over_row_blocks(tmp_path):
     _assert_same_bytes(H, 16, tmp_path)
 
 
+@pytest.mark.parametrize("shape, dtype", [((2, 65536), np.uint32), ((65536, 2), np.uint32),
+                                          ((2, 65537), np.uint64), ((65537, 2), np.uint64)])
+def test_writers_match_reference_at_the_key_width_edges(shape, dtype, tmp_path):
+    """Keys are uint32 while m and n are at most 2^16, uint64 beyond."""
+    rng = np.random.default_rng(shape[1])
+    H = _random_entries(rng, shape, 16, 0.5)
+    H[tuple(s - 1 for s in shape)] = 7  # the last row and column are keyed
+    assert next(alist._keyed(H)[2])[2].dtype == dtype
+    for new, ref in ((write_alist, _ref_alist), (write_qval, _ref_qval)):
+        new(H, tmp_path / "new")
+        ref(H, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), new.__name__
+
+
+def test_writers_match_reference_dense_in_key_runs(tmp_path):
+    """A dense matrix has more nonzeros than _key_cap and is keyed in runs."""
+    rng = np.random.default_rng(16)
+    H = _random_entries(rng, (600, 700), 16, 1.0)
+    runs = [(columns, lines) for columns, lines, keys in alist._keyed(H)[2]]
+    assert sum(columns for columns, lines in runs) > 2 and sum(1 - c for c, _ in runs) > 2
+    _assert_same_bytes(H, 16, tmp_path)
+
+
+@pytest.mark.parametrize("write", [write_alist, write_qval,
+                                   lambda H, path: export_parity_alist(H, path, 3)])
+def test_wide_index_raises_before_any_file(write, tmp_path):
+    """An index of 8 digits is refused before the file is opened."""
+    H = np.zeros((1, 10 ** 7 + 1), dtype=np.uint8)
+    H[0, -1] = 1
+    with pytest.raises(TooLarge):
+        write(H, tmp_path / "wide.alist")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_all_zero_matrix_gives_bare_lines(tmp_path):
     H = np.zeros((3, 4), dtype=np.uint8)
     _assert_same_bytes(H, 3, tmp_path)
@@ -241,7 +276,8 @@ def test_entry_width_limit(tmp_path):
 
 # --------------------------------------------- token-budgeted line blocks
 # The index and value lines are cut into blocks of at most _BLOCK_TOKENS
-# nonzeros and _BLOCK_CELLS scanned cells; the bytes must not depend on them.
+# nonzeros and _BLOCK_CELLS padded cells, and keyed in runs of at most
+# _key_cap nonzeros; the bytes must not depend on either cut.
 
 def _edge_matrices(q, rng):
     H = _random_entries(rng, (9, 13), q, 0.4)
@@ -258,36 +294,98 @@ def _edge_matrices(q, rng):
     yield _random_entries(rng, (30, 30), q, 0.05)
 
 
+def _set_key_cap(monkeypatch, cap):
+    monkeypatch.setattr(alist, "_KEYS_MIN", cap)
+    monkeypatch.setattr(alist, "_KEYS_MAX", cap)
+
+
 @pytest.mark.parametrize("tokens", [1, 2, 7])
 @pytest.mark.parametrize("cells", [1, 5, 64, 2 ** 16])
 @pytest.mark.parametrize("q", [2, 3, 16])
 def test_block_boundaries_do_not_change_the_bytes(q, tokens, cells, tmp_path, monkeypatch):
     monkeypatch.setattr(alist, "_BLOCK_TOKENS", tokens)
     monkeypatch.setattr(alist, "_BLOCK_CELLS", cells)
-    rng = np.random.default_rng(100 * q + tokens)
-    for H in _edge_matrices(q, rng):
-        export_parity_alist(H, tmp_path / "new", q)
-        _ref_alist(H, tmp_path / "ref")
-        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), H.shape
-        if q > 2:
-            _ref_qval(H, tmp_path / "ref.qval")
-            assert (tmp_path / "new.qval").read_bytes() == \
-                (tmp_path / "ref.qval").read_bytes(), H.shape
+    for cap in (1, 7, 2 ** 20):  # runs of one line, of a few lines, and one run
+        _set_key_cap(monkeypatch, cap)
+        rng = np.random.default_rng(100 * q + tokens)
+        for H in _edge_matrices(q, rng):
+            export_parity_alist(H, tmp_path / "new", q)
+            _ref_alist(H, tmp_path / "ref")
+            assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), \
+                (H.shape, cap)
+            if q > 2:
+                _ref_qval(H, tmp_path / "ref.qval")
+                assert (tmp_path / "new.qval").read_bytes() == \
+                    (tmp_path / "ref.qval").read_bytes(), (H.shape, cap)
 
 
 @pytest.mark.parametrize("tokens, cells", [(1, 2 ** 16), (7, 1), (2 ** 14, 2 ** 16)])
-def test_blocks_respect_both_bounds(tokens, cells, monkeypatch):
-    monkeypatch.setattr(alist, "_BLOCK_TOKENS", tokens)
-    monkeypatch.setattr(alist, "_BLOCK_CELLS", cells)
+def test_blocks_respect_both_bounds(tokens, cells):
     weights = np.array([0, 3, 0, 0, 12, 1, 1, 1, 5, 0, 2])
-    blocks = list(alist._blocks(np.r_[0, np.cumsum(weights)], 4))
+    most = max(1, cells // 4)  # lines of 4 cells each
+    blocks = list(alist._blocks(np.r_[0, np.cumsum(weights)], tokens, most))
     assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
     assert blocks[-1][1] == len(weights)
     for start, stop in blocks:
         assert stop > start
         assert stop - start == 1 or (weights[start:stop].sum() <= tokens
                                      and (stop - start) * 4 <= cells)
-    assert list(alist._blocks(np.zeros(1, dtype=int), 4)) == []
+    assert list(alist._blocks(np.zeros(1, dtype=int), tokens, most)) == []
+
+
+@pytest.mark.parametrize("cap", [1, 7, 50, 2 ** 20])
+def test_key_runs_respect_the_cap(cap, monkeypatch):
+    """_keyed's runs cover the columns, then the rows, each once and in
+    order; each holds at most cap keys or one line, and its keys decode to
+    the nonzeros of its lines in order."""
+    _set_key_cap(monkeypatch, cap)
+    rng = np.random.default_rng(cap)
+    H = _random_entries(rng, (30, 40), 5, 0.3)
+    H[3], H[:, 7], H[:, 9] = 0, 0, 4  # a zero row, a zero column, a full column
+    col_wts, row_wts, runs = alist._keyed(H)
+    assert col_wts.tolist() == np.count_nonzero(H, axis=0).tolist()
+    assert row_wts.tolist() == np.count_nonzero(H, axis=1).tolist()
+    order, cut = [], {True: [], False: []}
+    for columns, lines, keys in runs:  # a run's keys are valid until the next
+        line, pos = np.nonzero((H.T if columns else H)[lines])
+        assert keys.tolist() == (((line + lines.start) << 16) | pos).tolist()
+        assert keys.size <= cap or lines.stop - lines.start == 1
+        order.append(columns)
+        cut[columns].append(lines)
+    assert order == sorted(order, reverse=True)  # the columns, then the rows
+    for columns, size in ((True, 40), (False, 30)):
+        assert [s.start for s in cut[columns]] == [0] + [s.stop for s in cut[columns][:-1]]
+        assert cut[columns][-1].stop == size
+    assert (len(order) == 2) == (cap >= np.count_nonzero(H))  # one scan keys them all
+
+
+def test_each_write_respects_both_bounds(monkeypatch):
+    """Every write of index lines holds at most _BLOCK_TOKENS nonzero
+    positions and _BLOCK_CELLS // width lines, or one line."""
+    monkeypatch.setattr(alist, "_BLOCK_TOKENS", 20)
+    monkeypatch.setattr(alist, "_BLOCK_CELLS", 100)
+    rng = np.random.default_rng(4)
+    H = _random_entries(rng, (30, 40), 2, 0.3)
+    H[:, 5] = 1  # a column of weight 30 > 20
+    writes = []
+
+    class Recorder(io.BytesIO):
+        def write(self, data):
+            writes.append(bytes(data))
+            return len(data)
+
+    monkeypatch.setattr(alist, "open", lambda path, mode: Recorder(), raising=False)
+    write_alist(H, "unused")
+    widths = [int(np.count_nonzero(H, axis=0).max()), int(np.count_nonzero(H, axis=1).max())]
+    line_writes = writes[3:]  # after the header and the two weight lines
+    assert b"".join(line_writes).count(b"\n") == 40 + 30
+    seen = 0
+    for data in line_writes:
+        width = widths[seen >= 40]
+        lines = data.count(b"\n")
+        nonzeros = sum(token != b"0" for token in data.split())
+        assert lines == 1 or (nonzeros <= 20 and lines <= 100 // width), (lines, nonzeros)
+        seen += lines
 
 
 @pytest.mark.parametrize("top", [0, 1, 9, 10, 9999, 10 ** 4, 65536, 10 ** 6, 9_999_999])
@@ -316,4 +414,33 @@ def test_export_memory_follows_the_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < H.nbytes // 2, peak
+
+
+def _traced_peak(write, *args):
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dual_export_memory(tmp_path):
+    """The dual of AGC(3,7;2)/F2, 4065 x 4096 with 531380 nonzeros, is keyed
+    in one run: 2 MiB of uint32 keys, and the whole export stays below 3 MiB
+    of traced allocations."""
+    H = build_dual_code(build_affine_grassmann(3, 7, 2, 2)).generator
+    assert np.count_nonzero(H) == 531380
+    peak = _traced_peak(export_parity_alist, H, tmp_path / "dual.alist", 2)
+    assert peak < 3 * 2 ** 20, peak
+
+
+def test_dense_export_memory_does_not_follow_the_nonzeros(tmp_path):
+    """A dense 2048 x 2048 matrix over F_16 has 4 M nonzeros, 16 MiB as
+    uint32 keys; the keys held are capped, so alist and .qval together stay
+    below half of H."""
+    rng = np.random.default_rng(6)
+    H = _random_entries(rng, (2048, 2048), 16, 1.0)
+    peak = _traced_peak(export_parity_alist, H, tmp_path / "dense.alist", 16)
     assert peak < H.nbytes // 2, peak

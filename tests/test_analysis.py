@@ -382,6 +382,30 @@ class TestLowWeightSearch:
         with pytest.raises(TooLarge):
             analysis.low_weight_dual_search(long, w_max=3)
 
+    def test_columns_past_63_bits_count_to_weight_2(self):
+        """RM(15, 1) over F_16 has k = 16: q^k = 2^64 keys no column in
+        int64.  Without meta it takes the kernel, which needs no pair key
+        at w_max <= 2 and groups the columns by their bytes."""
+        R = build_reed_muller(15, 1, 16)
+        F, G = R.field, R.generator
+        plain = Code(field=F, generator=G)
+        assert analysis.low_weight_dual_search(plain, w_max=1).weight_counts == {1: 0}
+        assert analysis.low_weight_dual_search(plain, w_max=2).weight_counts == {1: 0, 2: 0}
+        with pytest.raises(Unsupported):
+            analysis.low_weight_dual_search(plain, w_max=3)
+        t = 7  # column 16 is t times column 3
+        prop = Code(field=F, generator=np.c_[G, F.mul(t, G[:, 3])])
+        words = analysis.dual_codewords_of_weight(prop, 2)
+        expected = np.zeros((1, 17), dtype=np.uint8)
+        expected[0, 3], expected[0, 16] = 1, F.neg(F.inv_table[t])
+        assert words.tolist() == expected.tolist()
+        assert analysis.low_weight_dual_search(prop, w_max=2).weight_counts == {1: 0, 2: 15}
+        # one zero column (z = 1) and one class of 2 (B'_2 = (q-1) C(2, 2)):
+        # B_1 = (q-1) B'_0 and B_2 = B'_2 + (q-1) B'_1
+        both = Code(field=F, generator=np.c_[prop.generator, np.zeros(16, dtype=np.uint8)])
+        assert analysis.low_weight_dual_search(both, w_max=2).weight_counts == {1: 15, 2: 15}
+        assert analysis.dual_codewords_of_weight(both, 1).tolist() == [[0] * 17 + [1]]
+
     def test_wmax_validation(self):
         C = build_affine_grassmann(2, 4, 2, 2)
         with pytest.raises(WMaxUnsupported):
