@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooLarge
+from .field import make_field
 
 _BLOCK_CELLS = 2 ** 16  # entries formatted (_write_rows), scanned, or padded per write
 _BLOCK_TOKENS = 2 ** 14  # nonzero entries formatted at a time (_write_lines)
@@ -303,7 +304,9 @@ def write_qval(H, path):
 
 
 def export_parity_alist(H, path, q):
-    """Write H as alist; for q > 2 also write the .qval companion."""
+    """Write H as alist; for q > 2 also write the .qval companion.  An
+    entry outside F_q raises ValueError before any file is opened."""
+    H = make_field(q).elements(H)
     write_alist(H, path)
     if q > 2:
         write_qval(H, str(path) + ".qval")

@@ -12,18 +12,17 @@ the OR over the planes of low XOR -h (for q = 2, of low XOR h).  The
 combinations are built by doubling with field lookups, and the weights
 are histogrammed.
 
-The dual search counts weights <= 4 on one of two routes.  On a code
-that build_affine_grassmann or build_reed_muller made, still unchanged,
-the orbit route uses the automorphism group: translations make every
-coordinate alike, and the maps P -> B P A^{-1} make alike the points of
-one rank class, so B_3 and B_4 follow from lookups at one representative
-a of each class, of c_0 + t c_a and c_0 + t c_a + v c_b among the
-columns (see _orbit_counts).  Every other generator takes one
-sort-and-group kernel for every q, on projectively normalized int64 keys
-of the columns and of the pair combinations c_a + t c_b:
-B_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3 over groups of g equal pair
-keys (see low_weight_dual_search).  The kernel is also the orbit route's
-differential test, and lists the words (dual_codewords_of_weight).
+The dual search counts weights <= 4 on two routes over one sorted key of
+the nonzero columns D, each scaled so its first nonzero digit is 1
+(_normalize); the zero columns and the runs of equal keys give B_1 and
+B_2, and combinations of columns are keyed alike (_combine) and looked up
+among the keys (_find).  On a code that build_affine_grassmann or
+build_reed_muller made, still unchanged, the orbit route uses the
+automorphism group (translations, and the maps P -> B P A^{-1} on each
+rank class): B_3 and B_4 follow from lookups of D_0 + t D_a and
+D_0 + t D_a + v D_b at one point a of each class (see _orbit_counts).
+Every other generator takes one sort-and-group kernel on the pair keys
+(see low_weight_dual_search), which also lists the words.
 """
 
 from __future__ import annotations
@@ -199,14 +198,41 @@ def _normalize(F, V):
     the bits), or, when q^k passes 2^63 for k digits, the scaled vector's
     bytes as one np.void value.
     """
+    k = V.shape[-1]
     lead = np.ones(V.shape[:-1], dtype=np.uint8)
-    for i in range(V.shape[-1] - 1, -1, -1):
-        lead = np.where(V[..., i] != 0, V[..., i], lead)
-    V = F.mul(F.inv_table[lead][..., None], V)
-    if F.q ** V.shape[-1] > 2 ** 63:
+    if F.q > 2 and k:  # over F_2 every lead is 1; a zero vector's first digit is 0
+        flat = V.reshape(-1, k)
+        first = (flat != 0).argmax(axis=1) + k * np.arange(len(flat))
+        lead = np.maximum(flat.ravel()[first], 1).reshape(lead.shape)
+        V = F.mul(F.inv_table[lead][..., None], V)
+    if F.q ** k > 2 ** 63:
         V = np.ascontiguousarray(V)
-        return V, lead, V.view(np.dtype((np.void, V.shape[-1])))[..., 0]
+        return V, lead, V.view(np.dtype((np.void, k)))[..., 0]
     return V, lead, undigits(V, F.q)
+
+
+def _combine(F, S, keys, *cols):
+    """(lead, key), as _normalize gives them, of D_{c_0} + t_1 D_{c_1} + ...
+    for every t_i in F_q*, on axes (the broadcast shape of the index arrays
+    cols) + (t_1, ..., t_j), from the multiples S[c, t - 1] = t D_c of the
+    normalized columns.  Over F_2 with integer keys the key of a sum is the
+    XOR of the keys, and no vector is formed."""
+    if F.q == 2 and keys.dtype.kind == "i":
+        key = np.bitwise_xor.reduce(np.broadcast_arrays(*(keys[c] for c in cols)))
+        key = key.reshape(key.shape + (1,) * (len(cols) - 1))
+        return np.ones(key.shape, dtype=np.uint8), key
+    V = S[cols[0], 0]
+    for i, c in enumerate(cols[1:]):  # V: index axes, t_1 .. t_i, digits
+        V = F.add(V[..., None, :], S[c].reshape(np.shape(c) + (1,) * i + S.shape[1:]))
+    return _normalize(F, V)[1:]
+
+
+def _find(index, keys):
+    """The column whose key is each of ``keys``, or -1, by binary search in
+    index: the sorted column keys and the column of each."""
+    sorted_keys, order = index
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+    return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
 
 def _groups(sorted_keys):
@@ -214,7 +240,7 @@ def _groups(sorted_keys):
     edge = np.ones(len(sorted_keys), dtype=bool)
     edge[1:] = sorted_keys[1:] != sorted_keys[:-1]
     starts = np.flatnonzero(edge)
-    return starts, np.diff(np.r_[starts, len(sorted_keys)])
+    return starts, np.diff(starts, append=len(sorted_keys))
 
 
 def _group_pairs(starts, sizes):
@@ -242,11 +268,12 @@ def _words(F, lead, supports, coeffs):
     return words
 
 
-def _pair_search(D, keys, F, w_max, collect):
+def _pair_search(F, S, keys, index, w_max, collect):
     """(B_3, B_4, read) on the pairwise non-proportional normalized
-    columns D with keys ``keys``; with collect, read() returns the words
-    of weight w_max, one per projective class, as _words takes them, so
-    the caller can size them from the counts before they are formed.
+    columns D, with their multiples S, keys and index (_combine, _find);
+    with collect, read() returns the words of weight w_max, one per
+    projective class, as _words takes them, so the caller can size them
+    from the counts before they are formed.
 
     Each pair entry keeps, beside its pair a < b, the coefficients (u, v)
     with u D_a + v D_b = N, its normalized combination: (1, t) / lambda
@@ -257,35 +284,26 @@ def _pair_search(D, keys, F, w_max, collect):
     its lowest two columns.
     """
     q, n = F.q, len(keys)
-    order = np.argsort(keys)
-    col_keys = keys[order]
-    scaled = F.mul(np.arange(1, q, dtype=np.uint8)[:, None, None], D)  # t c_b
     total = (q - 1) * (n * (n - 1) // 2) if w_max >= 4 else 0
     pair_keys = np.empty(total, dtype=np.int64)
     pairs = np.empty((total if collect else 0, 2), dtype=np.int32)
     pair_coef = np.empty(pairs.shape, dtype=np.uint8)  # (u, v)
     supp3, coef3 = [np.empty((0, 3), dtype=np.intp)], [np.empty((0, 3), dtype=np.uint8)]
     m3, filled = 0, 0
-    rows = max(1, _BLOCK_CELLS // max(1, (q - 1) * n * D.shape[1]))
+    rows = max(1, _BLOCK_CELLS // max(1, S[:1].size * n))
     for lo in range(0, n, rows):
         a, b = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
         a += lo
-        if q == 2:
-            pk, lead = keys[a] ^ keys[b], np.ones(len(a), dtype=np.uint8)
-        else:
-            combos = F.add(D[a][:, None], scaled[:, b].swapaxes(0, 1))
-            lead, pk = (x.ravel() for x in _normalize(F, combos)[1:])
+        lead, pk = (x.ravel() for x in _combine(F, S, keys, a, b))
+        c = _find(index, pk)
+        m3 += int(np.count_nonzero(c >= 0))
+        if collect:  # entry (q-1) i + t - 1 is D_a + t D_b of pair i; (u, v) = (1, t) / lambda
             a, b = np.repeat(a, q - 1), np.repeat(b, q - 1)
-        pos = np.minimum(np.searchsorted(col_keys, pk), n - 1)
-        hit = col_keys[pos] == pk
-        m3 += int(np.count_nonzero(hit))
-        if collect:  # (u, v) = (1, t) / lambda
             t = np.tile(np.arange(1, q, dtype=np.uint8), len(pk) // (q - 1))
             coef = F.mul(F.inv_table[lead][:, None], np.c_[np.ones_like(t), t])
         if collect and w_max == 3:
-            hit &= order[pos] > b
-            supp3.append(np.stack([a, b, order[pos]], axis=1)[hit])
-            coef3.append(np.c_[coef, np.full(len(a), F.neg(1))][hit])
+            supp3.append(np.stack([a, b, c], axis=1)[c > b])
+            coef3.append(np.c_[coef, np.full(len(a), F.neg(1))][c > b])
         if total:
             pair_keys[filled:filled + len(pk)] = pk
             if collect:
@@ -319,9 +337,8 @@ def _orbit_classes(C):
     """transforms.rank_classes of C's points when C is a level r >= 1 code
     that build_affine_grassmann or build_reed_muller made and its
     generator is still the read-only array that function returned; None
-    for every other code.  Such a code is fixed by the translations and by the maps
-    P -> B P A^{-1}, has no zero and no proportional columns, and each
-    column starts with the 1 of the constant row."""
+    for every other code.  Such a code is fixed by the translations and by
+    the maps P -> B P A^{-1}, and has no zero and no proportional columns."""
     meta, G, q = C.meta, C.generator, C.field.q
     if G.flags.writeable or not G.flags.owndata or meta.get("q") != q:
         return None  # changed, a view (a permutation of it, say), or unnamed
@@ -338,44 +355,31 @@ def _orbit_classes(C):
     return transforms.rank_classes(rect, q)
 
 
-def _orbit_counts(F, G, classes, w_max):
+def _orbit_counts(F, S, keys, index, classes, w_max):
     """(B_3, B_4, lookups) for w_max >= 3 (B_4 = 0 when w_max is 3) of a
-    code that _orbit_classes admits, with its rank classes ``classes``.
+    code that _orbit_classes admits, with the multiples S, keys and index
+    of its normalized columns D (_combine, _find), and its rank classes
+    ``classes``.
 
     The translations act transitively on the n coordinates, so
     B_w = (q-1) n N_0 / w, where N_0 counts the projective weight-w dual
     words through coordinate 0.  The maps P -> B P A^{-1} fix 0 and have
     the rank classes as orbits, so the words through 0 and a point a are
     as many for every a in a class: they are counted at its
-    representative a and weighted by its size N.  With T = c_0 + t c_a
+    representative a and weighted by its size N.  With T = D_0 + t D_a
     for t in F_q*, each column c outside {0, a} proportional to T is a
     weight-3 word, and each column outside {0, a, b} proportional to
-    T + v c_b, for a column b outside {0, a} and v in F_q*, a weight-4
+    T + v D_b, for a column b outside {0, a} and v in F_q*, a weight-4
     word.  A word through 0 is met once for each ordered choice of a (and
     b) among its other coordinates, so the weighted hits are 2 N_0 at
     weight 3 and 6 N_0 at weight 4.
 
-    Every column starts with 1, so a vector is proportional to column c
-    exactly when scaling it by the inverse of its first digit gives c (a
-    first digit 0 scales it to the zero vector, which is no column).  The
-    columns are keyed by their bytes as one np.void value and found by
-    binary search, so a key has no width limit; the weight-4 vectors are
-    formed in blocks of about _BLOCK_CELLS cells.  ``lookups`` counts the
-    searched vectors: (q-1) + (q-1)^2 (n-2) per class at w_max = 4.
+    The combinations are keyed and looked up as the kernel's pairs are
+    (_combine, _find), so a byte key has no width limit; at weight 4 they
+    are formed in blocks of about _BLOCK_CELLS cells.  ``lookups`` counts
+    the keys looked up: (q-1) + (q-1)^2 (n-2) per class at w_max = 4.
     """
-    q, (k, n) = F.q, G.shape
-    cols = np.ascontiguousarray(G.T)
-    key = np.dtype((np.void, k))
-    col_keys = cols.view(key).ravel()
-    order = np.argsort(col_keys)
-    col_keys = col_keys[order]
-
-    def find(V):
-        """The column proportional to each vector (last axis) of V, or -1."""
-        V = F.mul(F.inv_table[V[..., :1]], V)
-        keys = V.reshape(-1, k).view(key).ravel()
-        pos = np.minimum(np.searchsorted(col_keys, keys), n - 1)
-        return np.where(col_keys[pos] == keys, order[pos], -1).reshape(V.shape[:-1])
+    q, (n, k) = F.q, S[:, 0].shape
 
     def total(hits, orders, w):  # B_w from the weighted hits, checked whole
         n0, rest = divmod(hits, orders)
@@ -384,21 +388,18 @@ def _orbit_counts(F, G, classes, w_max):
             raise AssertionError("orbit counts are not whole: the group does not fix the code")
         return b
 
-    t = np.arange(1, q, dtype=np.uint8)
     step = max(1, _BLOCK_CELLS // ((q - 1) ** 2 * k))  # columns b per block
     hits3 = hits4 = lookups = 0
     for a, size in classes:
-        T = F.add(cols[0], F.mul(t[:, None], cols[a]))  # (t, digit)
-        c = find(T)
+        c = _find(index, _combine(F, S, keys, 0, a)[1])
         hits3 += size * int(np.count_nonzero((c > 0) & (c != a)))  # c = -1: no column
         lookups += q - 1
         if w_max < 4:
             continue
         others = np.delete(np.arange(n), [0, a])
-        for lo in range(0, n - 2, step):
-            b = others[lo:lo + step]
-            c = find(F.add(T[:, None, None], F.mul(t[:, None, None], cols[b])))  # (t, v, b)
-            hits4 += size * int(np.count_nonzero((c > 0) & (c != a) & (c != b)))
+        for b in np.split(others, range(step, n - 2, step)):
+            c = _find(index, _combine(F, S, keys, 0, a, b)[1])
+            hits4 += size * int(np.count_nonzero((c > 0) & (c != a) & (c != b[:, None, None])))
         lookups += (q - 1) ** 2 * (n - 2)
     return total(hits3, 2, 3), total(hits4, 6, 4) if w_max >= 4 else 0, lookups
 
@@ -408,24 +409,24 @@ def low_weight_dual_search(C, w_max=4):
     of C's generator matrix.  w_max must be an int in 1..4 (not a bool or
     a float); anything else raises WMaxUnsupported.
 
-    A code that build_affine_grassmann or build_reed_muller made at level
-    r >= 1 is counted on the orbit route (_orbit_counts) while its meta
-    names its parameters, its shape matches them and its generator is
-    still the read-only array it was built with: ``method`` is "orbit" and
-    ``enumerated`` the number of lookups.  Every other code takes the
-    kernel below, with ``method`` "support-search".
+    Both routes key each nonzero column scaled so its first nonzero digit
+    is 1 (base-q digits, so bits for q = 2, or its bytes past 63 bits) and
+    sort the keys once.  With z zero columns, B_w = sum_j C(z, j) (q-1)^j
+    B'_{w-j}, where B' counts on the n' nonzero columns: B'_0 = 1,
+    B'_1 = 0 and B'_2 = (q-1) sum C(m, 2) over the runs of m equal keys.
 
-    With z zero columns, B_w = sum_j C(z, j) (q-1)^j B'_{w-j}, where B'
-    counts on the n' nonzero columns: B'_0 = 1, B'_1 = 0 and
-    B'_2 = (q-1) sum C(m, 2) over the projective classes of size m.  On
-    pairwise non-proportional columns the kernel keys every column and
-    every pair combination c_a + t c_b (a < b, t in F_q*), scaled so its
-    first nonzero digit is 1: bit-packed for q = 2 (where the pair key is
-    the XOR of two column keys), base-q digits otherwise.  ``enumerated``
-    is the number of pair combinations formed, (q-1) C(n', 2), and 0
-    when the kernel does not run.  If m3 pair keys equal a column key,
-    there are T3 = m3 / 3 collinear triples and B'_3 = (q-1) T3.  With g
-    the sizes of the groups of equal pair keys,
+    A code that build_affine_grassmann or build_reed_muller made at level
+    r >= 1 takes the orbit route (_orbit_counts) while its meta names its
+    parameters, its shape matches them and its generator is still the
+    read-only array it was built with: ``method`` is "orbit" and
+    ``enumerated`` the number of lookups.  Every other code takes the
+    kernel, with ``method`` "support-search": on pairwise non-proportional
+    columns it keys every pair combination c_a + t c_b (a < b, t in F_q*)
+    as the columns are keyed (over F_2, the XOR of two column keys), and
+    ``enumerated`` is their number, (q-1) C(n', 2), or 0 when it does not
+    run.  If m3 pair keys equal a column key, there are T3 = m3 / 3
+    collinear triples and B'_3 = (q-1) T3.  With g the sizes of the groups
+    of equal pair keys,
 
         B'_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3,
 
@@ -433,9 +434,9 @@ def low_weight_dual_search(C, w_max=4):
     pairs, and a collinear triple q-2 times per shared index.  If all
     nonzero columns lie in one class (a level-0 code),
     B'_w = C(n', w) ((q-1)^w + (-1)^w (q-1)) / q.  Any other proportional
-    columns raise Unsupported for w_max >= 3, as do pair keys above 63
-    bits (q^k > 2^63), where B_1 and B_2 group the columns by their bytes;
-    more than MAX_PAIR_COMBINATIONS pair combinations raise TooLarge.
+    columns raise Unsupported for w_max >= 3, as do the kernel's pair keys
+    above 63 bits (q^k > 2^63); more than MAX_PAIR_COMBINATIONS pair
+    combinations raise TooLarge.
     """
     return _search(C, w_max, False)[0]
 
@@ -453,32 +454,31 @@ def _search(C, w_max, collect):
             or not 1 <= w_max <= 4):
         raise WMaxUnsupported(f"w_max must be an int in 1..4, got {w_max!r}")
     F = C.field
-    classes = None if collect else _orbit_classes(C)
-    if classes is not None:  # no zero and no proportional columns: B_1 = B_2 = 0
-        b3, b4, lookups = (_orbit_counts(F, C.generator, classes, w_max) if w_max >= 3
-                           else (0, 0, 0))
-        counts = {1: 0, 2: 0, 3: b3, 4: b4}
-        return _report({w: counts[w] for w in range(1, w_max + 1)}, "orbit", lookups), None
     G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
-    cols = G.T
-    zero = ~cols.any(axis=1)
+    zero = ~G.any(axis=0)
     z = int(zero.sum())
     n1 = n - z
-    D, lead, keys = _normalize(F, cols)
+    D, lead, keys = _normalize(F, G.T)
     D, keys = D[~zero], keys[~zero]
     order = np.argsort(keys, kind="stable")
-    starts, sizes = _groups(keys[order])
+    index = keys[order], order
+    starts, sizes = _groups(index[0])
     proportional = int((sizes * (sizes - 1) // 2).sum())
     if collect and z and w_max >= 2:
         raise Unsupported("collect lists no words through zero columns")
+    classes = None if collect else _orbit_classes(C)
 
     b = [1, 0] + [0] * (w_max - 1)  # B'_0 .. B'_{w_max}
     if w_max >= 2:
         b[2] = (q - 1) * proportional
     examined = 0
-    if w_max >= 3:
-        if proportional == 0:
+    if w_max >= 3 and proportional == 0:
+        t = np.arange(1, q, dtype=np.uint8)[:, None]
+        S = F.mul(t, D[:, None]) if q > 2 else D[:, None]  # S[c, t - 1] = t D_c
+        if classes is not None:
+            b3, b4, examined = _orbit_counts(F, S, keys, index, classes, w_max)
+        else:
             if q ** k > 2 ** 63:
                 raise Unsupported(f"a pair of {k}-digit columns over F_{q} needs a "
                                   "key above 63 bits")
@@ -486,20 +486,20 @@ def _search(C, w_max, collect):
             if examined > MAX_PAIR_COMBINATIONS:
                 raise TooLarge(f"{examined} pair combinations exceed the cap "
                                f"{MAX_PAIR_COMBINATIONS}")
-            b3, b4, read = _pair_search(D, keys, F, w_max, collect)
-            b[3:] = [b3, b4][:w_max - 2]
-        elif proportional == n1 * (n1 - 1) // 2:
-            if collect:
-                raise Unsupported("collect lists no words of weight >= 3 "
-                                  "on a single projective class")
-            for w in range(3, w_max + 1):
-                b[w] = math.comb(n1, w) * ((q - 1) ** w + (-1) ** w * (q - 1)) // q
-        else:
-            raise Unsupported("proportional columns outside a single class: "
-                              "weights >= 3 are not counted")
+            b3, b4, read = _pair_search(F, S, keys, index, w_max, collect)
+        b[3:] = [b3, b4][:w_max - 2]
+    elif w_max >= 3 and proportional == n1 * (n1 - 1) // 2:
+        if collect:
+            raise Unsupported("collect lists no words of weight >= 3 "
+                              "on a single projective class")
+        for w in range(3, w_max + 1):
+            b[w] = math.comb(n1, w) * ((q - 1) ** w + (-1) ** w * (q - 1)) // q
+    elif w_max >= 3:
+        raise Unsupported("proportional columns outside a single class: "
+                          "weights >= 3 are not counted")
     counts = {w: sum(math.comb(z, j) * (q - 1) ** j * b[w - j] for j in range(w + 1))
               for w in range(1, w_max + 1)}
-    report = _report(counts, "support-search", examined)
+    report = _report(counts, "support-search" if classes is None else "orbit", examined)
     if not collect:
         return report, None
     listed = counts[w_max] // (q - 1)  # one word per projective class

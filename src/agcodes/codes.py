@@ -120,7 +120,7 @@ class Code:
     rect: Rectangle = None
 
     def __post_init__(self):
-        self.generator = self.field.elements(self.generator)
+        self.generator = linalg._matrix(self.generator, self.field)
         self._parity = None
 
     @property

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .field import digits, undigits
 
 _MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to int64 at a time (odd p)
@@ -144,8 +144,16 @@ def rref(M, F):
     return R, pivots
 
 
-def rank(M, F):
+def _matrix(M, F):
+    """M as element codes (F.elements); DimensionMismatch unless 2-D."""
     M = F.elements(M)
+    if M.ndim != 2:
+        raise DimensionMismatch(f"a matrix must be 2-D, not of shape {M.shape}")
+    return M
+
+
+def rank(M, F):
+    M = _matrix(M, F)
     if F.q == 2:
         return gf2_rank(M)
     if M.shape[0] > M.shape[1]:  # rank(M) = rank(M^T): eliminate the shorter side
@@ -233,8 +241,9 @@ def matmul(A, B, F):
     (row i: the digits of X^i b), so one product over F_p gives the digits
     of every entry of A B.
     """
-    A = F.elements(A)
-    B = F.elements(B)
+    A, B = _matrix(A, F), _matrix(B, F)
+    if A.shape[1] != B.shape[0]:
+        raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
     if F.t == 1:
         return _matmul_fp(A, B, F.p)
     p, t = F.p, F.t

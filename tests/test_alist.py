@@ -235,6 +235,30 @@ def test_wide_index_raises_before_any_file(write, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("q,entry", [(3, -1), (3, 7), (3, 2.5), (2, 2), (16, 16)])
+def test_export_rejects_entries_outside_the_field(q, entry, tmp_path):
+    """An entry outside F_q (negative, too large or not an integer) raises
+    ValueError before any file is opened, instead of being written as
+    another token."""
+    H = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64 if entry == int(entry) else float)
+    H[1, 2] = entry
+    with pytest.raises(ValueError, match="element of F_"):
+        export_parity_alist(H, tmp_path / "bad.alist", q)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_reads_integral_floats_as_elements(tmp_path):
+    """A float 11.0 over F_16 is the element 11, written as the uint8
+    matrix writes it."""
+    H = np.array([[11.0, 0, 1], [0, 3, 15]])
+    export_parity_alist(H, tmp_path / "f.alist", 16)
+    export_parity_alist(H.astype(np.uint8), tmp_path / "u.alist", 16)
+    for suffix in ("", ".qval"):
+        assert (tmp_path / f"f.alist{suffix}").read_bytes() == \
+            (tmp_path / f"u.alist{suffix}").read_bytes()
+    assert (tmp_path / "f.alist.qval").read_text().split()[0] == "11"
+
+
 def test_all_zero_matrix_gives_bare_lines(tmp_path):
     H = np.zeros((3, 4), dtype=np.uint8)
     _assert_same_bytes(H, 3, tmp_path)

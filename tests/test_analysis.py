@@ -18,7 +18,7 @@ from agcodes.codes import (Code, build_affine_grassmann, build_reed_muller,
 from agcodes.dual import build_dual_code
 from agcodes.errors import (DimensionMismatch, RankTooLow, TooLarge,
                             Unsupported, WMaxUnsupported, WordNotInCode)
-from agcodes.field import make_field
+from agcodes.field import make_field, undigits
 
 
 def _brute_force_dual_words(C, w):
@@ -504,6 +504,45 @@ class TestLowWeightSearch:
         assert rep.weight_counts[2] == 2  # q - 1 words on the pair
 
 
+@pytest.mark.parametrize("q", [3, 16])
+@pytest.mark.parametrize("shape", [(40, 5), (7, 3, 6), (5, 0), (30, 16), (30, 41)])
+def test_normalize_lead_is_the_first_nonzero_digit(q, shape):
+    """_normalize's lead is the first nonzero digit of each vector, or 1
+    for a zero vector, on any number of axes, at k = 0 and past the 63-bit
+    integer key; the scaled vector times the lead is the vector, and every
+    nonzero multiple of a vector has its key."""
+    F = make_field(q)
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    V = (rng.integers(0, q, size=shape) * (rng.random(shape) < 0.3)).astype(np.uint8)
+    flat = V.reshape(math.prod(shape[:-1]), shape[-1])
+    flat[::4] = 0  # zero vectors
+    scaled, lead, key = analysis._normalize(F, V)
+    want = [next((x for x in row if x), 1) for row in flat.tolist()]
+    assert lead.shape == key.shape == shape[:-1] and lead.ravel().tolist() == want
+    assert np.array_equal(F.mul(lead[..., None], scaled), V)
+    assert (key.dtype.kind == "V") == (q ** shape[-1] > 2 ** 63)
+    for t in (2, q - 1):
+        assert np.array_equal(analysis._normalize(F, F.mul(t, V))[2], key)
+
+
+def test_xor_keys_find_the_column_of_a_sum():
+    """Over F_2 with integer keys _combine XORs the column keys and forms
+    no vector; _find then gives, on axes (b, t_1, t_2), the column c with
+    D_0 + D_a + D_b = D_c, or -1."""
+    C = build_affine_grassmann(3, 6, 2, 2)
+    D = np.ascontiguousarray(C.generator.T)
+    keys = undigits(D, 2)
+    order = np.argsort(keys)
+    b = np.arange(2, C.n)
+    for a in (1, 7, 100):
+        combined = analysis._combine(C.field, D[:, None], keys, 0, a, b)
+        found = analysis._find((keys[order], order), combined[1])
+        assert found.shape == combined[0].shape == (C.n - 2, 1, 1)
+        want = [next((c for c in range(C.n) if not (D[0] ^ D[a] ^ D[x] ^ D[c]).any()), -1)
+                for x in b.tolist()]
+        assert found.ravel().tolist() == want
+
+
 def _kernel(C, w_max):
     """The sort-and-group kernel's report on C's generator: a Code
     without meta never takes the orbit route."""
@@ -551,11 +590,14 @@ class TestOrbitRoute:
         (2, 4, 2, 9, 48988800, 596108315520),
         (3, 6, 2, 3, 2217618, 1437016464),
         (4, 8, 2, 2, 0, 197836800),
+        (4, 8, 3, 2, 0, 197836800),
+        (4, 8, 4, 2, 0, 197836800),
     ])
     def test_counts_beyond_the_kernel_cap(self, ell, m, r, q, b3, b4):
         """Codes whose pair keys pass MAX_PAIR_COMBINATIONS (n = 6561,
-        19683, 65536), or whose columns pass 63 bits (k = 53 at n =
-        65536), are counted by the orbit route alone."""
+        19683, 65536) are counted by the orbit route alone: AGC(4,8;2)/F2
+        (k = 53) on integer column keys, AGC(4,8;3) and AGC(4,8;4) (k = 69
+        and 70) on byte keys."""
         C = build_affine_grassmann(ell, m, r, q)
         t0 = time.perf_counter()
         rep = analysis.low_weight_dual_search(C, w_max=4)

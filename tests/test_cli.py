@@ -219,8 +219,8 @@ class TestReport:
 class TestTopRung:
     """The n = 65536 rung, AGC(4,8;r)/F2, run in process.  Its keys pass
     63 bits at r = 3 and 4, and its pair combinations the kernel's cap at
-    every level; the orbit route counts them all, in about 0.2 s a level
-    on a 2-core machine."""
+    every level; the orbit route counts them all, in at most about 0.3 s a
+    level on a 2-core machine."""
 
     ARGS = ["--q", "2", "--l", "4", "--m", "8"]
 

@@ -345,6 +345,14 @@ class TestCode:
         assert np.array_equal(G, C.generator)
 
 
+    @pytest.mark.parametrize("generator", [[1, 0, 2], np.ones((1, 2, 2)), 1])
+    def test_generator_must_be_a_matrix(self, generator):
+        """A vector or a 3-D array is no generator matrix: it is refused
+        when the code is built, not when .n or a search reads it."""
+        with pytest.raises(DimensionMismatch):
+            Code(make_field(3), generator)
+
+
 class TestReedMuller:
     def test_known_dimensions(self):
         assert build_reed_muller(1, 4, 2).k == 5

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from agcodes import analysis, linalg, transforms
+from agcodes import alist, analysis, linalg, transforms
 from agcodes.codes import Code, PointEnumeration
 from agcodes.errors import DimensionMismatch, DivisionByZero, NotPrimePower, Unsupported
 from agcodes.field import digits, make_field, undigits
@@ -213,16 +213,20 @@ _PAST_A_BYTE = {
     "linear_form_power_basis": lambda: linear_form_power_basis(_F3, _past_a_byte(_I2)),
     "index_of": lambda: PointEnumeration(Rectangle(1, 2), _F3).index_of(
         _past_a_byte([[0, 0]])),
+    "export_parity_alist": lambda: alist.export_parity_alist(
+        _past_a_byte(_C3.generator), "H.alist", 3),
 }
 
 
 @pytest.mark.parametrize("entry", list(_PAST_A_BYTE))
-def test_entries_past_a_byte_rejected(entry):
+def test_entries_past_a_byte_rejected(entry, tmp_path, monkeypatch):
     """Every public entry point that takes a matrix or a word checks its
     entries against F_q before any uint8 cast, so 256 + a is not read as
-    a; each raises ValueError."""
+    a; each raises ValueError (a writer before it opens a file)."""
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match="not an element of F_"):
         _PAST_A_BYTE[entry]()
+    assert list(tmp_path.iterdir()) == []
 
 
 _NON_INTEGRAL = {
@@ -232,17 +236,21 @@ _NON_INTEGRAL = {
     "rank over F_2": lambda: linalg.rank(np.array([[1, 0.5], [0, 1]]), make_field(2)),
     "matmul(A)": lambda: linalg.matmul(np.array([[0.5, 1]]), _I2, _F3),
     "matmul(B)": lambda: linalg.matmul(_I2, np.array([[1, 0], [0, 1.25]]), _F3),
+    "export_parity_alist": lambda: alist.export_parity_alist(
+        np.array([[2.5, 1, 0]]), "H.alist", 3),
     "nan": lambda: Code(_F3, np.array([[np.nan, 1, 0]])),
     "complex": lambda: Code(_F3, np.array([[1 + 1j, 1, 0]])),
 }
 
 
 @pytest.mark.parametrize("entry", list(_NON_INTEGRAL))
-def test_non_integral_entries_rejected(entry):
+def test_non_integral_entries_rejected(entry, tmp_path, monkeypatch):
     """A float entry that is not an integer raises ValueError instead of
     being truncated by the uint8 cast (2.5 would be read as 2)."""
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match="non-integral entry"):
         _NON_INTEGRAL[entry]()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integral_floats_accepted():

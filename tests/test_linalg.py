@@ -7,7 +7,7 @@ import pytest
 
 from agcodes import linalg
 from agcodes.codes import Code
-from agcodes.errors import SingularMatrix
+from agcodes.errors import DimensionMismatch, SingularMatrix
 from agcodes.field import make_field
 
 FIELDS = [2, 3, 4, 5, 8, 9]
@@ -411,3 +411,24 @@ def test_rank_of_empty_matrix():
     for q in (2, 3):
         for shape in [(0, 5), (5, 0), (0, 0)]:
             assert linalg.rank(np.zeros(shape, dtype=np.uint8), make_field(q)) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_matmul_rejects_mismatched_shapes(q):
+    """A one-row B is not broadcast into the rows that A's three columns
+    need (over F_2 it once gave [[1, 0], [1, 0]]), and operands that are
+    not matrices are refused: DimensionMismatch for every q."""
+    F = make_field(q)
+    A = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    for X, Y in [(A, np.array([[1, 0]])), (A, np.ones((2, 2))), (A, np.ones((4, 1))),
+                 (A[0], np.ones((3, 1))), (A, np.ones(3)), (A[None], np.ones((3, 1)))]:
+        with pytest.raises(DimensionMismatch):
+            linalg.matmul(X, Y, F)
+    assert linalg.matmul(A, np.ones((3, 1)), F).shape == (2, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank_of_a_non_matrix_raises(q):
+    for M in (np.array([1, 0, 1]), np.ones((1, 2, 2)), np.array(1)):
+        with pytest.raises(DimensionMismatch):
+            linalg.rank(M, make_field(q))
