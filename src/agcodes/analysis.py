@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -218,7 +219,7 @@ def _combine(F, S, keys, *cols):
     normalized columns.  Over F_2 with integer keys the key of a sum is the
     XOR of the keys, and no vector is formed."""
     if F.q == 2 and keys.dtype.kind == "i":
-        key = np.bitwise_xor.reduce(np.broadcast_arrays(*(keys[c] for c in cols)))
+        key = reduce(np.bitwise_xor, (keys[c] for c in cols))
         key = key.reshape(key.shape + (1,) * (len(cols) - 1))
         return np.ones(key.shape, dtype=np.uint8), key
     V = S[cols[0], 0]
@@ -382,11 +383,9 @@ def _orbit_counts(F, S, keys, index, classes, w_max):
     q, (n, k) = F.q, S[:, 0].shape
 
     def total(hits, orders, w):  # B_w from the weighted hits, checked whole
-        n0, rest = divmod(hits, orders)
-        b, rest2 = divmod((q - 1) * n * n0, w)
-        if rest or rest2:
+        if hits % orders or (q - 1) * n * (hits // orders) % w:
             raise AssertionError("orbit counts are not whole: the group does not fix the code")
-        return b
+        return (q - 1) * n * (hits // orders) // w
 
     step = max(1, _BLOCK_CELLS // ((q - 1) ** 2 * k))  # columns b per block
     hits3 = hits4 = lookups = 0
