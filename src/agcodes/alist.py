@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import DimensionMismatch, TooLarge
 from .field import make_field
 
 _BLOCK_CELLS = 2 ** 16  # entries formatted (_write_rows), scanned, or padded per write
@@ -268,9 +268,12 @@ def _write_lines(fh, H, keys, weights, columns, width=0, values=False):
 
 
 def _checked(H):
-    """H as an array, or TooLarge if an index of H has more than
-    _MAX_DIGITS digits, before any file is opened."""
+    """H as an array, before any file is opened: DimensionMismatch unless
+    2-D (the writers take no field), or TooLarge if an index of H has
+    more than _MAX_DIGITS digits."""
     H = np.asarray(H)
+    if H.ndim != 2:
+        raise DimensionMismatch(f"H must be 2-D, not of shape {H.shape}")
     if max(H.shape) >= 10 ** _MAX_DIGITS:
         raise TooLarge(f"a {H.shape[0]} x {H.shape[1]} matrix has indices "
                        f"of more than {_MAX_DIGITS} digits")
@@ -306,7 +309,7 @@ def write_qval(H, path):
 def export_parity_alist(H, path, q):
     """Write H as alist; for q > 2 also write the .qval companion.  An
     entry outside F_q raises ValueError before any file is opened."""
-    H = make_field(q).elements(H)
+    H = make_field(q).elements(H, (None, None))
     write_alist(H, path)
     if q > 2:
         write_qval(H, str(path) + ".qval")

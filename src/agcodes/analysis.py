@@ -37,8 +37,7 @@ import numpy as np
 from . import linalg, transforms
 from .codes import (PointEnumeration, evaluate, rm_theoretical_params,
                     theoretical_params)
-from .errors import (DimensionMismatch, RankTooLow, TooLarge, Unsupported,
-                     WMaxUnsupported, WordNotInCode)
+from .errors import RankTooLow, TooLarge, Unsupported, WMaxUnsupported, WordNotInCode
 from .field import digits, make_field, undigits
 from .monomials import Rectangle, SparsePolynomial
 
@@ -576,12 +575,12 @@ def span_generation_test(C, words):
     dual, the syndromes M H^T are formed on blocks of contiguous word
     rows, so no transposed copy of the words is made.  Over F_2 the rank
     then packs the columns of the tall word matrix into bits (see
-    linalg.gf2_rank).  They generate C when their rank is rank G, or for a
+    linalg.rank).  They generate C when their rank is rank G, or for a
     dual from ``build_dual_code`` n - rank of the primal's (short) generator.
     """
-    M = C.field.elements(words)
-    if M.shape != (0,) and (M.ndim != 2 or M.shape[1] != C.n):  # (0,): no words
-        raise DimensionMismatch(f"words of shape {M.shape} for a code of length {C.n}")
+    if np.shape(words) == (0,):  # [] is no words
+        words = np.zeros((0, C.n), dtype=np.uint8)
+    M = C.field.elements(words, (None, C.n))
     primal = C.meta.get("dual_of")
     dim = (C.n - linalg.rank(primal.generator, C.field) if primal is not None
            else linalg.rank(C.generator, C.field))
@@ -600,9 +599,7 @@ def rank_counterexample_check(q, ell, ell_prime, c):
     if ell < 2:
         raise RankTooLow("need ell >= 2")
     F = make_field(q)
-    c = F.elements(c)
-    if c.shape != (ell, ell_prime):
-        raise DimensionMismatch(f"c must be {ell} x {ell_prime}, not of shape {c.shape}")
+    c = F.elements(c, (ell, ell_prime))
     if linalg.rank(c, F) < 2:
         raise RankTooLow("coefficient matrix must have rank >= 2")
     rect = Rectangle(ell, ell_prime)

@@ -72,10 +72,7 @@ class PointEnumeration:
 
     def index_of(self, matrix):
         """The index i with P_i equal to the l x l' matrix over F_q."""
-        M = self.field.elements(matrix)
-        if M.shape != (self.rect.ell, self.rect.ell_prime):
-            raise DimensionMismatch(f"a point is {self.rect.ell} x {self.rect.ell_prime}, "
-                                    f"not of shape {M.shape}")
+        M = self.field.elements(matrix, (self.rect.ell, self.rect.ell_prime))
         return int(undigits(M.reshape(-1), self.field.q))
 
 
@@ -120,7 +117,7 @@ class Code:
     rect: Rectangle = None
 
     def __post_init__(self):
-        self.generator = linalg._matrix(self.generator, self.field)
+        self.generator = self.field.elements(self.generator, (None, None))
         self._parity = None
 
     @property
@@ -142,9 +139,7 @@ class Code:
         return self._parity
 
     def contains(self, word):
-        word = self.field.elements(word)
-        if word.shape != (self.n,):
-            raise DimensionMismatch("word length mismatch")
+        word = self.field.elements(word, (self.n,))
         return self._contains_rows(word[None, :])
 
     def _contains_rows(self, words):

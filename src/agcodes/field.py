@@ -14,6 +14,9 @@ q <= 16) and looked up by ``bytes.translate`` in a 256-byte copy of the
 table, which makes no intp copy of the indices; scalars read the 2-D table
 directly, which is cheaper than a translate call.  This module is the only
 place that turns field elements into table indices.
+
+``FieldSpec.elements`` is the one gate for every array a caller passes: a
+wrong shape raises DimensionMismatch, an entry outside F_q ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrimePower, Unsupported
+from .errors import DimensionMismatch, DivisionByZero, NotPrimePower, Unsupported
 
 MAX_Q = 16
 
@@ -144,13 +147,19 @@ class FieldSpec:
         out = buf.translate(flat)
         return np.frombuffer(out, dtype=np.uint8).reshape(shape)
 
-    def elements(self, M):
-        """M as a uint8 array of element codes.  Raises ValueError on an
-        entry that is not an integer (2.5, say, which the cast would read
-        as 2) or lies outside [0, q-1], which a table lookup would silently
-        read as another entry.  Integral floats, as np.eye gives, are
-        accepted."""
+    def elements(self, M, shape=None):
+        """M as a uint8 array of element codes.  shape, if given, is the
+        tuple of M's axis lengths, None for any length: a wrong number of
+        axes or a wrong length raises DimensionMismatch before any entry
+        is read.  An entry that is not an integer (2.5, say, which the cast
+        would read as 2) or lies outside [0, q-1], which a table lookup
+        would silently read as another entry, raises ValueError.  Integral
+        floats, as np.eye gives, are accepted."""
         M = np.asarray(M)
+        if shape is not None and (M.ndim != len(shape) or any(
+                want not in (None, have) for have, want in zip(M.shape, shape))):
+            raise DimensionMismatch(f"an array of shape {M.shape} where {shape} is "
+                                    "needed (None: any length)")
         if M.dtype.kind in "fc":
             if not (M == np.round(M.real)).all():
                 raise ValueError(f"a non-integral entry is not an element of F_{self.q}")

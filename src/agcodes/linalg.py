@@ -21,14 +21,15 @@ C-contiguous matrix along its rows (packbits) and any other layout as
 the columns of its transpose (_packed_columns), so packbits never runs
 along a strided axis.  rank eliminates whichever of M and its transpose
 has fewer rows; for q = 2 that side is packed by pack_rows into Python
-ints and reduced against an XOR basis (gf2_rank).
+ints and reduced against an XOR basis (_gf2_rank).  Every matrix a caller
+passes is checked by F.elements with the shape it must have.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import SingularMatrix
 from .field import digits, undigits
 
 _MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to int64 at a time (odd p)
@@ -90,8 +91,8 @@ def unpack_rows(P, n):
                          count=n, bitorder="little")
 
 
-def gf2_rank(M):
-    """Rank of a 0/1 matrix over GF(2).
+def _gf2_rank(M):
+    """Rank of a 0/1 uint8 matrix over GF(2).
 
     Whichever of the rows and the columns are fewer are packed by
     pack_rows (of M, or of M's transpose) and read as Python ints, entry
@@ -99,7 +100,6 @@ def gf2_rank(M):
     highest set bit (bit_length) and joins it when it does not reduce to
     0.
     """
-    M = np.asarray(M, dtype=np.uint8)
     if M.size == 0:
         return 0
     packed = pack_rows(M.T if M.shape[0] > M.shape[1] else M)
@@ -121,7 +121,7 @@ def gf2_rank(M):
 
 def rref(M, F):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = F.elements(M).copy()
+    R = F.elements(M, (None, None)).copy()
     rows, cols = R.shape
     pivots = []
     r = 0
@@ -144,18 +144,10 @@ def rref(M, F):
     return R, pivots
 
 
-def _matrix(M, F):
-    """M as element codes (F.elements); DimensionMismatch unless 2-D."""
-    M = F.elements(M)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"a matrix must be 2-D, not of shape {M.shape}")
-    return M
-
-
 def rank(M, F):
-    M = _matrix(M, F)
+    M = F.elements(M, (None, None))
     if F.q == 2:
-        return gf2_rank(M)
+        return _gf2_rank(M)
     if M.shape[0] > M.shape[1]:  # rank(M) = rank(M^T): eliminate the shorter side
         M = M.T
     return len(rref(M, F)[1])
@@ -241,9 +233,8 @@ def matmul(A, B, F):
     (row i: the digits of X^i b), so one product over F_p gives the digits
     of every entry of A B.
     """
-    A, B = _matrix(A, F), _matrix(B, F)
-    if A.shape[1] != B.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
+    A = F.elements(A, (None, None))
+    B = F.elements(B, (A.shape[1], None))
     if F.t == 1:
         return _matmul_fp(A, B, F.p)
     p, t = F.p, F.t
@@ -257,9 +248,9 @@ def matmul(A, B, F):
 
 
 def inv_matrix(A, F):
-    A = F.elements(A)
+    A = F.elements(A, (None, None))
     n = A.shape[0]
-    if A.shape != (n, n):
+    if A.shape[1] != n:
         raise SingularMatrix("not a square matrix")
     aug = np.concatenate([A, np.eye(n, dtype=np.uint8)], axis=1)
     R, pivots = rref(aug, F)
@@ -268,13 +259,9 @@ def inv_matrix(A, F):
     return R[:, n:]
 
 
-def is_invertible(A, F):
-    A = F.elements(A)
-    return A.shape[0] == A.shape[1] and rank(A, F) == A.shape[0]
-
-
 def rowspace_equal(A, B, F):
-    A, B = F.elements(A), F.elements(B)
+    A = F.elements(A, (None, None))
+    B = F.elements(B, (None, A.shape[1]))
     ra, rb = rank(A, F), rank(B, F)
     if ra != rb:
         return False

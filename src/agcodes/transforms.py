@@ -21,18 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotSquare, SingularMatrix
+from .errors import DimensionMismatch, NotSquare
 from .field import undigits
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on {0..n-1} as an index array."""
+    """Bijection on {0..n-1} as a 1-D index array of integers."""
 
     map: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.map, dtype=np.int64)
+        arr = np.asarray(self.map)
+        if arr.ndim != 1:
+            raise DimensionMismatch(f"a permutation is 1-D, not of shape {arr.shape}")
+        if arr.dtype.kind in "fc" and not (np.isfinite(arr) & (arr == np.round(arr.real))).all():
+            raise ValueError("a permutation has a non-integral entry")  # int64 would truncate it
+        arr = arr.real.astype(np.int64)
         object.__setattr__(self, "map", arr)
         if not np.array_equal(np.sort(arr), np.arange(arr.size)):
             raise ValueError("not a bijection")
@@ -42,7 +47,10 @@ class Permutation:
         return self.map.size
 
     def apply(self, word):
-        return np.asarray(word)[self.map]
+        word = np.asarray(word)
+        if word.shape != (self.n,):
+            raise DimensionMismatch(f"a word of shape {word.shape} for a permutation of {self.n}")
+        return word[self.map]
 
     def compose(self, other):
         """self after other: (self.compose(other))(i) = self(other(i))."""
@@ -68,15 +76,12 @@ class AffineTransform:
     field: object
 
     def __post_init__(self):
-        self.B = self.field.elements(self.B)
-        self.A = self.field.elements(self.A)
-        self.u = self.field.elements(self.u)
-        if self.u.shape != (len(self.B), len(self.A)):  # a smaller u would broadcast
-            raise DimensionMismatch("u must be l x l', as B is l x l and A l' x l'")
-        for M in (self.B, self.A):
-            if not linalg.is_invertible(M, self.field):
-                raise SingularMatrix("transform matrix is singular")
-        self.A_inv = linalg.inv_matrix(self.A, self.field)
+        F = self.field
+        self.B = F.elements(self.B, (None, None))
+        self.A = F.elements(self.A, (None, None))
+        self.u = F.elements(self.u, (len(self.B), len(self.A)))  # a smaller u would broadcast
+        self.B_inv = linalg.inv_matrix(self.B, F)
+        self.A_inv = linalg.inv_matrix(self.A, F)
 
     def apply(self, P):
         F = self.field
@@ -85,9 +90,8 @@ class AffineTransform:
 
     def inverse(self):
         F = self.field
-        B_inv = linalg.inv_matrix(self.B, F)
-        u_prime = F.neg(linalg.matmul(linalg.matmul(B_inv, self.u, F), self.A, F))
-        return AffineTransform(B=B_inv, A=self.A_inv, u=u_prime, field=F)
+        u_prime = F.neg(linalg.matmul(linalg.matmul(self.B_inv, self.u, F), self.A, F))
+        return AffineTransform(B=self.B_inv, A=self.A_inv, u=u_prime, field=F)
 
 
 def identity_transform(rect, F):
@@ -117,9 +121,8 @@ def induced_permutation(T, pe):
     rect, F = pe.rect, pe.field
     if T.field.q != F.q:
         raise DimensionMismatch(f"a transform over F_{T.field.q} and points over F_{F.q}")
-    if T.B.shape != (rect.ell, rect.ell) or T.A.shape != (rect.ell_prime, rect.ell_prime):
-        raise DimensionMismatch("transform shapes do not match the rectangle")
-    kron = F.mul(T.B.T[:, None, :, None], T.A_inv[None, :, None, :])
+    B, A_inv = F.elements(T.B, (rect.ell,) * 2), F.elements(T.A_inv, (rect.ell_prime,) * 2)
+    kron = F.mul(B.T[:, None, :, None], A_inv[None, :, None, :])
     imgs = F.add(linalg.matmul(pe.points, kron.reshape(rect.delta, rect.delta), F),
                  T.u.reshape(-1))
     return Permutation(undigits(imgs, F.q))
@@ -141,6 +144,8 @@ def is_automorphism(C, perm):
     so a dual whose primal has the lower dimension tests the primal; the
     code tested then has k <= n - k and takes the rank test, with no
     product by a parity check."""
+    if not isinstance(perm, Permutation):
+        raise TypeError(f"perm must be a Permutation, not {type(perm).__name__}")
     if perm.n != C.n:
         raise DimensionMismatch("permutation length mismatch")
     primal = C.meta.get("dual_of")
@@ -182,7 +187,7 @@ def subgroup_order_bound(ell, m, q):
 def random_invertible(size, F, rng):
     while True:
         M = rng.integers(0, F.q, size=(size, size)).astype(np.uint8)
-        if linalg.is_invertible(M, F):
+        if linalg.rank(M, F) == size:
             return M
 
 
@@ -201,7 +206,7 @@ def all_invertible(size, F):
     out = []
     for entries in itertools.product(range(F.q), repeat=size * size):
         M = np.array(entries, dtype=np.uint8).reshape(size, size)
-        if linalg.is_invertible(M, F):
+        if linalg.rank(M, F) == size:
             out.append(M)
     return out
 

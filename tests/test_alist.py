@@ -11,7 +11,7 @@ from agcodes.alist import (_BLOCK_CELLS, _format, _write_rows, export_parity_ali
                            read_alist, write_alist, write_qval)
 from agcodes.codes import Code, build_affine_grassmann, write_generator
 from agcodes.dual import build_dual_code
-from agcodes.errors import TooLarge
+from agcodes.errors import DimensionMismatch, TooLarge
 from agcodes.field import make_field
 
 
@@ -227,11 +227,15 @@ def test_writers_match_reference_dense_in_key_runs(tmp_path):
 @pytest.mark.parametrize("write", [write_alist, write_qval,
                                    lambda H, path: export_parity_alist(H, path, 3)])
 def test_wide_index_raises_before_any_file(write, tmp_path):
-    """An index of 8 digits is refused before the file is opened."""
+    """An index of 8 digits is refused before the file is opened, and so
+    is an H that is not a matrix (it once failed to unpack its shape)."""
     H = np.zeros((1, 10 ** 7 + 1), dtype=np.uint8)
     H[0, -1] = 1
     with pytest.raises(TooLarge):
         write(H, tmp_path / "wide.alist")
+    for H in [np.array([1, 0, 2]), np.ones((2, 2, 3), dtype=np.uint8)]:
+        with pytest.raises(DimensionMismatch):
+            write(H, tmp_path / "bad.alist")
     assert list(tmp_path.iterdir()) == []
 
 

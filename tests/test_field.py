@@ -7,7 +7,8 @@ import pytest
 
 from agcodes import alist, analysis, linalg, transforms
 from agcodes.codes import Code, PointEnumeration
-from agcodes.errors import DimensionMismatch, DivisionByZero, NotPrimePower, Unsupported
+from agcodes.errors import (DependentForms, DimensionMismatch, DivisionByZero, NotPrimePower,
+                            SingularMatrix, Unsupported)
 from agcodes.field import digits, make_field, undigits
 from agcodes.monomials import Rectangle, linear_form_power_basis
 
@@ -194,14 +195,16 @@ _F3 = make_field(3)
 _I2 = np.eye(2, dtype=np.uint8)
 _C3 = Code(_F3, np.array([[2, 1, 2], [0, 1, 1]], dtype=np.uint8))
 
+_HALF = np.array([[1, 0.5], [0, 1]])  # a non-integral entry in a 2 x 2 matrix
+
 _PAST_A_BYTE = {
     "Code": lambda: Code(_F3, _past_a_byte(_C3.generator)),
     "Code.contains": lambda: _C3.contains(_past_a_byte(_C3.generator[0])),
     "span_generation_test": lambda: analysis.span_generation_test(
         _C3, _past_a_byte(_C3.generator)),
+    "rref": lambda: linalg.rref(_past_a_byte(_I2), _F3),
     "nullspace": lambda: linalg.nullspace(_past_a_byte(_I2), _F3),
     "inv_matrix": lambda: linalg.inv_matrix(_past_a_byte(_I2), _F3),
-    "is_invertible": lambda: linalg.is_invertible(_past_a_byte(_I2), _F3),
     "rowspace_equal(A)": lambda: linalg.rowspace_equal(_past_a_byte(_I2), _I2, _F3),
     "rowspace_equal(B)": lambda: linalg.rowspace_equal(_I2, _past_a_byte(_I2), _F3),
     "AffineTransform(B)": lambda: transforms.AffineTransform(
@@ -236,6 +239,20 @@ _NON_INTEGRAL = {
     "rank over F_2": lambda: linalg.rank(np.array([[1, 0.5], [0, 1]]), make_field(2)),
     "matmul(A)": lambda: linalg.matmul(np.array([[0.5, 1]]), _I2, _F3),
     "matmul(B)": lambda: linalg.matmul(_I2, np.array([[1, 0], [0, 1.25]]), _F3),
+    "rref": lambda: linalg.rref(_HALF, _F3),
+    "nullspace": lambda: linalg.nullspace(_HALF, _F3),
+    "inv_matrix": lambda: linalg.inv_matrix(_HALF, _F3),
+    "rowspace_equal(A)": lambda: linalg.rowspace_equal(_HALF, _I2, _F3),
+    "rowspace_equal(B)": lambda: linalg.rowspace_equal(_I2, _HALF, _F3),
+    "AffineTransform(B)": lambda: transforms.AffineTransform(
+        B=[[0.5]], A=_I2, u=np.zeros((1, 2)), field=_F3),
+    "AffineTransform(A)": lambda: transforms.AffineTransform(
+        B=np.eye(1), A=_HALF, u=np.zeros((1, 2)), field=_F3),
+    "rank_counterexample_check": lambda: analysis.rank_counterexample_check(3, 2, 2, _HALF),
+    "span_generation_test": lambda: analysis.span_generation_test(
+        _C3, np.array([[2, 1, 2], [0, 1, 1.5]])),
+    "linear_form_power_basis": lambda: linear_form_power_basis(_F3, _HALF),
+    "index_of": lambda: PointEnumeration(Rectangle(1, 2), _F3).index_of([[0, 0.5]]),
     "export_parity_alist": lambda: alist.export_parity_alist(
         np.array([[2.5, 1, 0]]), "H.alist", 3),
     "nan": lambda: Code(_F3, np.array([[np.nan, 1, 0]])),
@@ -264,3 +281,90 @@ def test_integral_floats_accepted():
     assert linalg.matmul(np.eye(2), np.array([[2.0, 1.0], [0.0, 1.0]]), _F3).tolist() == \
         [[2, 1], [0, 1]]
     assert linalg.rank(np.zeros((2, 2)), make_field(2)) == 0
+
+
+_GRID = PointEnumeration(Rectangle(1, 2), _F3)
+
+# (error, call): each entry point on an operand that is not a matrix (1-D,
+# or 3-D where any matrix is taken) and on one of a wrong length
+_NOT_A_MATRIX = {
+    "Code: 1-D": (DimensionMismatch, lambda: Code(_F3, [2, 1, 2])),
+    "Code: 3-D": (DimensionMismatch, lambda: Code(_F3, _C3.generator[None])),
+    "Code.contains: 2-D": (DimensionMismatch, lambda: _C3.contains(_C3.generator[:1])),
+    "Code.contains: length": (DimensionMismatch, lambda: _C3.contains([2, 1])),
+    "span_generation_test: 1-D": (DimensionMismatch, lambda: analysis.span_generation_test(
+        _C3, _C3.generator[0])),
+    "span_generation_test: length": (DimensionMismatch, lambda: analysis.span_generation_test(
+        _C3, _C3.generator[:, :2])),
+    "rank: 1-D": (DimensionMismatch, lambda: linalg.rank([1, 0, 2], _F3)),
+    "rank: 3-D": (DimensionMismatch, lambda: linalg.rank(_I2[None], _F3)),
+    "rank over F_2: 1-D": (DimensionMismatch, lambda: linalg.rank([1, 0], make_field(2))),
+    "rref: 1-D": (DimensionMismatch, lambda: linalg.rref([1, 0, 2], _F3)),
+    "rref: 3-D": (DimensionMismatch, lambda: linalg.rref(_I2[None], _F3)),
+    "nullspace: 1-D": (DimensionMismatch, lambda: linalg.nullspace([1, 0, 2], _F3)),
+    "nullspace: 3-D": (DimensionMismatch, lambda: linalg.nullspace(_I2[None], _F3)),
+    "matmul(A): 1-D": (DimensionMismatch, lambda: linalg.matmul([1, 0], _I2, _F3)),
+    "matmul(B): length": (DimensionMismatch, lambda: linalg.matmul(_I2, np.eye(3), _F3)),
+    "inv_matrix: 1-D": (DimensionMismatch, lambda: linalg.inv_matrix([1, 0, 2], _F3)),
+    "inv_matrix: length": (SingularMatrix, lambda: linalg.inv_matrix(np.ones((2, 3)), _F3)),
+    "rowspace_equal(A): 1-D": (DimensionMismatch, lambda: linalg.rowspace_equal(
+        [1, 0], _I2, _F3)),
+    "rowspace_equal(B): length": (DimensionMismatch, lambda: linalg.rowspace_equal(
+        np.eye(2), [[1, 0, 0], [0, 1, 0]], _F3)),
+    "AffineTransform(B): 1-D": (DimensionMismatch, lambda: transforms.AffineTransform(
+        B=[1], A=_I2, u=np.zeros((1, 2)), field=_F3)),
+    "AffineTransform(A): 1-D": (DimensionMismatch, lambda: transforms.AffineTransform(
+        B=np.eye(1), A=[1, 0], u=np.zeros((1, 2)), field=_F3)),
+    "AffineTransform(B): length": (SingularMatrix, lambda: transforms.AffineTransform(
+        B=np.ones((1, 2)), A=_I2, u=np.zeros((1, 2)), field=_F3)),
+    "AffineTransform(u): length": (DimensionMismatch, lambda: transforms.AffineTransform(
+        B=np.eye(1), A=_I2, u=np.zeros((1, 3)), field=_F3)),
+    "rank_counterexample_check: 1-D": (DimensionMismatch, lambda:
+                                       analysis.rank_counterexample_check(3, 2, 2, [1, 0, 0, 1])),
+    "rank_counterexample_check: length": (DimensionMismatch, lambda:
+                                          analysis.rank_counterexample_check(3, 2, 2, np.eye(3))),
+    "linear_form_power_basis: 1-D": (DependentForms, lambda: linear_form_power_basis(
+        _F3, [1, 0])),
+    "linear_form_power_basis: length": (DependentForms, lambda: linear_form_power_basis(
+        _F3, [[1, 0, 0], [0, 1, 0]])),
+    "index_of: 1-D": (DimensionMismatch, lambda: _GRID.index_of([0, 1])),
+    "index_of: length": (DimensionMismatch, lambda: _GRID.index_of([[0, 1, 0]])),
+    "export_parity_alist: 1-D": (DimensionMismatch, lambda: alist.export_parity_alist(
+        [1, 0, 2], "H.alist", 3)),
+    "export_parity_alist: 3-D": (DimensionMismatch, lambda: alist.export_parity_alist(
+        _C3.generator[None], "H.alist", 3)),
+    "write_alist: 1-D": (DimensionMismatch, lambda: alist.write_alist([1, 0, 1], "H.alist")),
+    "write_alist: 3-D": (DimensionMismatch, lambda: alist.write_alist(_I2[None], "H.alist")),
+    "write_qval: 1-D": (DimensionMismatch, lambda: alist.write_qval([1, 0, 2], "H.qval")),
+    "write_qval: 3-D": (DimensionMismatch, lambda: alist.write_qval(_I2[None], "H.qval")),
+    "Permutation: 2-D": (DimensionMismatch, lambda: transforms.Permutation([[1, 0]])),
+    "Permutation.apply: length": (DimensionMismatch, lambda: transforms.Permutation(
+        [1, 0]).apply([5, 6, 7])),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NOT_A_MATRIX))
+def test_operands_of_the_wrong_shape_rejected(entry, tmp_path, monkeypatch):
+    """An operand with the wrong number of axes, or a wrong length, raises
+    DimensionMismatch before any entry is read (a writer before it opens a
+    file), not a numpy error or a broadcast result.  inv_matrix keeps
+    SingularMatrix for a 2-D matrix that is not square, and
+    linear_form_power_basis DependentForms for forms that are not s x s."""
+    monkeypatch.chdir(tmp_path)
+    error, call = _NOT_A_MATRIX[entry]
+    with pytest.raises(error):
+        call()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_linalg_entry_point_is_in_the_shape_registry():
+    """A new public function of agcodes.linalg must join _NOT_A_MATRIX, so
+    no entry point skips the gate.  pack_rows and unpack_rows are left out:
+    they take 0/1 codec arrays (bits and packed words), not field
+    elements, and no field to check them against."""
+    public = {name for name, obj in vars(linalg).items()
+              if callable(obj) and not name.startswith("_")
+              and getattr(obj, "__module__", None) == "agcodes.linalg"}
+    covered = {entry.split(":")[0].split("(")[0].split(" ")[0] for entry in _NOT_A_MATRIX}
+    assert public - {"pack_rows", "unpack_rows"} <= covered
+    assert {"rank", "rref", "nullspace", "matmul", "inv_matrix", "rowspace_equal"} <= public

@@ -23,7 +23,7 @@ def test_gf2_reducer_matches_dense_rank():
     for _ in range(20):
         M = _random_matrix(rng, 12, 20, 2)
         dense = len(linalg.rref(M, F)[1])
-        assert linalg.gf2_rank(M) == dense
+        assert linalg._gf2_rank(M) == dense
 
 
 @pytest.mark.parametrize("rows", [1, 7, 8, 9, 63, 65])
@@ -41,7 +41,8 @@ def test_gf2_rank_against_rref(rows):
         for A in [M, low, np.zeros((rows, cols), dtype=np.uint8),
                   np.ones((rows, cols), dtype=np.uint8), strided]:
             expected = len(linalg.rref(A, F)[1])
-            assert linalg.rank(A, F) == linalg.rank(A.T, F) == expected
+            assert linalg._gf2_rank(A) == linalg._gf2_rank(A.T) == expected
+            assert linalg.rank(A, F) == expected
         if rows > cols:  # bit b of byte g in row j is M[8g + b, j]
             P = linalg._packed_columns(M)
             bits = np.unpackbits(P, axis=1, bitorder="little")
@@ -366,7 +367,7 @@ def test_inverse_roundtrip(q):
     n = 5
     while True:
         A = _random_matrix(rng, n, n, q)
-        if linalg.is_invertible(A, F):
+        if linalg.rank(A, F) == n:
             break
     Ainv = linalg.inv_matrix(A, F)
     assert np.array_equal(linalg.matmul(A, Ainv, F), np.eye(n, dtype=np.uint8))

@@ -32,6 +32,25 @@ class TestPermutation:
         with pytest.raises(ValueError):
             tr.Permutation(np.array([0, 0, 1]))
 
+    def test_non_integral_map_rejected(self):
+        """The int64 cast would read [1.7, 0.2] as the bijection [1, 0]."""
+        with pytest.raises(ValueError, match="non-integral"):
+            tr.Permutation([1.7, 0.2])
+        for bad in [[1 + 1j, 0], [np.inf, 0], [np.nan, 0]]:  # no cast warning either
+            with pytest.raises(ValueError, match="non-integral"):
+                tr.Permutation(bad)
+        assert tr.Permutation([1.0, 0.0]) == tr.Permutation([1, 0])
+
+    def test_map_and_word_shapes_checked(self):
+        """A map that is not 1-D is refused, and apply takes only a word of
+        length n: [5, 6, 7][[1, 0]] would drop the 7."""
+        with pytest.raises(DimensionMismatch):
+            tr.Permutation([[1, 0]])
+        p = tr.Permutation([1, 0])
+        for word in [[5, 6, 7], [5], [[5, 6]]]:
+            with pytest.raises(DimensionMismatch):
+                p.apply(word)
+
     def test_hash_and_text(self):
         p = tr.Permutation(np.array([1, 0]))
         assert p == tr.Permutation(np.array([1, 0]))
@@ -218,6 +237,12 @@ class TestAutomorphisms:
         C, _ = setup_224
         with pytest.raises(DimensionMismatch):
             tr.is_automorphism(C, tr.Permutation(np.arange(4)))
+
+    def test_needs_a_permutation(self, setup_224):
+        """An index array has no n; the error names the type to pass."""
+        C, _ = setup_224
+        with pytest.raises(TypeError, match="Permutation"):
+            tr.is_automorphism(C, np.arange(C.n))
 
 
 class TestRankClasses:
