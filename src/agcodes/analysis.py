@@ -15,14 +15,19 @@ are histogrammed.
 The dual search counts weights <= 4 on two routes over one sorted key of
 the nonzero columns D, each scaled so its first nonzero digit is 1
 (_normalize); the zero columns and the runs of equal keys give B_1 and
-B_2, and combinations of columns are keyed alike (_combine) and looked up
-among the keys (_find).  On a code that build_affine_grassmann or
-build_reed_muller made, still unchanged, the orbit route uses the
-automorphism group (translations, and the maps P -> B P A^{-1} on each
-rank class): B_3 and B_4 follow from lookups of D_0 + t D_a and
-D_0 + t D_a + v D_b at one point a of each class (see _orbit_counts).
-Every other generator takes one sort-and-group kernel on the pair keys
-(see low_weight_dual_search), which also lists the words.
+B_2, and combinations of columns are keyed alike (_combine).  On a code
+that build_affine_grassmann or build_reed_muller made, still unchanged,
+the orbit route uses the automorphism group (translations, and the maps
+P -> B P A^{-1} on each rank class): B_3 and B_4 follow from lookups of
+D_0 + t D_a and D_0 + t D_a + v D_b among the column keys (_find) at one
+point a of each class (see _orbit_counts).  Every other generator takes
+one sort-merge kernel (_pair_search): the pair keys are sorted once and
+the column keys looked up among them, and the runs of equal pair keys
+give B_4 and list the words.
+
+The span test ranks a word matrix M and checks its membership with one
+certificate (_spanning_rows): rows S of M and a kernel basis K of S with
+M K^T = 0, so span M = span S, found by syndrome passes over M.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .field import digits, make_field, undigits
 from .monomials import Rectangle, SparsePolynomial
 
 DEFAULT_ENUM_CAP = 2 ** 24
-# Pair combinations the support search may form (2^25 int64 keys, 256 MiB).
+# Pair combinations the support search may form: 2^25 int64 keys (256 MiB),
+# at every w_max >= 3, plus one int64 argsort index of them when listing.
 MAX_PAIR_COMBINATIONS = 2 ** 25
 # Cells of the combinations one block forms (support search, enumeration),
 # and bytes of the enumeration's packed table and of one batch of its words.
@@ -243,11 +249,12 @@ def _groups(sorted_keys):
     return starts, np.diff(starts, append=len(sorted_keys))
 
 
-def _group_pairs(starts, sizes):
-    """Positions i < j of every pair of entries inside one run."""
-    later = np.repeat(starts + sizes, sizes) - np.arange(sizes.sum()) - 1
-    i = np.repeat(np.arange(sizes.sum()), later)
-    return i, i + 1 + np.arange(later.sum()) - np.repeat(np.cumsum(later) - later, later)
+def _ranges(lo, hi):
+    """(i, x) for every x with lo[i] <= x < hi[i] (hi >= lo), in order of
+    i, then x."""
+    sizes = hi - lo
+    i = np.repeat(np.arange(len(lo)), sizes)
+    return i, np.arange(len(i)) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
 
 
 def _words(F, lead, supports, coeffs):
@@ -255,82 +262,94 @@ def _words(F, lead, supports, coeffs):
     column indices and the coefficients on the normalized columns there:
     rescaled to the original columns by 1 / lead, scaled so each word's
     first entry is 1, and sorted by support, then coefficients."""
-    coeffs = F.mul(coeffs, F.inv_table[lead[supports]])
-    coeffs = F.mul(coeffs, F.inv_table[coeffs[:, :1]])
-    key = np.zeros(len(supports), dtype=np.int64)  # (nq)^w < 2^61: (q-1) n^2 <= 2^26 at w >= 3
-    for digits, base in [(supports, len(lead)), (coeffs, F.q)]:
-        for col in digits.T:
-            key = key * base + col
-    by_key = np.argsort(key)
     n = len(lead)
+    key = np.zeros(len(supports), dtype=np.int64)  # (nq)^w < 2^61: (q-1) n^2 <= 2^26 at w >= 3
+    for col in supports.T:
+        key = key * n + col
+    if F.q > 2:  # over F_2 every lead and coefficient is 1
+        coeffs = F.mul(coeffs, F.inv_table[lead[supports]])
+        coeffs = F.mul(coeffs, F.inv_table[coeffs[:, :1]])
+        for col in coeffs.T:
+            key = key * F.q + col
+    by_key = np.argsort(key)
     words = np.zeros((len(supports), n), dtype=np.uint8)
     np.put(words, supports[by_key] + n * np.arange(len(supports))[:, None], coeffs[by_key])
     return words
 
 
-def _pair_search(F, S, keys, index, w_max, collect):
+def _pair_search(F, S, keys, w_max, collect):
     """(B_3, B_4, read) on the pairwise non-proportional normalized
-    columns D, with their multiples S, keys and index (_combine, _find);
-    with collect, read() returns the words of weight w_max, one per
-    projective class, as _words takes them, so the caller can size them
-    from the counts before they are formed.
+    columns D, with their multiples S and keys (_combine); with collect,
+    read() returns the words of weight w_max, one per projective class,
+    as _words takes them, so the caller can size them from the counts
+    before they are formed.
 
-    Each pair entry keeps, beside its pair a < b, the coefficients (u, v)
-    with u D_a + v D_b = N, its normalized combination: (1, t) / lambda
-    for D_a + t D_b = lambda N.  A column c whose key is the entry's
-    gives the word u D_a + v D_b - D_c, kept when c > b; two entries with
-    equal keys give the word u D_a + v D_b - u' D_c - v' D_d, kept when
-    b < c.  So each word is read off one match, the one that splits off
-    its lowest two columns.
+    Entry (q-1) p + t - 1 is D_a + t D_b = lambda N for the p-th pair
+    a < b in (a, b) order and t in F_q*.  The block loop keeps only its
+    key, the key of its normalized combination N, and, for q > 2 when
+    listing, its lead lambda.  The keys are sorted once (by argsort when
+    listing), and the n column keys are looked up in them: column c
+    bounds the run of the entries with N = D_c, so m3 is the number of
+    entries in those runs, and the run sizes g give sum C(g, 2).
+
+    An entry's pair, t and coefficients (u, v) = (1, t) / lambda on
+    (D_a, D_b) are decoded from its index.  An entry in the run of a
+    column c > b gives the word u D_a + v D_b - D_c.  At weight 4 each
+    run is put in entry order, so by first column; an entry's partners
+    are the tail of its run from the first entry whose first column c is
+    above its b, each giving u D_a + v D_b - u' D_c - v' D_d.  So each
+    word is formed once, from the match that splits off its lowest two
+    columns.
     """
     q, n = F.q, len(keys)
-    total = (q - 1) * (n * (n - 1) // 2) if w_max >= 4 else 0
+    total = (q - 1) * (n * (n - 1) // 2)
     pair_keys = np.empty(total, dtype=np.int64)
-    pairs = np.empty((total if collect else 0, 2), dtype=np.int32)
-    pair_coef = np.empty(pairs.shape, dtype=np.uint8)  # (u, v)
-    supp3, coef3 = [np.empty((0, 3), dtype=np.intp)], [np.empty((0, 3), dtype=np.uint8)]
-    m3, filled = 0, 0
-    rows = max(1, _BLOCK_CELLS // max(1, S[:1].size * n))
+    leads = np.empty(total if collect and q > 2 else 0, dtype=np.uint8)
+    cells = n if q == 2 else S[:1].size * n  # per row a; over F_2 one XOR key per pair
+    rows = max(1, _BLOCK_CELLS // max(1, cells))
+    filled = 0
     for lo in range(0, n, rows):
         a, b = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
-        a += lo
-        lead, pk = (x.ravel() for x in _combine(F, S, keys, a, b))
-        c = _find(index, pk)
-        m3 += int(np.count_nonzero(c >= 0))
-        if collect:  # entry (q-1) i + t - 1 is D_a + t D_b of pair i; (u, v) = (1, t) / lambda
-            a, b = np.repeat(a, q - 1), np.repeat(b, q - 1)
-            t = np.tile(np.arange(1, q, dtype=np.uint8), len(pk) // (q - 1))
-            coef = F.mul(F.inv_table[lead][:, None], np.c_[np.ones_like(t), t])
-        if collect and w_max == 3:
-            supp3.append(np.stack([a, b, c], axis=1)[c > b])
-            coef3.append(np.c_[coef, np.full(len(a), F.neg(1))][c > b])
-        if total:
-            pair_keys[filled:filled + len(pk)] = pk
-            if collect:
-                pairs[filled:filled + len(pk)] = np.stack([a, b], axis=1)
-                pair_coef[filled:filled + len(pk)] = coef
-            filled += len(pk)
-    t3 = m3 // 3
-    if not total:
-        return (q - 1) * t3, 0, lambda: (np.concatenate(supp3), np.concatenate(coef3))
+        lead, pk = (x.ravel() for x in _combine(F, S, keys, a + lo, b))
+        pair_keys[filled:filled + len(pk)] = pk
+        if len(leads):
+            leads[filled:filled + len(pk)] = lead
+        filled += len(pk)
     if collect:
         by_key = np.argsort(pair_keys)
         pair_keys = pair_keys[by_key]
     else:
         pair_keys.sort()
-    collisions = 0  # sum of C(g, 2): each key's count of equal keys before it
-    for lo in range(0, total, _BLOCK_CELLS):
-        block = pair_keys[lo:lo + _BLOCK_CELLS]
-        collisions += int((np.arange(lo, lo + len(block))
-                           - np.searchsorted(pair_keys, block)).sum())
+    first, last = np.searchsorted(pair_keys, keys), np.searchsorted(pair_keys, keys, "right")
+    t3 = int((last - first).sum()) // 3
+    starts, sizes = _groups(pair_keys) if w_max >= 4 else (None, None)
+    b4 = 0 if w_max < 4 else (q - 1) * (
+        int((sizes * (sizes - 1) // 2).sum()) - 3 * (q - 2) * t3) // 3
+    row = np.arange(n + 1)
+    row = row * (2 * n - row - 1) // 2  # row[a]: the index of the pair (a, a + 1)
+
+    def entries(e):  # a, b and (u, v) of the entries e
+        p, t = np.divmod(e, q - 1)
+        pair_a = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), np.diff(row))
+        a = pair_a[p].astype(np.intp)
+        u = F.inv_table[leads[e]] if q > 2 else np.ones(len(e), dtype=np.uint8)
+        return a, p - row[a] + a + 1, np.c_[u, F.mul(u, (t + 1).astype(np.uint8))]
 
     def read():
-        i, j = (by_key[x] for x in _group_pairs(*_groups(pair_keys)))
-        i, j = np.where(pairs[j, 1] < pairs[i, 0], [j, i], [i, j])  # lower pair first
-        split = pairs[i, 1] < pairs[j, 0]  # i on the lowest two columns, j on the rest
-        i, j = i[split], j[split]
-        return np.c_[pairs[i], pairs[j]], np.c_[pair_coef[i], F.neg(pair_coef[j])]
-    return (q - 1) * t3, (q - 1) * (collisions - 3 * (q - 2) * t3) // 3, read
+        if w_max == 3:  # the entries in the run of each column c
+            c, pos = _ranges(first, last)
+            a, b, coef = entries(by_key[pos])
+            keep = c > b
+            return (np.c_[a, b, c][keep],
+                    np.c_[coef, np.full(len(c), F.neg(1), dtype=np.uint8)][keep])
+        run = np.repeat(np.arange(len(starts)) * total, sizes)
+        slot = np.sort(run + by_key)  # each run in entry order: run * total + entry
+        a, b, coef = entries(slot - run)
+        # the partners of an entry: the tail of its run from the first entry on column b + 1
+        i, j = _ranges(np.searchsorted(slot, run + (q - 1) * row[b + 1]),
+                       np.repeat(starts + sizes, sizes))
+        return np.c_[a[i], b[i], a[j], b[j]], np.c_[coef[i], F.neg(coef[j])]
+    return (q - 1) * t3, b4, read
 
 
 def _orbit_classes(C):
@@ -418,13 +437,14 @@ def low_weight_dual_search(C, w_max=4):
     parameters, its shape matches them and its generator is still the
     read-only array it was built with: ``method`` is "orbit" and
     ``enumerated`` the number of lookups.  Every other code takes the
-    kernel, with ``method`` "support-search": on pairwise non-proportional
-    columns it keys every pair combination c_a + t c_b (a < b, t in F_q*)
-    as the columns are keyed (over F_2, the XOR of two column keys), and
-    ``enumerated`` is their number, (q-1) C(n', 2), or 0 when it does not
-    run.  If m3 pair keys equal a column key, there are T3 = m3 / 3
-    collinear triples and B'_3 = (q-1) T3.  With g the sizes of the groups
-    of equal pair keys,
+    kernel (_pair_search), with ``method`` "support-search": on pairwise
+    non-proportional columns it keys every pair combination c_a + t c_b
+    (a < b, t in F_q*) as the columns are keyed (over F_2, the XOR of two
+    column keys) and sorts the keys once; ``enumerated`` is their number,
+    (q-1) C(n', 2), or 0 when it does not run.  If m3 pair keys equal a
+    column key (each column key is looked up among the sorted pair keys),
+    there are T3 = m3 / 3 collinear triples and B'_3 = (q-1) T3.  With g
+    the sizes of the runs of equal pair keys,
 
         B'_4 = (q-1) (sum C(g, 2) - 3 (q-2) T3) / 3,
 
@@ -484,7 +504,7 @@ def _search(C, w_max, collect):
             if examined > MAX_PAIR_COMBINATIONS:
                 raise TooLarge(f"{examined} pair combinations exceed the cap "
                                f"{MAX_PAIR_COMBINATIONS}")
-            b3, b4, read = _pair_search(F, S, keys, index, w_max, collect)
+            b3, b4, read = _pair_search(F, S, keys, w_max, collect)
         b[3:] = [b3, b4][:w_max - 2]
     elif w_max >= 3 and proportional == n1 * (n1 - 1) // 2:
         if collect:
@@ -507,7 +527,7 @@ def _search(C, w_max, collect):
     if w_max == 1:
         found = np.flatnonzero(zero)[:, None], np.ones((z, 1), dtype=np.uint8)
     elif w_max == 2:  # D_a - D_c for a < c in one class; no zero column here
-        i, j = _group_pairs(starts, sizes)
+        i, j = _ranges(np.arange(n1) + 1, np.repeat(starts + sizes, sizes))
         found = np.c_[order[i], order[j]], np.tile([1, F.neg(1)], (len(i), 1))
     else:
         found = read()
@@ -564,19 +584,45 @@ def min_weight_codewords(C, d):
     raise TooLarge("enumeration infeasible and no support-search route")
 
 
+def _spanning_rows(F, M):
+    """(S, r): rows S of the checked (m, n) matrix M whose span is M's,
+    and its rank r.
+
+    S starts as a strided sample of about 2n rows of M, and K is a basis
+    of the kernel of S (linalg._gf2_kernel over F_2, linalg.nullspace
+    otherwise).  One pass over blocks of about 2^22 entries of M takes the
+    syndromes M K^T.  When all vanish, every row lies in (ker S)^perp =
+    span S, so span M = span S and r = n - |K|; otherwise a strided
+    sample of about 2n of the rows with a nonzero syndrome, each outside
+    span S, joins S and the pass repeats.
+    """
+    m, n = M.shape
+    S = M[::max(1, m // max(1, 2 * n))]
+    step = max(1, 2 ** 22 // max(1, n))
+    while True:
+        K = linalg._gf2_kernel(S) if F.q == 2 else linalg.nullspace(S, F)
+        if not len(K):
+            return S, n
+        outside = np.flatnonzero(np.concatenate([
+            linalg._matmul(M[lo:lo + step], K.T, F).any(axis=1) for lo in range(0, m, step)]))
+        if not len(outside):
+            return S, n - len(K)
+        S = np.concatenate([S, M[outside[::max(1, len(outside) // (2 * n))]]])
+
+
 def span_generation_test(C, words):
     """Rank of the words (an (m, n) matrix or a list of rows) and whether
     they generate C.  A uint8 matrix, as min_weight_codewords and
     dual_codewords_of_weight return, is used as it is, without a copy.
 
-    Words that are not rows of length n raise DimensionMismatch.
-    Membership of every word in C is asserted first, by
-    ``Code._contains_rows``: for a code of dimension above n/2, such as a
-    dual, the syndromes M H^T are formed on blocks of contiguous word
-    rows, so no transposed copy of the words is made.  Over F_2 the rank
-    then packs the columns of the tall word matrix into bits (see
-    linalg.rank).  They generate C when their rank is rank G, or for a
-    dual from ``build_dual_code`` n - rank of the primal's (short) generator.
+    Words that are not rows of length n raise DimensionMismatch.  One
+    certificate gives both answers (_spanning_rows): rows S of the words
+    with the same span, found by syndrome passes over contiguous blocks
+    of word rows against the kernel of S, and their rank.  Every word
+    lies in C exactly when every row of S does, which ``Code._contains_rows``
+    tests; a word outside C raises WordNotInCode.  They generate C when
+    their rank is rank G, or for a dual from ``build_dual_code`` n - rank
+    of the primal's (short) generator.
     """
     if np.shape(words) == (0,):  # [] is no words
         words = np.zeros((0, C.n), dtype=np.uint8)
@@ -586,9 +632,9 @@ def span_generation_test(C, words):
            else linalg.rank(C.generator, C.field))
     if not len(M):
         return {"rank": 0, "generates": dim == 0}
-    if not C._contains_rows(M):
+    S, r = _spanning_rows(C.field, M)
+    if not C._contains_rows(S):
         raise WordNotInCode("a word is outside the code")
-    r = linalg.rank(M, C.field)
     return {"rank": r, "generates": r == dim}
 
 

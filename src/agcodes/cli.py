@@ -127,7 +127,7 @@ def _verify(args):
         expected_d = 3 if q > 2 else (4 if m - ell > 1 else None)
         if args.deep and r >= 1 and expected_d is not None:
             check(f"dual-min-weight-r{r}", lambda C=C, e=expected_d:
-                  analysis.low_weight_dual_search(C, w_max=4).min_distance == e)
+                  analysis.low_weight_dual_search(C, w_max=e).min_distance == e)
 
     # a random affine map must induce an automorphism of the top-level
     # code, the r = l code of the last pass

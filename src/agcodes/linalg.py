@@ -21,8 +21,12 @@ C-contiguous matrix along its rows (packbits) and any other layout as
 the columns of its transpose (_packed_columns), so packbits never runs
 along a strided axis.  rank eliminates whichever of M and its transpose
 has fewer rows; for q = 2 that side is packed by pack_rows into Python
-ints and reduced against an XOR basis (_gf2_rank).  Every matrix a caller
-passes is checked by F.elements with the shape it must have.
+ints and reduced against an XOR basis (_xor_basis).  That loop also
+tracks which rows each basis vector is the XOR of, so on the packed
+columns of a GF(2) matrix it gives a basis of the right kernel
+(_gf2_kernel).  Every matrix a caller passes to a public function is
+checked by F.elements with the shape it must have; _matmul is the
+product for a caller that has checked its operands.
 """
 
 from __future__ import annotations
@@ -75,11 +79,13 @@ def pack_rows(M):
     packed by packbits, any other layout as the columns of its
     transpose."""
     rows, cols = M.shape
-    out = np.zeros((rows, -(-cols // 64)), dtype=np.uint64)
     if M.flags.c_contiguous:
         packed = np.packbits(M, axis=1, bitorder="little")
     else:
         packed = _packed_columns(M.T)
+    if cols % 64 == 0:  # whole words already
+        return packed.view(np.uint64)
+    out = np.zeros((rows, -(-cols // 64)), dtype=np.uint64)
     out.view(np.uint8)[:, :packed.shape[1]] = packed
     return out
 
@@ -91,30 +97,59 @@ def unpack_rows(P, n):
                          count=n, bitorder="little")
 
 
-def _gf2_rank(M):
-    """Rank of a 0/1 uint8 matrix over GF(2).
+def _xor_basis(packed, track=False):
+    """Reduce the rows of the packed uint64 matrix, each read as a Python
+    int (entry i at bit i), against an XOR basis keyed by the highest set
+    bit (bit_length); a row joins the basis when it does not reduce to 0.
 
-    Whichever of the rows and the columns are fewer are packed by
-    pack_rows (of M, or of M's transpose) and read as Python ints, entry
-    i at bit i.  Each vector is reduced against an XOR basis keyed by the
-    highest set bit (bit_length) and joins it when it does not reduce to
-    0.
+    Returns (rank, dependencies).  With track, each basis vector carries
+    the set of rows it is the XOR of (row i at bit i), and dependencies
+    lists, for each row that reduces to 0, the set of rows whose XOR is
+    0: when the rows are M's columns, a basis of M's right kernel.
+    Without track, dependencies is empty.
     """
-    if M.size == 0:
-        return 0
-    packed = pack_rows(M.T if M.shape[0] > M.shape[1] else M)
     width = 8 * packed.shape[1]
     data = packed.tobytes()
-    basis = {}  # bit_length -> basis vector with that highest bit
-    for lo in range(0, len(data), width):
-        v = int.from_bytes(data[lo:lo + width], "little")
+    basis, rows_of = {}, {}  # bit_length -> basis vector with that highest bit, its rows
+    dependencies = []
+    for i in range(len(packed)):
+        v = int.from_bytes(data[i * width:(i + 1) * width], "little")
+        rows = 1 << i
         while v:
             top = v.bit_length()
-            if top not in basis:
+            b = basis.get(top)
+            if b is None:
                 basis[top] = v
+                if track:
+                    rows_of[top] = rows
                 break
-            v ^= basis[top]
-    return len(basis)
+            v ^= b
+            if track:
+                rows ^= rows_of[top]
+        else:
+            if track:
+                dependencies.append(rows)
+    return len(basis), dependencies
+
+
+def _gf2_rank(M):
+    """Rank of a 0/1 uint8 matrix over GF(2): whichever of the rows and
+    the columns are fewer are packed by pack_rows (of M, or of M's
+    transpose) and reduced by _xor_basis."""
+    return _xor_basis(pack_rows(M.T if M.shape[0] > M.shape[1] else M))[0]
+
+
+def _gf2_kernel(M):
+    """A basis of the right kernel {x : M x = 0} of a 0/1 uint8 matrix over
+    GF(2), as the rows of a (n - rank, n) uint8 matrix: _xor_basis on M's
+    packed columns, one row per column that depends on the earlier ones.
+    Its order is not nullspace's."""
+    n = M.shape[1]
+    nbytes = 8 * -(-n // 64)
+    kernel = _xor_basis(pack_rows(M.T), track=True)[1]
+    packed = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in kernel),
+                           dtype=np.uint8).reshape(len(kernel), nbytes)
+    return unpack_rows(packed, n)
 
 
 # ------------------------------------------------------------- generic over F_q
@@ -226,15 +261,19 @@ def _matmul_fp(A, B, p):
 
 
 def matmul(A, B, F):
-    """Matrix product over F_q.
+    """Matrix product over F_q of the checked A and B (_matmul)."""
+    A = F.elements(A, (None, None))
+    return _matmul(A, F.elements(B, (A.shape[1], None)), F)
+
+
+def _matmul(A, B, F):
+    """A B over F_q for uint8 element matrices a caller has checked.
 
     Over F_{p^t} with t > 1, each entry a of A becomes its t base-p digits
     and each entry b of B the t x t matrix over F_p of multiplication by b
     (row i: the digits of X^i b), so one product over F_p gives the digits
     of every entry of A B.
     """
-    A = F.elements(A, (None, None))
-    B = F.elements(B, (A.shape[1], None))
     if F.t == 1:
         return _matmul_fp(A, B, F.p)
     p, t = F.p, F.t

@@ -15,6 +15,7 @@ over the words through coordinate 0 needs one representative per class;
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -89,9 +90,13 @@ class AffineTransform:
         return F.add(linalg.matmul(BP, self.A_inv, F), self.u)
 
     def inverse(self):
+        """P -> B^{-1} P A - B^{-1} u A, from the inverses this map holds:
+        a copy, not a new transform, so B and A are not inverted again."""
         F = self.field
-        u_prime = F.neg(linalg.matmul(linalg.matmul(self.B_inv, self.u, F), self.A, F))
-        return AffineTransform(B=self.B_inv, A=self.A_inv, u=u_prime, field=F)
+        inv = copy.copy(self)
+        inv.B, inv.A, inv.B_inv, inv.A_inv = self.B_inv, self.A_inv, self.B, self.A
+        inv.u = F.neg(linalg.matmul(linalg.matmul(self.B_inv, self.u, F), self.A, F))
+        return inv
 
 
 def identity_transform(rect, F):

@@ -335,7 +335,9 @@ class TestLowWeightSearch:
     ], ids=["agc-f2-w4", "agc-f3-w3", "agc-f4-w4", "proportional-w2", "zero-w1"])
     def test_word_matrix_cap(self, code, w, monkeypatch):
         """A word matrix above MAX_WORD_CELLS raises TooLarge before any
-        word is formed; one at the cap is listed."""
+        word is formed; one at the cap is listed.  _ranges reads the
+        supports off the sorted keys at every weight >= 2, and _words
+        forms the matrix."""
         if isinstance(code, tuple):
             q, ell, m, r = code
             C = build_affine_grassmann(ell, m, r, q)
@@ -350,9 +352,28 @@ class TestLowWeightSearch:
         def forbidden(*args):
             raise AssertionError("words formed above the cap")
         monkeypatch.setattr(analysis, "_words", forbidden)
-        monkeypatch.setattr(analysis, "_group_pairs", forbidden)
+        monkeypatch.setattr(analysis, "_ranges", forbidden)
         with pytest.raises(TooLarge):
             analysis.dual_codewords_of_weight(C, w)
+
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 1), (3, 2, 4, 2), (4, 1, 3, 1)])
+    def test_kernel_looks_up_no_pair(self, q, ell, m, r, monkeypatch):
+        """The kernel sorts the pair keys and looks the column keys up in
+        them: _find, the orbit route's lookup, is never called, whether it
+        counts or lists."""
+        C = build_affine_grassmann(ell, m, r, q)
+        expected = analysis.low_weight_dual_search(C).weight_counts
+        copy = Code(field=C.field, generator=np.array(C.generator))
+
+        def forbidden(*args):
+            raise AssertionError("_find called by the kernel")
+        monkeypatch.setattr(analysis, "_find", forbidden)
+        for w in (3, 4):
+            rep = analysis.low_weight_dual_search(copy, w_max=w)
+            assert rep.method == "support-search"
+            assert rep.weight_counts == {v: expected[v] for v in range(1, w + 1)}
+            words = analysis.dual_codewords_of_weight(copy, w)
+            assert len(words) == expected[w] // (q - 1)
 
     def test_level_zero_counts(self):
         rep = analysis.low_weight_dual_search(build_affine_grassmann(2, 4, 0, 2))
@@ -803,7 +824,7 @@ class TestSpanGeneration:
     def test_bad_word_last_in_a_later_syndrome_block(self):
         """Every word is tested, up to the last one of each syndrome block."""
         D = build_dual_code(build_affine_grassmann(3, 6, 2, 2))
-        step = 2 ** 22 // D.n  # rows per syndrome block of Code._contains_rows
+        step = 2 ** 22 // D.n  # rows per syndrome block of the certificate
         words = D.generator[np.arange(2 * step + 5) % D.k]
         assert analysis.span_generation_test(D, words)["rank"] == D.k
         words[2 * step - 1, 0] ^= 1
@@ -825,6 +846,60 @@ class TestSpanGeneration:
             tracemalloc.stop()
         assert res["rank"] == 492
         assert peak < words.nbytes / 2
+
+    def test_no_rank_of_the_word_matrix(self, monkeypatch):
+        """The 68992 weight-4 words of AGC(3,6;2)/F2 get their rank from
+        the certificate: linalg.rank never sees a matrix of that many
+        rows."""
+        C = build_affine_grassmann(3, 6, 2, 2)
+        D = build_dual_code(C)
+        words = analysis.dual_codewords_of_weight(C, 4)
+        real = linalg.rank
+        rows = []
+        monkeypatch.setattr(linalg, "rank", lambda M, F: rows.append(len(M)) or real(M, F))
+        assert analysis.span_generation_test(D, words)["rank"] == 492
+        assert len(words) == 68992 and max(rows, default=0) < len(words)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_rank_matches_linalg_rank(self, q, monkeypatch):
+        """The rank is linalg.rank of the words, for AGC(2,4;1)/F_q and its
+        dual, on sets of random codewords, and on one whose strided sample
+        (every second row of 4n) is one word repeated, so the syndrome
+        pass finds rows outside its span and runs again."""
+        kernel = "_gf2_kernel" if q == 2 else "nullspace"
+        for C in (build_affine_grassmann(2, 4, 1, q),
+                  build_dual_code(build_affine_grassmann(2, 4, 1, q))):
+            F, n = C.field, C.n
+            C.parity_check()
+            rng = np.random.default_rng(q)
+
+            def codewords(m):
+                return linalg.matmul(rng.integers(0, q, (m, C.k)), C.generator, F)
+            for m in (1, 3, 2 * n + 7, 5 * n):
+                M = codewords(m)
+                assert analysis.span_generation_test(C, M)["rank"] == linalg.rank(M, F)
+            M = codewords(4 * n)
+            M[::2] = M[0]
+            calls = []
+            real = getattr(linalg, kernel)
+            monkeypatch.setattr(linalg, kernel, lambda *a: calls.append(1) or real(*a))
+            res = analysis.span_generation_test(C, M)
+            monkeypatch.setattr(linalg, kernel, real)
+            assert len(calls) >= 2
+            assert res == {"rank": linalg.rank(M, F), "generates": linalg.rank(M, F) == C.k}
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_word_outside_the_sample_rejected(self, q):
+        """A word outside the code at an odd row of 4n rows, which the
+        strided sample (every second row) misses, raises WordNotInCode."""
+        for C in (build_affine_grassmann(2, 4, 1, q),
+                  build_dual_code(build_affine_grassmann(2, 4, 1, q))):
+            F = C.field
+            rng = np.random.default_rng(q)
+            M = linalg.matmul(rng.integers(0, q, (4 * C.n, C.k)), C.generator, F)
+            M[2 * C.n + 1, 0] = F.add(M[2 * C.n + 1, 0], 1)
+            with pytest.raises(WordNotInCode):
+                analysis.span_generation_test(C, M)
 
     @pytest.mark.parametrize("q,ell,m,r,rank", [(3, 2, 4, 1, 76), (3, 2, 4, 2, 75),
                                                 (4, 1, 3, 1, 13), (4, 2, 4, 2, 250),

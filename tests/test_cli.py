@@ -170,6 +170,18 @@ class TestVerify:
             assert c["pass"] is not failed
             assert c.get("error", "").startswith("TooLarge: ") is failed
 
+    @pytest.mark.parametrize("q,d", [(3, 3), (2, 4)])
+    def test_dual_search_stops_at_the_expected_distance(self, q, d, monkeypatch, capsys):
+        """dual-min-weight-r* searches up to the expected dual distance and
+        no further: w_max 3 over F_3, 4 over F_2."""
+        real = analysis.low_weight_dual_search
+        seen = []
+        monkeypatch.setattr(analysis, "low_weight_dual_search",
+                            lambda C, w_max=4: seen.append(w_max) or real(C, w_max))
+        assert cli.main(["verify", "--deep", "--q", str(q), "--l", "2", "--m", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert seen == [d, d]  # r = 1, 2
+
     def test_dual_dim_is_the_proof_alone(self, monkeypatch, capsys):
         """dual-dim-r* runs check_dual_basis on dual_basis and evaluates no
         H; it fails when the proof does, and only it fails."""

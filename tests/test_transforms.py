@@ -94,6 +94,24 @@ class TestAffineTransform:
         assert np.array_equal(T.apply(Tinv.apply(P)), P)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_inverse_inverts_no_matrix(self, q, monkeypatch):
+        """inverse() reuses the inverses the transform already holds: it
+        calls linalg.inv_matrix 0 times, and the round trip still holds."""
+        F = make_field(q)
+        rng = np.random.default_rng(20 + q)
+        T = tr.random_transform(Rectangle(2, 3), F, rng)
+        calls = []
+        real = linalg.inv_matrix
+        monkeypatch.setattr(linalg, "inv_matrix", lambda *a: calls.append(a) or real(*a))
+        Tinv = T.inverse()
+        assert calls == []
+        P = rng.integers(0, q, size=(2, 3)).astype(np.uint8)
+        assert np.array_equal(Tinv.apply(T.apply(P)), P)
+        assert np.array_equal(T.apply(Tinv.apply(P)), P)
+        assert np.array_equal(Tinv.inverse().apply(P), T.apply(P))
+        assert calls == []
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_composition_law(self, q):
         F = make_field(q)
         rect = Rectangle(2, 2)
