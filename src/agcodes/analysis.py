@@ -280,9 +280,8 @@ def _words(F, lead, supports, coeffs):
 def _pair_search(F, S, keys, w_max, collect):
     """(B_3, B_4, read) on the pairwise non-proportional normalized
     columns D, with their multiples S and keys (_combine); with collect,
-    read() returns the words of weight w_max, one per projective class,
-    as _words takes them, so the caller can size them from the counts
-    before they are formed.
+    read() returns the words of weight w_max (_pair_words), so the caller
+    can size them from the counts before they are formed.
 
     Entry (q-1) p + t - 1 is D_a + t D_b = lambda N for the p-th pair
     a < b in (a, b) order and t in F_q*.  The block loop keeps only its
@@ -291,15 +290,6 @@ def _pair_search(F, S, keys, w_max, collect):
     listing), and the n column keys are looked up in them: column c
     bounds the run of the entries with N = D_c, so m3 is the number of
     entries in those runs, and the run sizes g give sum C(g, 2).
-
-    An entry's pair, t and coefficients (u, v) = (1, t) / lambda on
-    (D_a, D_b) are decoded from its index.  An entry in the run of a
-    column c > b gives the word u D_a + v D_b - D_c.  At weight 4 each
-    run is put in entry order, so by first column; an entry's partners
-    are the tail of its run from the first entry whose first column c is
-    above its b, each giving u D_a + v D_b - u' D_c - v' D_d.  So each
-    word is formed once, from the match that splits off its lowest two
-    columns.
     """
     q, n = F.q, len(keys)
     total = (q - 1) * (n * (n - 1) // 2)
@@ -309,22 +299,47 @@ def _pair_search(F, S, keys, w_max, collect):
     rows = max(1, _BLOCK_CELLS // max(1, cells))
     filled = 0
     for lo in range(0, n, rows):
-        a, b = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
-        lead, pk = (x.ravel() for x in _combine(F, S, keys, a + lo, b))
+        a = np.arange(lo, min(lo + rows, n))
+        i, b = _ranges(a + 1, np.full(len(a), n))  # every pair (a[i], b) with b > a[i]
+        lead, pk = (x.ravel() for x in _combine(F, S, keys, a[i], b))
         pair_keys[filled:filled + len(pk)] = pk
         if len(leads):
             leads[filled:filled + len(pk)] = lead
         filled += len(pk)
+    by_key = np.argsort(pair_keys) if collect else None
     if collect:
-        by_key = np.argsort(pair_keys)
         pair_keys = pair_keys[by_key]
     else:
         pair_keys.sort()
     first, last = np.searchsorted(pair_keys, keys), np.searchsorted(pair_keys, keys, "right")
     t3 = int((last - first).sum()) // 3
-    starts, sizes = _groups(pair_keys) if w_max >= 4 else (None, None)
-    b4 = 0 if w_max < 4 else (q - 1) * (
-        int((sizes * (sizes - 1) // 2).sum()) - 3 * (q - 2) * t3) // 3
+    collisions, lo = 0, 0  # sum C(g, 2), over blocks of about _BLOCK_CELLS keys in whole runs
+    while w_max >= 4 and lo < total:
+        hi = np.searchsorted(pair_keys, pair_keys[min(lo + _BLOCK_CELLS, total) - 1], "right")
+        sizes = _groups(pair_keys[lo:hi])[1]
+        collisions += int((sizes * (sizes - 1) // 2).sum())
+        lo = hi
+    b4 = (q - 1) * (collisions - 3 * (q - 2) * t3) // 3 if w_max >= 4 else 0
+    return (q - 1) * t3, b4, lambda: _pair_words(F, n, w_max, pair_keys, by_key, leads,
+                                                 first, last)
+
+
+def _pair_words(F, n, w_max, pair_keys, by_key, leads, first, last):
+    """The words of weight w_max (3 or 4), one per projective class, as
+    _words takes them, from _pair_search's sorted pair keys, their entry
+    indices by_key, the leads of the entries and the run [first, last)
+    of each column key.
+
+    An entry's pair a < b, its t and its coefficients
+    (u, v) = (1, t) / lambda on (D_a, D_b) are decoded from its index.
+    An entry in the run of a column c > b gives the word
+    u D_a + v D_b - D_c.  At weight 4 each run is put in entry order, so
+    by first column; an entry's partners are the tail of its run from the
+    first entry whose first column c is above its b, each giving
+    u D_a + v D_b - u' D_c - v' D_d.  So each word is formed once, from
+    the match that splits off its lowest two columns.
+    """
+    q, total = F.q, len(pair_keys)
     row = np.arange(n + 1)
     row = row * (2 * n - row - 1) // 2  # row[a]: the index of the pair (a, a + 1)
 
@@ -335,21 +350,20 @@ def _pair_search(F, S, keys, w_max, collect):
         u = F.inv_table[leads[e]] if q > 2 else np.ones(len(e), dtype=np.uint8)
         return a, p - row[a] + a + 1, np.c_[u, F.mul(u, (t + 1).astype(np.uint8))]
 
-    def read():
-        if w_max == 3:  # the entries in the run of each column c
-            c, pos = _ranges(first, last)
-            a, b, coef = entries(by_key[pos])
-            keep = c > b
-            return (np.c_[a, b, c][keep],
-                    np.c_[coef, np.full(len(c), F.neg(1), dtype=np.uint8)][keep])
-        run = np.repeat(np.arange(len(starts)) * total, sizes)
-        slot = np.sort(run + by_key)  # each run in entry order: run * total + entry
-        a, b, coef = entries(slot - run)
-        # the partners of an entry: the tail of its run from the first entry on column b + 1
-        i, j = _ranges(np.searchsorted(slot, run + (q - 1) * row[b + 1]),
-                       np.repeat(starts + sizes, sizes))
-        return np.c_[a[i], b[i], a[j], b[j]], np.c_[coef[i], F.neg(coef[j])]
-    return (q - 1) * t3, b4, read
+    if w_max == 3:  # the entries in the run of each column c
+        c, pos = _ranges(first, last)
+        a, b, coef = entries(by_key[pos])
+        keep = c > b
+        return (np.c_[a, b, c][keep],
+                np.c_[coef, np.full(len(c), F.neg(1), dtype=np.uint8)][keep])
+    starts, sizes = _groups(pair_keys)
+    run = np.repeat(np.arange(len(starts)) * total, sizes)
+    slot = np.sort(run + by_key)  # each run in entry order: run * total + entry
+    a, b, coef = entries(slot - run)
+    # the partners of an entry: the tail of its run from the first entry on column b + 1
+    i, j = _ranges(np.searchsorted(slot, run + (q - 1) * row[b + 1]),
+                   np.repeat(starts + sizes, sizes))
+    return np.c_[a[i], b[i], a[j], b[j]], np.c_[coef[i], F.neg(coef[j])]
 
 
 def _orbit_classes(C):
@@ -544,7 +558,7 @@ def dual_codewords_of_weight(C_primal, w):
     Each word is read off one match of the support search: a zero column
     (w = 1), two columns of one projective class (w = 2), or a pair entry
     whose key equals a column's key (w = 3) or another entry's (w = 4);
-    see _pair_search.  A generator with a zero column raises Unsupported
+    see _pair_words.  A generator with a zero column raises Unsupported
     for w >= 2, and one with proportional columns (a single projective
     class, or more) for w >= 3.  Words of more than MAX_WORD_CELLS cells
     in all raise TooLarge, once the search has counted them and before

@@ -164,7 +164,8 @@ class FieldSpec:
             if not (M == np.round(M.real)).all():
                 raise ValueError(f"a non-integral entry is not an element of F_{self.q}")
             M = M.real
-        if M.size and (M.max() >= self.q or M.min() < 0):
+        # an unsigned array has no negative entry, so its min is not read
+        if M.size and (M.max() >= self.q or M.dtype.kind != "u" and M.min() < 0):
             raise ValueError(f"a matrix entry is not an element of F_{self.q}")
         return M.astype(np.uint8, copy=False)
 

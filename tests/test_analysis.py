@@ -335,9 +335,10 @@ class TestLowWeightSearch:
     ], ids=["agc-f2-w4", "agc-f3-w3", "agc-f4-w4", "proportional-w2", "zero-w1"])
     def test_word_matrix_cap(self, code, w, monkeypatch):
         """A word matrix above MAX_WORD_CELLS raises TooLarge before any
-        word is formed; one at the cap is listed.  _ranges reads the
-        supports off the sorted keys at every weight >= 2, and _words
-        forms the matrix."""
+        word is formed; one at the cap is listed.  _pair_words reads the
+        supports off the kernel's sorted keys at w >= 3, _ranges off the
+        column runs at w = 2 (at w >= 3 the kernel counts with it), and
+        _words forms the matrix."""
         if isinstance(code, tuple):
             q, ell, m, r = code
             C = build_affine_grassmann(ell, m, r, q)
@@ -352,7 +353,9 @@ class TestLowWeightSearch:
         def forbidden(*args):
             raise AssertionError("words formed above the cap")
         monkeypatch.setattr(analysis, "_words", forbidden)
-        monkeypatch.setattr(analysis, "_ranges", forbidden)
+        monkeypatch.setattr(analysis, "_pair_words", forbidden)
+        if w == 2:
+            monkeypatch.setattr(analysis, "_ranges", forbidden)
         with pytest.raises(TooLarge):
             analysis.dual_codewords_of_weight(C, w)
 
@@ -374,6 +377,19 @@ class TestLowWeightSearch:
             assert rep.weight_counts == {v: expected[v] for v in range(1, w + 1)}
             words = analysis.dual_codewords_of_weight(copy, w)
             assert len(words) == expected[w] // (q - 1)
+
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 1), (3, 2, 4, 2), (4, 1, 3, 1)])
+    def test_counts_over_tiny_blocks(self, q, ell, m, r, monkeypatch):
+        """With _BLOCK_CELLS at 5, the pair keys are formed one row at a
+        time and sum C(g, 2) is taken over many blocks, each extended to
+        the end of the run it cuts; the counts and words do not change."""
+        C = build_affine_grassmann(ell, m, r, q)
+        copy = Code(field=C.field, generator=np.array(C.generator))
+        expected = analysis.low_weight_dual_search(copy).weight_counts
+        words = analysis.dual_codewords_of_weight(copy, 4)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 5)
+        assert analysis.low_weight_dual_search(copy).weight_counts == expected
+        assert np.array_equal(analysis.dual_codewords_of_weight(copy, 4), words)
 
     def test_level_zero_counts(self):
         rep = analysis.low_weight_dual_search(build_affine_grassmann(2, 4, 0, 2))
