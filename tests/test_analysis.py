@@ -886,7 +886,7 @@ class TestSpanGeneration:
         for C in (build_affine_grassmann(2, 4, 1, q),
                   build_dual_code(build_affine_grassmann(2, 4, 1, q))):
             F, n = C.field, C.n
-            C.parity_check()
+            C.parity_check()  # cached now, so the spy below counts only the certificate
             rng = np.random.default_rng(q)
 
             def codewords(m):
