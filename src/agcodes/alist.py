@@ -25,11 +25,15 @@ of at most ``_BLOCK_TOKENS`` nonzero entries or one line, and each round
 is written in blocks of at most ``_BLOCK_CELLS`` padded cells or one line.
 Only the nonzero entries are formatted, and an index line's padding is a
 slice of one constant "0 0 ... 0" run.
-``_format`` is the one decimal formatter: it reads each value's text from
-a fixed table of 0..9999, one table read per four digits.
+``_format`` is the one decimal formatter.  A one-digit token (the entries
+of H and of a generator over q <= 9) is one uint16, the digit and its
+separator; wider ones read their text from a fixed table of 0..9999, one
+table read per four digits.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -62,21 +66,30 @@ _ZEROS = np.frombuffer(b"0000", dtype=np.uint32)[0]  # OR-ed over the filler
 
 def _format(v, ends):
     """The nonnegative integers v (flattened) in decimal, each followed by
-    a space or, at the indices ends, a newline: the rows of a uint8 grid as
-    wide as the largest token, digits right-aligned after NUL filler, as
-    they are when every token fills the grid and without filler otherwise.
-    The digits are read from _DIGITS, four at a time."""
+    a space or, at the indices ends, a newline.  One-digit values (element
+    codes over q <= 9) are one little-endian uint16 each, the digit and
+    then its separator; wider ones are the rows of a grid (_grid)."""
     v = np.ravel(v)
     top = int(v.max(initial=0))
     if top >= 10 ** _MAX_DIGITS:
         raise TooLarge(f"entry {top} has more than {_MAX_DIGITS} digits")
-    w = len(str(top)) + 1
+    if top >= 10:
+        return _grid(v, ends, len(str(top)) + 1)
+    pairs = np.empty(v.size, dtype="<u2")
+    np.add(v, np.uint16(ord("0") | ord(" ") << 8), out=pairs, casting="unsafe")
+    pairs[ends] -= (ord(" ") - ord("\n")) << 8
+    return pairs.view(np.uint8)
+
+
+def _grid(v, ends, w):
+    """The tokens of _format as the rows of a uint8 grid w bytes wide, the
+    widest token's digits and its separator: digits right-aligned after
+    NUL filler, kept as they are when every token fills the grid and
+    without the filler otherwise.  The digits are read from _DIGITS, four
+    at a time."""
     grid = np.empty((v.size, w), dtype=np.uint8)
     grid[:, -1] = ord(" ")
     grid[ends, -1] = ord("\n")
-    if w == 2:  # one digit (generator rows over q <= 9): value + "0", no table read
-        np.add(v, ord("0"), out=grid[:, 0], casting="unsafe")
-        return grid.ravel()
     if w <= 5:
         codes = _DIGITS[v].reshape(-1, 1)
     else:  # up to 7 digits: a high group of up to 3, then 4 zero-filled ones
@@ -280,39 +293,48 @@ def _checked(H):
     return H
 
 
-def write_alist(H, path):
-    """Write the m x n matrix H (nonzero pattern only) to an alist file."""
+def _write(H, path, qval_path):
+    """Write H's alist file at path and its .qval values at qval_path,
+    each unless None, from one keyed pass: each run of _keyed writes its
+    index lines, then its value lines."""
     H = _checked(H)
     m, n = H.shape
     col_wts, row_wts, runs = _keyed(H)
     width = {True: int(col_wts.max(initial=0)), False: int(row_wts.max(initial=0))}
-    with open(path, "wb") as fh:
-        fh.write(f"{n} {m}\n{width[True]} {width[False]}\n".encode())
-        _write_rows(fh, col_wts[None, :])
-        _write_rows(fh, row_wts[None, :])
+    with contextlib.ExitStack() as files:
+        fh, fq = (None if p is None else files.enter_context(open(p, "wb"))
+                  for p in (path, qval_path))
+        if fh is not None:
+            fh.write(f"{n} {m}\n{width[True]} {width[False]}\n".encode())
+            _write_rows(fh, col_wts[None, :])
+            _write_rows(fh, row_wts[None, :])
         for columns, lines, keys in runs:
             wts = (col_wts if columns else row_wts)[lines]
-            _write_lines(fh, H, keys, wts, columns, width=width[columns])
+            if fh is not None:
+                _write_lines(fh, H, keys, wts, columns, width=width[columns])
+            if fq is not None:
+                _write_lines(fq, H, keys, wts, columns, values=True)
+
+
+def write_alist(H, path, qval_path=None):
+    """Write the m x n matrix H (nonzero pattern only) to an alist file
+    and, when qval_path is given, write_qval's file there from the same
+    keyed pass."""
+    _write(H, path, qval_path)
 
 
 def write_qval(H, path):
     """Companion value file for q > 2: the nonzero entries in the same
     traversal order as the alist index lists (columns first, then rows)."""
-    H = _checked(H)
-    col_wts, row_wts, runs = _keyed(H)
-    with open(path, "wb") as fh:
-        for columns, lines, keys in runs:
-            wts = (col_wts if columns else row_wts)[lines]
-            _write_lines(fh, H, keys, wts, columns, values=True)
+    _write(H, None, path)
 
 
 def export_parity_alist(H, path, q):
-    """Write H as alist; for q > 2 also write the .qval companion.  An
-    entry outside F_q raises ValueError before any file is opened."""
+    """Write H as alist; for q > 2 also write the .qval companion, H keyed
+    once for both.  An entry outside F_q raises ValueError before any file
+    is opened."""
     H = make_field(q).elements(H, (None, None))
-    write_alist(H, path)
-    if q > 2:
-        write_qval(H, str(path) + ".qval")
+    write_alist(H, path, str(path) + ".qval" if q > 2 else None)
 
 
 def _incidence(lists, size):

@@ -7,11 +7,12 @@ generator matrix in the package is reproducible bit for bit from this
 convention.
 
 Evaluation is one numpy kernel for every q: ``evaluate`` writes the
-evaluations of a list of polynomials into one preallocated matrix, a
-block of rows at a time, from the keys of ``monomials.term_table``: each
-term's vector is the outer product of two rows of one cached table W, the
-values of every monomial in ceil(delta/2) variables at every point of
-F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
+evaluations of rows of polynomials into one preallocated matrix, a block
+of rows at a time, from their term table (``monomials.term_arrays``: a
+``TermRows``'s own arrays, such as the dual basis, or a list's terms):
+each term's vector is the outer product of two rows of one cached table
+W, the values of every monomial in ceil(delta/2) variables at every point
+of F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
 terms.  Every builder calls it once.
 """
 
@@ -29,7 +30,7 @@ from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import digits, make_field, undigits
 from .minors import enumerate_minors, minor_polynomial
 from .monomials import (Rectangle, SparsePolynomial, add_terms,
-                        all_reduced_monomials, monomial_degree, term_table)
+                        all_reduced_monomials, monomial_degree, term_arrays)
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
 _BLOCK_CELLS = 2 ** 16  # entries per block of evaluate and dual.check_dual_basis
@@ -78,21 +79,20 @@ class PointEnumeration:
 
 def evaluate(polys, pe):
     """The (len(polys), n) matrix whose row j is Ev(polys[j]), coordinate i
-    being polys[j](P_i).  One polynomial f is ``evaluate([f], pe)[0]``.
+    being polys[j](P_i).  polys is a list of polynomials or a
+    ``monomials.TermRows``, read through its arrays alone.  One polynomial
+    f is ``evaluate([f], pe)[0]``.
 
     Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  A term
     with key hi * q^h + lo, h = delta // 2, has at point i_hi * q^h + i_lo
     the value W[hi, i_hi] * W[lo, i_lo]: one field lookup per block.  A
-    negative exponent or a coefficient outside F_q* raises ValueError in
-    ``term_table``.
+    field or rectangle other than pe's raises DimensionMismatch, and a
+    negative exponent or a coefficient outside F_q* ValueError.
     """
     F, n = pe.field, pe.n
     q = F.q
-    for f in polys:
-        if f.rect != pe.rect or f.field.q != q:
-            raise DimensionMismatch("polynomial does not match the point enumeration")
     delta = pe.rect.delta
-    keys, _, rows, mons, coefs, pos = term_table(polys, q, delta)
+    keys, _, rows, mons, coefs, pos = term_arrays(polys, F, pe.rect)
     low = q ** (delta // 2)
     hi, lo = np.divmod(keys[mons], low)  # one entry per term
     W = _monomial_values(q, delta - delta // 2)
@@ -100,10 +100,14 @@ def evaluate(polys, pe):
     step = max(1, _BLOCK_CELLS // n)
     starts = range(0, len(polys), step)
     cuts = np.searchsorted(rows, [*starts, len(polys)])  # rows ascend
+    other = np.r_[0, np.cumsum((pos != 0) | (coefs != 1))]  # terms that are not a row's one monomial
     for start, a, b in zip(starts, cuts, cuts[1:]):
         V = F.mul(W[hi[a:b], :, None], W[lo[a:b], None, :low]).reshape(b - a, n)
-        add_terms(F, V, rows[a:b] - start, np.arange(b - a), coefs[a:b], pos[a:b],
-                  H[start:start + step])
+        block = H[start:start + step]
+        if b - a == len(block) and other[a] == other[b]:  # each row is one monomial
+            block[...] = V
+        else:
+            add_terms(F, V, rows[a:b] - start, np.arange(b - a), coefs[a:b], pos[a:b], block)
     return H
 
 
@@ -118,7 +122,7 @@ class Code:
 
     def __post_init__(self):
         self.generator = self.field.elements(self.generator, (None, None))
-        self._parity = None
+        self._parity = self._rank = None
 
     @property
     def n(self):
@@ -146,12 +150,15 @@ class Code:
         """True iff every row of words is a codeword.  The test goes through
         whichever of the generator and the parity check has fewer rows:
         rank([G; words]) == rank(G), or a zero syndrome.  So a code of low
-        dimension never builds its parity check here.  Syndromes are taken
-        on blocks of about 2^22 entries of contiguous word rows."""
+        dimension never builds its parity check here, and it ranks its
+        generator once (cached).  Syndromes are taken on blocks of about
+        2^22 entries of contiguous word rows."""
         F = self.field
         if self.k <= self.n - self.k:
+            if self._rank is None:
+                self._rank = linalg.rank(self.generator, F)
             stacked = np.concatenate([self.generator, words])
-            return linalg.rank(stacked, F) == linalg.rank(self.generator, F)
+            return linalg.rank(stacked, F) == self._rank
         Ht = self.parity_check().T
         step = max(1, 2 ** 22 // max(1, self.n))
         return not any(linalg.matmul(words[lo:lo + step], Ht, F).any()

@@ -2,8 +2,13 @@
 
 The dual of the level-r code is spanned by the evaluations of the
 non-forbidden reduced monomials together with one binomial per (minor of
-size >= 2, non-identity permutation).  ``build_dual_code`` proves this
-symbolically, on exponents, before it evaluates anything:
+size >= 2, non-identity permutation).  Every monomial involved is fixed
+by its base-q key, so ``dual_basis`` holds the basis as arrays, a
+``monomials.TermRows``: the keys of the non-forbidden monomials, in
+row-major lex order of their exponents, then a small term table of the
+binomials, both read off the term table of the minors.  No polynomial is
+made per row unless a row is read.  ``build_dual_code`` proves the basis
+symbolically, on keys, before it evaluates anything:
 
 * Orthogonality.  Over F_q, the sum of x^e over all x is -1 when e > 0
   and (q-1) | e, and 0 otherwise.  So <Ev f, Ev g> is the sum of
@@ -20,8 +25,9 @@ symbolically, on exponents, before it evaluates anything:
 
 With n - k independent rows orthogonal to the code, the basis spans the
 dual.  All of this is exact; any nonzero inner product is a hard error,
-never a warning.  The proof reads the basis through ``term_table``, as
-``codes.evaluate`` does, using its keys as they come, and needs no H:
+never a warning.  The proof, like ``codes.evaluate``, reads the basis as
+a term table (``monomials.term_arrays``): the arrays of the dual basis as
+they are held, or the terms of a list of polynomials.  It needs no H:
 ``verify``'s ``dual-dim`` runs it.
 """
 
@@ -41,9 +47,8 @@ from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
 from .field import make_field
 from .minors import enumerate_minors, minor_polynomial, minor_terms
-from .monomials import (Rectangle, SparsePolynomial, add_terms,
-                        all_reduced_monomials, full_product, monomial_div,
-                        term_table)
+from .monomials import (Rectangle, SparsePolynomial, TermRows, add_terms,
+                        full_product, monomial_div, term_arrays, term_table)
 
 
 @dataclass(frozen=True)
@@ -95,18 +100,49 @@ def binomials(ell, m, r, q):
     return out
 
 
-def dual_basis(ell, m, r, q):
-    """Non-forbidden monomials (row-major lex order) followed by binomials.
+def _minor_table(F, rect, r):
+    """The number of minors of size <= r and the term table of their
+    polynomials: term i is sign[i] times monomial nu[t[i]], the pos[i]-th
+    term of minor g[i], the identity permutation at pos 0."""
+    minors = [minor_polynomial(M, F, rect) for M in delta_monomial_set(rect, r)]
+    nu, _, g, t, sign, pos = term_table(minors, F.q, rect.delta)
+    return len(minors), nu, g, t, sign, pos
 
-    The total count equals n - k_r; evaluations are independent and
-    orthogonal to every generator row of the level-r code.
+
+def dual_basis(ell, m, r, q):
+    """Non-forbidden monomials (row-major lex order) followed by binomials,
+    the order of ``binomials``, as a ``monomials.TermRows``: a sequence of
+    SparsePolynomial rows held as arrays.
+
+    Row-major lex order puts slot 0 first, and a key puts it least
+    significant, so row j's key has the base-q digits of j reversed.  The
+    forbidden keys are full - nu for the minor monomials nu, and a term
+    sgn(sigma) nu_sigma of a minor with identity term nu gives the
+    binomial full/nu - sgn(sigma) full/nu_sigma.  The total count equals
+    n - k_r; evaluations are independent and orthogonal to every
+    generator row of the level-r code.
     """
     F, rect = _params(ell, m, r, q)
     params = theoretical_params(ell, m, r, q)
-    forb = forbidden_monomials(ell, m, r, q)
-    basis = [SparsePolynomial.monomial(F, rect, mu)
-             for mu in all_reduced_monomials(rect, q) if mu not in forb]
-    basis.extend(b.poly for b in binomials(ell, m, r, q))
+    full = q ** rect.delta - 1  # the key of the full product
+    _, nu, _, t, sign, pos = _minor_table(F, rect, r)
+    lex = np.arange(q ** rect.delta)
+    keys = np.zeros_like(lex)
+    for _ in range(rect.delta):  # reverse the digits of lex into keys
+        lex, d = np.divmod(lex, q)
+        keys *= q
+        keys += d
+    keys = keys[~np.isin(keys, full - nu)]
+    count = len(keys)
+    bino = np.flatnonzero(pos > 0)  # the non-identity terms, in order
+    nb = len(bino)
+    mons = np.concatenate([np.arange(count),  # keys, then every minor monomial
+                           count + np.stack([t[bino - pos[bino]], t[bino]], axis=1).ravel()])
+    coefs = np.ones(count + 2 * nb, dtype=np.uint8)
+    coefs[count + 1::2] = F.neg(sign[bino])
+    basis = TermRows(F, rect, count + nb, np.concatenate([keys, full - nu]),
+                     np.r_[np.arange(count), np.repeat(count + np.arange(nb), 2)],
+                     mons, coefs, np.r_[np.zeros(count, dtype=np.intp), np.tile([0, 1], nb)])
     expected = params.n - params.k
     if len(basis) != expected:
         raise AssertionError(
@@ -115,38 +151,47 @@ def dual_basis(ell, m, r, q):
 
 
 def check_dual_basis(basis, ell, m, r, q):
-    """Prove that the evaluations of the reduced polynomials ``basis`` are
-    independent and orthogonal to every minor of size <= r.
+    """Prove that the evaluations of the reduced polynomials ``basis`` (a
+    list, or the arrays of ``dual_basis``) are independent and orthogonal
+    to every minor of size <= r.
 
-    Works on exponents alone (see the module docstring): the 0/1 table of
-    chi between each distinct basis monomial and each minor monomial,
-    times the minors' coefficient matrix, gives each monomial's inner
-    products with the minors, and ``add_terms`` sums each row's scaled
-    terms.  The common factor (-1)^delta is a unit and is left out.
-    Raises OrthogonalityViolation on a nonzero inner product,
-    AssertionError on an unreduced exponent or a dependent row, and
-    ValueError on a negative exponent or a coefficient outside F_q*.
+    Works on keys alone (see the module docstring): a 0/1 table of chi
+    between each distinct basis monomial and each minor monomial is kept
+    for the few monomials near full that meet a minor; times the minors'
+    coefficient matrix it gives their inner products with the minors, and
+    ``add_terms`` sums the scaled terms of the rows that use them.  The
+    common factor (-1)^delta is a unit and is left out.  Raises
+    OrthogonalityViolation on a nonzero inner product, AssertionError on
+    an unreduced exponent or a dependent row, ValueError on a negative
+    exponent or a coefficient outside F_q*, and DimensionMismatch on a
+    polynomial of another field or rectangle.
     """
     F, rect = _params(ell, m, r, q)
-    keys, reduced, rows, mons, coefs, pos = term_table(basis, q, rect.delta)
+    keys, reduced, rows, mons, coefs, pos = term_arrays(basis, F, rect)
     if not reduced:
         raise AssertionError("dual basis has an unreduced exponent")
 
     full = q ** rect.delta - 1  # the key of the full product
-    minors = [minor_polynomial(M, F, rect) for M in delta_monomial_set(rect, r)]
-    nu, _, g, t, sign, _ = term_table(minors, q, rect.delta)  # sign * nu[t] in minor g
-    coeff = np.zeros((len(nu), len(minors)), dtype=np.uint8)
+    nminors, nu, g, t, sign, _ = _minor_table(F, rect, r)  # sign * nu[t] in minor g
+    coeff = np.zeros((len(nu), nminors), dtype=np.uint8)
     coeff[t, g] = sign
-    chi = np.empty((len(keys), len(nu)), dtype=bool)
-    step = max(1, _BLOCK_CELLS // len(nu))
-    for lo in range(0, len(keys), step):  # blocks bound the int64 temporaries
-        mu = keys[lo:lo + step, None]
-        chi[lo:lo + step] = (mu | nu) == full if q == 2 else mu == full - nu
-    hit = chi.any(axis=1)  # only the few monomials near full meet a minor
-    inner = np.zeros((len(keys), len(minors)), dtype=np.uint8)
-    inner[hit] = linalg.matmul(chi[hit], coeff, F)
-    gram = np.zeros((len(basis), len(minors)), dtype=np.uint8)
-    add_terms(F, inner, rows, mons, coefs, pos, gram)
+
+    def meets(mu):  # chi between the monomials mu and the minor monomials
+        mu = mu[:, None]
+        return (mu | nu) == full if q == 2 else mu == full - nu
+
+    step = max(1, _BLOCK_CELLS // len(nu))  # blocks bound the int64 temporaries
+    hit = np.concatenate([np.zeros(0, dtype=np.intp)] + [  # the monomials near full
+        lo + np.flatnonzero(meets(keys[lo:lo + step]).any(axis=1))
+        for lo in range(0, len(keys), step)])
+    chi = meets(keys[hit])
+    where = np.full(len(keys), -1)
+    where[hit] = np.arange(len(hit))
+    meet = where[mons] >= 0  # the terms whose monomial meets a minor
+    touched, row = np.unique(rows[meet], return_inverse=True)
+    gram = np.zeros((len(touched), nminors), dtype=np.uint8)
+    add_terms(F, linalg.matmul(chi, coeff, F), row, where[mons[meet]],
+              coefs[meet], pos[meet], gram)
     if gram.any():
         raise OrthogonalityViolation(
             "dual basis not orthogonal to the minors of the code's level")
@@ -171,12 +216,14 @@ def check_dual_basis(basis, ell, m, r, q):
 def build_dual_code(C):
     """Evaluate the explicit dual basis of an affine Grassmann code.
 
-    The basis is first checked by ``check_dual_basis``: its evaluations
-    are orthogonal to every minor of the code's level, the polynomials the
-    generator rows evaluate, and independent, so with n - k rows they span
-    the dual exactly.  The theorem admits no slack, so any nonzero inner
-    product raises.  H is then evaluated once; a dual of more than
-    ``DEFAULT_MAX_CELLS`` entries raises TooLarge before any basis is built.
+    ``dual_basis`` gives the basis as arrays, and ``check_dual_basis``
+    proves on those arrays that its evaluations are orthogonal to every
+    minor of the code's level, the polynomials the generator rows
+    evaluate, and independent, so with n - k rows they span the dual
+    exactly.  The theorem admits no slack, so any nonzero inner product
+    raises.  ``evaluate`` then writes H once from the same arrays; no
+    polynomial is made per row.  A dual of more than ``DEFAULT_MAX_CELLS``
+    entries raises TooLarge before any basis is built.
     """
     meta = C.meta
     if meta.get("kind") != "AGC":

@@ -7,21 +7,26 @@ everywhere is row-major lexicographic on this tuple, matching the point
 enumeration used by the code builders.
 
 As an array a monomial is its base-q key, ``field.undigits`` of its
-exponents.  ``term_table`` folds each distinct monomial once with
-``field.reduce_exponent`` and takes its key; it and ``add_terms`` are the
-one place where the terms of polynomials become arrays and are summed per
-row, for both ``codes.evaluate`` and ``dual.check_dual_basis``.
+exponents, and rows of polynomials are a term table: the keys of the
+distinct monomials and, per term, its row, monomial, coefficient and
+position in the row.  The array cores, ``codes.evaluate`` and
+``dual.check_dual_basis``, read nothing else; ``term_arrays`` hands them
+the table, and ``add_terms`` sums each row's scaled terms.  A
+``TermRows`` holds its table, so no polynomial is made or walked; a list
+of polynomials enters through ``term_table``, which walks its terms and
+folds each distinct monomial once with ``field.reduce_exponent``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLarge, DependentForms
-from .field import reduce_exponent, undigits
+from .errors import DegreeTooLarge, DependentForms, DimensionMismatch
+from .field import digits, reduce_exponent, undigits
 from . import linalg
 
 
@@ -229,7 +234,8 @@ def multiply_reduced(f, g):
 # ------------------------------------------------------------ terms as arrays
 
 def term_table(polys, q, delta):
-    """The terms of the polynomials polys, in row order, as arrays.
+    """The terms of the polynomials polys, in row order, as arrays: the way
+    a list of polynomials enters the array cores (see term_arrays).
 
     Returns (keys, reduced, rows, mons, coefs, pos): keys holds the base-q
     keys of the distinct monomials in order of first use, each folded once
@@ -254,6 +260,45 @@ def term_table(polys, q, delta):
     keys = undigits(np.array(mus, dtype=np.uint8).reshape(len(mus), delta), q)
     rows, mons, pos = (np.array(a, dtype=np.intp) for a in (rows, mons, pos))
     return keys, reduced, rows, mons, np.array(coefs, dtype=np.uint8), pos
+
+
+class TermRows(Sequence):
+    """count rows of reduced polynomials over F on rect, held as the arrays
+    of a term table (see term_table): a sized, indexable sequence whose
+    item i is row i as a SparsePolynomial, formed when it is read, and
+    whose slices are lists.  The arrays are taken as given: distinct
+    reduced keys, rows ascending, coefficients in F_q*, and each row's
+    terms at positions 0, 1, ... in order."""
+
+    def __init__(self, field, rect, count, keys, rows, mons, coefs, pos):
+        self.field, self.rect, self._count = field, rect, count
+        self.table = (keys, True, rows, mons, coefs, pos)
+        self._starts = np.searchsorted(rows, np.arange(count + 1))  # row i's first term
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._count))]
+        i = range(self._count)[i]  # IndexError past either end
+        keys, _, _, mons, coefs, _ = self.table
+        lo, hi = self._starts[i], self._starts[i + 1]
+        exps = digits(keys[mons[lo:hi]], self.field.q, self.rect.delta).tolist()
+        return SparsePolynomial(self.field, self.rect,
+                                dict(zip(map(tuple, exps), coefs[lo:hi].tolist())))
+
+
+def term_arrays(polys, F, rect):
+    """The term table (keys, reduced, rows, mons, coefs, pos) of polys over
+    F on rect: a TermRows's own arrays, or term_table's walk of a list of
+    polynomials.  A field or rectangle other than F's and rect raises
+    DimensionMismatch."""
+    held = isinstance(polys, TermRows)
+    for f in [polys] if held else polys:
+        if f.rect != rect or f.field.q != F.q:
+            raise DimensionMismatch("polynomial does not match the field and rectangle")
+    return polys.table if held else term_table(polys, F.q, rect.delta)
 
 
 def add_terms(F, X, rows, mons, coefs, pos, out):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from agcodes import alist
-from agcodes.alist import (_BLOCK_CELLS, _format, _write_rows, export_parity_alist,
+from agcodes.alist import (_BLOCK_CELLS, _format, _grid, _write_rows, export_parity_alist,
                            read_alist, write_alist, write_qval)
 from agcodes.codes import Code, build_affine_grassmann, write_generator
 from agcodes.dual import build_dual_code
@@ -429,6 +429,34 @@ def test_format_matches_str(top):
         assert bytes(_format(v.reshape(-1, 1), ends)).decode() == expected
     with pytest.raises(TooLarge):
         _format(np.array([5, 10 ** 7]), [])
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_one_digit_format_matches_the_grid(q):
+    """The one-digit branch (one uint16 per token) writes the bytes of the
+    grid route: with no newline, one at the first or the last token, one
+    after every token, and for no tokens at all."""
+    v = np.random.default_rng(q).permutation(np.arange(300) % q).astype(np.uint8)
+    for ends in ([], [0], [len(v) - 1], np.arange(len(v))):
+        assert bytes(_format(v, ends)) == bytes(_grid(v, ends, 2))
+    assert bytes(_format(v[:0], [])) == bytes(_grid(v[:0], [], 2)) == b""
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_export_keys_h_once(q, tmp_path, monkeypatch):
+    """export_parity_alist writes the .alist and the .qval from one scan
+    of H when its nonzeros fit _key_cap, with the bytes of the two writers
+    run apart."""
+    H = build_dual_code(build_affine_grassmann(2, 4, 2, q)).generator
+    assert np.count_nonzero(H) <= alist._key_cap(*H.shape)
+    scans, real = [], alist._scan
+    monkeypatch.setattr(alist, "_scan", lambda *a, **k: scans.append(1) or real(*a, **k))
+    export_parity_alist(H, tmp_path / "h.alist", q)
+    assert len(scans) == 1
+    write_alist(H, tmp_path / "a")
+    write_qval(H, tmp_path / "v")
+    assert (tmp_path / "h.alist").read_bytes() == (tmp_path / "a").read_bytes()
+    assert (tmp_path / "h.alist.qval").read_bytes() == (tmp_path / "v").read_bytes()
 
 
 def test_export_memory_follows_the_blocks(tmp_path):

@@ -14,10 +14,10 @@ from agcodes.dual import (SELF_ORTH_EXCEPTIONS, binomials, build_dual_code,
                           dual_min_weight_witness, forbidden_monomials,
                           is_forbidden_counts, maximal_nonforbidden,
                           self_orthogonality_check)
-from agcodes.errors import (InvalidWitnessParams, OrthogonalityViolation,
-                            SizeOutOfRange, TooLarge)
+from agcodes.errors import (DimensionMismatch, InvalidWitnessParams,
+                            OrthogonalityViolation, SizeOutOfRange, TooLarge)
 from agcodes.field import make_field
-from agcodes.monomials import (Rectangle, SparsePolynomial,
+from agcodes.monomials import (Rectangle, SparsePolynomial, TermRows,
                                all_reduced_monomials, full_product,
                                monomial_divides)
 
@@ -274,10 +274,84 @@ class TestSymbolicCheck:
     def test_size_cap_raises_before_any_basis(self, monkeypatch):
         import agcodes.dual as dual_mod
         # calling it would raise TypeError, not TooLarge
-        monkeypatch.setattr(dual_mod, "forbidden_monomials", None)
+        monkeypatch.setattr(dual_mod, "dual_basis", None)
         C = build_affine_grassmann(4, 8, 2, 2)
         with pytest.raises(TooLarge):
             build_dual_code(C)
+
+
+def _altered(basis, **arrays):
+    """The TermRows of basis with some of its arrays replaced."""
+    keys, _, rows, mons, coefs, pos = basis.table
+    parts = dict(keys=keys, rows=rows, mons=mons, coefs=coefs, pos=pos)
+    return TermRows(basis.field, basis.rect, len(basis), **{**parts, **arrays})
+
+
+class TestArrayRoute:
+    """dual_basis holds the basis as key arrays; the polynomial entry
+    points take the list of its rows through term_table."""
+
+    @pytest.mark.parametrize("ell,m,r,q", DIFFERENTIAL + [(3, 7, 2, 2)])
+    def test_matches_the_polynomial_route(self, ell, m, r, q):
+        """The rows are the paper's, in order: the non-forbidden monomials
+        in row-major lex order, then the binomials.  H and the proof's
+        verdict are the same on both routes, for the basis and for bases
+        with a forbidden monomial, a repeated monomial or, in odd
+        characteristic, a binomial of the wrong sign."""
+        F, rect = make_field(q), Rectangle(ell, m - ell)
+        basis = dual_basis(ell, m, r, q)
+        rows = list(basis)
+        forb = forbidden_monomials(ell, m, r, q)
+        assert rows == ([SparsePolynomial.monomial(F, rect, mu)
+                         for mu in all_reduced_monomials(rect, q) if mu not in forb]
+                        + [b.poly for b in binomials(ell, m, r, q)])
+        pe = PointEnumeration(rect, F)
+        assert np.array_equal(evaluate(basis, pe), evaluate(rows, pe))
+        keys, _, _, mons, coefs, _ = basis.table
+        full = int(np.flatnonzero(keys == q ** rect.delta - 1)[0])  # forbidden
+        mutants = [(basis, "ok")]
+        if len(basis) >= 2:
+            mutants += [(_altered(basis, mons=np.r_[full, mons[1:]]), "orthogonality"),
+                        (_altered(basis, mons=np.r_[mons[1], mons[1:]]), "dependent")]
+        if F.p > 2 and binomials(ell, m, r, q):  # -1 != 1: a sign to flip
+            flipped = np.r_[coefs[:-1], F.neg(coefs[-1])].astype(np.uint8)
+            mutants.append((_altered(basis, coefs=flipped), "orthogonality"))
+        for held, verdict in mutants:
+            assert _symbolic_verdict(held, ell, m, r, q) == verdict
+            assert _symbolic_verdict(list(held), ell, m, r, q) == verdict
+
+    def test_rows_are_a_sequence(self):
+        """Indexing forms one row, from either end; a slice is a list, and
+        an index past either end raises IndexError."""
+        basis = dual_basis(2, 4, 2, 3)
+        rows = list(basis)
+        assert basis[-1] == rows[-1] and basis[3] == rows[3]
+        assert basis[2:5] == rows[2:5] and basis[::-7] == rows[::-7]
+        for i in (len(basis), -len(basis) - 1):
+            with pytest.raises(IndexError):
+                basis[i]
+
+    def test_builds_no_polynomial_per_row(self, monkeypatch):
+        """build_dual_code proves and evaluates the basis from its arrays:
+        no SparsePolynomial is made and no term_table is taken of it."""
+        import agcodes.monomials as mono
+        C = build_affine_grassmann(3, 7, 2, 2)
+        want = build_dual_code(C).generator
+        made, tables = [], []
+        real_init, real_table = SparsePolynomial.__init__, mono.term_table
+        monkeypatch.setattr(SparsePolynomial, "__init__",
+                            lambda self, *a: made.append(1) or real_init(self, *a))
+        monkeypatch.setattr(mono, "term_table",
+                            lambda polys, *a: tables.append(len(polys)) or real_table(polys, *a))
+        assert np.array_equal(build_dual_code(C).generator, want)
+        assert tables == [] and len(made) < 200  # the minors only, not 4065 rows
+
+    def test_mismatched_rows_rejected(self):
+        basis = dual_basis(2, 4, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            evaluate(basis, PointEnumeration(Rectangle(1, 4), make_field(3)))
+        with pytest.raises(DimensionMismatch):
+            check_dual_basis(basis, 2, 4, 2, 5)
 
 
 class TestWitnesses:

@@ -234,6 +234,19 @@ class TestAutomorphisms:
             assert not code.contains(word)
         assert C._parity is None
 
+    def test_generator_ranked_once(self, monkeypatch):
+        """A code caches the rank of its generator: 20 automorphism tests
+        rank 20 stacked matrices and the generator once."""
+        C = build_affine_grassmann(3, 6, 2, 2)
+        pe = PointEnumeration(C.rect, C.field)
+        rng = np.random.default_rng(20)
+        perms = [tr.induced_permutation(tr.random_transform(C.rect, C.field, rng), pe)
+                 for _ in range(20)]
+        calls, real = [], linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda *a: calls.append(1) or real(*a))
+        assert all(tr.is_automorphism(C, perm) for perm in perms)
+        assert len(calls) == 21
+
     def test_subgroup_order_bound_values(self):
         assert tr.subgroup_order_bound(2, 4, 2) == 576
         assert tr.subgroup_order_bound(1, 2, 3) == (3 * 2 * 2) // 2
