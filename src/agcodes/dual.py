@@ -136,13 +136,14 @@ def dual_basis(ell, m, r, q):
     count = len(keys)
     bino = np.flatnonzero(pos > 0)  # the non-identity terms, in order
     nb = len(bino)
-    mons = np.concatenate([np.arange(count),  # keys, then every minor monomial
-                           count + np.stack([t[bino - pos[bino]], t[bino]], axis=1).ravel()])
+    # binomial b's terms: its minor's identity term, then its own
+    used, inv = np.unique(np.c_[t[bino - pos[bino]], t[bino]].ravel(), return_inverse=True)
     coefs = np.ones(count + 2 * nb, dtype=np.uint8)
     coefs[count + 1::2] = F.neg(sign[bino])
-    basis = TermRows(F, rect, count + nb, np.concatenate([keys, full - nu]),
+    basis = TermRows(F, rect, count + nb, np.r_[keys, full - nu[used]],
                      np.r_[np.arange(count), np.repeat(count + np.arange(nb), 2)],
-                     mons, coefs, np.r_[np.zeros(count, dtype=np.intp), np.tile([0, 1], nb)])
+                     np.r_[np.arange(count), count + inv], coefs,
+                     np.r_[np.zeros(count, dtype=np.intp), np.tile([0, 1], nb)])
     expected = params.n - params.k
     if len(basis) != expected:
         raise AssertionError(

@@ -308,10 +308,11 @@ class TestArrayRoute:
         pe = PointEnumeration(rect, F)
         assert np.array_equal(evaluate(basis, pe), evaluate(rows, pe))
         keys, _, _, mons, coefs, _ = basis.table
-        full = int(np.flatnonzero(keys == q ** rect.delta - 1)[0])  # forbidden
         mutants = [(basis, "ok")]
-        if len(basis) >= 2:
-            mutants += [(_altered(basis, mons=np.r_[full, mons[1:]]), "orthogonality"),
+        if len(basis) >= 2:  # row 0 the full product (forbidden), or row 1's monomial
+            full = _altered(basis, keys=np.r_[keys, q ** rect.delta - 1],
+                            mons=np.r_[len(keys), mons[1:]])
+            mutants += [(full, "orthogonality"),
                         (_altered(basis, mons=np.r_[mons[1], mons[1:]]), "dependent")]
         if F.p > 2 and binomials(ell, m, r, q):  # -1 != 1: a sign to flip
             flipped = np.r_[coefs[:-1], F.neg(coefs[-1])].astype(np.uint8)
