@@ -6,7 +6,9 @@ the maximum column weight), and per-row 1-based column indices (zero-padded
 likewise).  For q > 2 a companion ".qval" file lists the nonzero entry
 values in the same traversal order, one line per column then one per row.
 
-Each writer keys the nonzero H[i, j] as the integer ``j << s | i``: uint32
+One writer (``_write``) serves ``write_alist`` and ``write_qval``, and
+writes both files of a q > 2 export from one keyed pass.  It keys the
+nonzero H[i, j] as the integer ``j << s | i``: uint32
 with s = 16 when m and n are at most 2^16, uint64 with s = 32 otherwise.
 One pass over contiguous row blocks of H, each at most ``_BLOCK_CELLS``
 entries, writes every key and the row weights (``_scan``).  The keys are
