@@ -100,14 +100,10 @@ def evaluate(polys, pe):
     step = max(1, _BLOCK_CELLS // n)
     starts = range(0, len(polys), step)
     cuts = np.searchsorted(rows, [*starts, len(polys)])  # rows ascend
-    other = np.r_[0, np.cumsum((pos != 0) | (coefs != 1))]  # terms that are not a row's one monomial
     for start, a, b in zip(starts, cuts, cuts[1:]):
         V = F.mul(W[hi[a:b], :, None], W[lo[a:b], None, :low]).reshape(b - a, n)
-        block = H[start:start + step]
-        if b - a == len(block) and other[a] == other[b]:  # each row is one monomial
-            block[...] = V
-        else:
-            add_terms(F, V, rows[a:b] - start, np.arange(b - a), coefs[a:b], pos[a:b], block)
+        add_terms(F, V, rows[a:b] - start, np.arange(b - a), coefs[a:b], pos[a:b],
+                  H[start:start + step])
     return H
 
 

@@ -45,7 +45,7 @@ from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
                     delta_monomial_set, evaluate, theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
-from .field import make_field
+from .field import digits, make_field, undigits
 from .minors import enumerate_minors, minor_polynomial, minor_terms
 from .monomials import (Rectangle, SparsePolynomial, TermRows, add_terms,
                         full_product, monomial_div, term_arrays, term_table)
@@ -126,12 +126,7 @@ def dual_basis(ell, m, r, q):
     params = theoretical_params(ell, m, r, q)
     full = q ** rect.delta - 1  # the key of the full product
     _, nu, _, t, sign, pos = _minor_table(F, rect, r)
-    lex = np.arange(q ** rect.delta)
-    keys = np.zeros_like(lex)
-    for _ in range(rect.delta):  # reverse the digits of lex into keys
-        lex, d = np.divmod(lex, q)
-        keys *= q
-        keys += d
+    keys = undigits(digits(np.arange(full + 1), q, rect.delta)[:, ::-1], q)  # lex order
     keys = keys[~np.isin(keys, full - nu)]
     count = len(keys)
     bino = np.flatnonzero(pos > 0)  # the non-identity terms, in order
@@ -163,16 +158,20 @@ def check_dual_basis(basis, ell, m, r, q):
     ``add_terms`` sums the scaled terms of the rows that use them.  The
     common factor (-1)^delta is a unit and is left out.  Raises
     OrthogonalityViolation on a nonzero inner product, AssertionError on
-    an unreduced exponent or a dependent row, ValueError on a negative
-    exponent or a coefficient outside F_q*, and DimensionMismatch on a
-    polynomial of another field or rectangle.
+    an unreduced exponent, a key held twice, a monomial twice in one row
+    or a dependent row, ValueError on a negative exponent or a
+    coefficient outside F_q*, and DimensionMismatch on a polynomial of
+    another field or rectangle.
     """
     F, rect = _params(ell, m, r, q)
     keys, reduced, rows, mons, coefs, pos = term_arrays(basis, F, rect)
-    if not reduced:
-        raise AssertionError("dual basis has an unreduced exponent")
-
     full = q ** rect.delta - 1  # the key of the full product
+    if not reduced or keys.min(initial=0) < 0 or keys.max(initial=0) > full:
+        raise AssertionError("dual basis has an unreduced exponent")
+    # the pivot test and the rank below read each monomial as one key, once a row
+    if len(np.unique(keys)) < len(keys) or len(np.unique(rows * len(keys) + mons)) < len(mons):
+        raise AssertionError("dual basis repeats a monomial")
+
     nminors, nu, g, t, sign, _ = _minor_table(F, rect, r)  # sign * nu[t] in minor g
     coeff = np.zeros((len(nu), nminors), dtype=np.uint8)
     coeff[t, g] = sign

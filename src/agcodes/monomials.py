@@ -268,7 +268,8 @@ class TermRows(Sequence):
     item i is row i as a SparsePolynomial, formed when it is read, and
     whose slices are lists.  The arrays are taken as given: distinct
     reduced keys, rows ascending, coefficients in F_q*, and each row's
-    terms at positions 0, 1, ... in order."""
+    terms at positions 0, 1, ... in order (``dual.check_dual_basis``
+    checks the keys)."""
 
     def __init__(self, field, rect, count, keys, rows, mons, coefs, pos):
         self.field, self.rect, self._count = field, rect, count

@@ -296,8 +296,9 @@ class TestArrayRoute:
         """The rows are the paper's, in order: the non-forbidden monomials
         in row-major lex order, then the binomials.  H and the proof's
         verdict are the same on both routes, for the basis and for bases
-        with a forbidden monomial, a repeated monomial or, in odd
-        characteristic, a binomial of the wrong sign."""
+        with a forbidden monomial, a repeated monomial (one key index, or
+        one key value at a new index) or, in odd characteristic, a
+        binomial of the wrong sign."""
         F, rect = make_field(q), Rectangle(ell, m - ell)
         basis = dual_basis(ell, m, r, q)
         rows = list(basis)
@@ -312,14 +313,33 @@ class TestArrayRoute:
         if len(basis) >= 2:  # row 0 the full product (forbidden), or row 1's monomial
             full = _altered(basis, keys=np.r_[keys, q ** rect.delta - 1],
                             mons=np.r_[len(keys), mons[1:]])
+            again = _altered(basis, keys=np.r_[keys, keys[mons[1]]],
+                             mons=np.r_[len(keys), mons[1:]])
             mutants += [(full, "orthogonality"),
-                        (_altered(basis, mons=np.r_[mons[1], mons[1:]]), "dependent")]
+                        (_altered(basis, mons=np.r_[mons[1], mons[1:]]), "dependent"),
+                        (again, "dependent")]
         if F.p > 2 and binomials(ell, m, r, q):  # -1 != 1: a sign to flip
             flipped = np.r_[coefs[:-1], F.neg(coefs[-1])].astype(np.uint8)
             mutants.append((_altered(basis, coefs=flipped), "orthogonality"))
         for held, verdict in mutants:
             assert _symbolic_verdict(held, ell, m, r, q) == verdict
             assert _symbolic_verdict(list(held), ell, m, r, q) == verdict
+
+    @pytest.mark.parametrize("ell,m,r,q", [(2, 4, 2, 2), (2, 4, 2, 3)])
+    def test_malformed_keys_rejected(self, ell, m, r, q):
+        """Arrays that no list of reduced polynomials gives are refused: a
+        key at or past q^delta, a negative key, and a binomial whose two
+        terms are one monomial, here with coefficients summing to 0."""
+        F, rect = make_field(q), Rectangle(ell, m - ell)
+        basis = dual_basis(ell, m, r, q)
+        keys, _, _, mons, coefs, _ = basis.table
+        size = q ** rect.delta
+        zero = np.r_[coefs[:-1], F.neg(coefs[-2])].astype(np.uint8)
+        for held in (_altered(basis, keys=np.r_[keys[:-1], keys[-1] + size]),
+                     _altered(basis, keys=np.r_[keys[:-1], -1 - keys[-1]]),
+                     _altered(basis, mons=np.r_[mons[:-1], mons[-2]], coefs=zero)):
+            with pytest.raises(AssertionError):
+                check_dual_basis(held, ell, m, r, q)
 
     def test_rows_are_a_sequence(self):
         """Indexing forms one row, from either end; a slice is a list, and
