@@ -45,7 +45,7 @@ from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
                     delta_monomial_set, evaluate, theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
-from .field import digits, make_field, undigits
+from .field import make_field, undigits
 from .minors import enumerate_minors, minor_polynomial, minor_terms
 from .monomials import (Rectangle, SparsePolynomial, TermRows, add_terms,
                         full_product, monomial_div, term_arrays, term_table)
@@ -115,7 +115,8 @@ def dual_basis(ell, m, r, q):
     SparsePolynomial rows held as arrays.
 
     Row-major lex order puts slot 0 first, and a key puts it least
-    significant, so row j's key has the base-q digits of j reversed.  The
+    significant, so row j's key is point j's digits (the cached
+    ``PointEnumeration.points``) reversed.  The
     forbidden keys are full - nu for the minor monomials nu, and a term
     sgn(sigma) nu_sigma of a minor with identity term nu gives the
     binomial full/nu - sgn(sigma) full/nu_sigma.  The total count equals
@@ -126,7 +127,7 @@ def dual_basis(ell, m, r, q):
     params = theoretical_params(ell, m, r, q)
     full = q ** rect.delta - 1  # the key of the full product
     _, nu, _, t, sign, pos = _minor_table(F, rect, r)
-    keys = undigits(digits(np.arange(full + 1), q, rect.delta)[:, ::-1], q)  # lex order
+    keys = undigits(PointEnumeration(rect, F).points[:, ::-1], q)  # lex order
     keys = keys[~np.isin(keys, full - nu)]
     count = len(keys)
     bino = np.flatnonzero(pos > 0)  # the non-identity terms, in order
