@@ -116,12 +116,12 @@ def dual_basis(ell, m, r, q):
 
     Row-major lex order puts slot 0 first, and a key puts it least
     significant, so row j's key is point j's digits (the cached
-    ``PointEnumeration.points``) reversed.  The
-    forbidden keys are full - nu for the minor monomials nu, and a term
-    sgn(sigma) nu_sigma of a minor with identity term nu gives the
-    binomial full/nu - sgn(sigma) full/nu_sigma.  The total count equals
-    n - k_r; evaluations are independent and orthogonal to every
-    generator row of the level-r code.
+    ``PointEnumeration.points``) reversed.  The forbidden keys are
+    full - nu for the minor monomials nu, and a term sgn(sigma) nu_sigma
+    of a minor with identity term nu gives the binomial
+    full/nu - sgn(sigma) full/nu_sigma.  The total count equals n - k_r;
+    evaluations are independent and orthogonal to every generator row of
+    the level-r code.
     """
     F, rect = _params(ell, m, r, q)
     params = theoretical_params(ell, m, r, q)
