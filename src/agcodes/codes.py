@@ -8,12 +8,11 @@ convention.
 
 Evaluation is one numpy kernel for every q: ``evaluate`` writes the
 evaluations of rows of polynomials into one preallocated matrix, a block
-of rows at a time, from their term table (``monomials.term_arrays``: a
-``TermRows``'s own arrays, such as the dual basis, or a list's terms):
-each term's vector is the outer product of two rows of one cached table
-W, the values of every monomial in ceil(delta/2) variables at every point
-of F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
-terms.  Every builder calls it once.
+of rows at a time, from their ``monomials.TermRows``: each term's vector
+is the outer product of two rows of one cached table W, the values of
+every monomial in ceil(delta/2) variables at every point of
+F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
+terms.  Every builder calls it once, on rows held as arrays.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from . import linalg
 from .alist import _write_rows
 from .errors import DimensionMismatch, OrderOutOfRange, SizeOutOfRange, TooLarge
 from .field import digits, make_field, undigits
-from .minors import enumerate_minors, minor_polynomial
-from .monomials import (Rectangle, SparsePolynomial, add_terms,
-                        all_reduced_monomials, monomial_degree, term_arrays)
+from .minors import minor_rows
+from .monomials import Rectangle, TermRows, add_terms, term_table
 
 DEFAULT_MAX_CELLS = 2 ** 24  # cap on n * k across all builders
 _BLOCK_CELLS = 2 ** 16  # entries per block of evaluate and dual.check_dual_basis
@@ -80,7 +78,7 @@ class PointEnumeration:
 def evaluate(polys, pe):
     """The (len(polys), n) matrix whose row j is Ev(polys[j]), coordinate i
     being polys[j](P_i).  polys is a list of polynomials or a
-    ``monomials.TermRows``, read through its arrays alone.  One polynomial
+    ``monomials.TermRows`` (see ``monomials.term_table``).  One polynomial
     f is ``evaluate([f], pe)[0]``.
 
     Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  A term
@@ -89,20 +87,19 @@ def evaluate(polys, pe):
     field or rectangle other than pe's raises DimensionMismatch, and a
     negative exponent or a coefficient outside F_q* ValueError.
     """
-    F, n = pe.field, pe.n
+    F, n, delta = pe.field, pe.n, pe.rect.delta
     q = F.q
-    delta = pe.rect.delta
-    keys, _, rows, mons, coefs, pos = term_arrays(polys, F, pe.rect)
+    t = term_table(polys, F, pe.rect)
     low = q ** (delta // 2)
-    hi, lo = np.divmod(keys[mons], low)  # one entry per term
+    hi, lo = np.divmod(t.keys[t.mons], low)  # one entry per term
     W = _monomial_values(q, delta - delta // 2)
-    H = np.zeros((len(polys), n), dtype=np.uint8)
+    H = np.zeros((len(t), n), dtype=np.uint8)
     step = max(1, _BLOCK_CELLS // n)
-    starts = range(0, len(polys), step)
-    cuts = np.searchsorted(rows, [*starts, len(polys)])  # rows ascend
+    starts = range(0, len(t), step)
+    cuts = t.starts[[*starts, len(t)]]
     for start, a, b in zip(starts, cuts, cuts[1:]):
         V = F.mul(W[hi[a:b], :, None], W[lo[a:b], None, :low]).reshape(b - a, n)
-        add_terms(F, V, rows[a:b] - start, np.arange(b - a), coefs[a:b], pos[a:b],
+        add_terms(F, V, t.rows[a:b] - start, np.arange(b - a), t.coefs[a:b], t.pos[a:b],
                   H[start:start + step])
     return H
 
@@ -227,11 +224,6 @@ def rm_theoretical_params(r, delta, q):
     return CodeParams(n=n, k=k, d=d, min_weight_count=count)
 
 
-def delta_monomial_set(rect, r):
-    """The minors of size 0..r in enumeration order (size, then lex)."""
-    return [M for i in range(r + 1) for M in enumerate_minors(rect, i)]
-
-
 def build_affine_grassmann(ell, m, r, q):
     """Generator rows are Ev(M) for M in the minor set, in enumeration order.
 
@@ -246,8 +238,7 @@ def build_affine_grassmann(ell, m, r, q):
     if params.n * params.k > DEFAULT_MAX_CELLS:
         raise TooLarge(f"n*k = {params.n * params.k} exceeds cap {DEFAULT_MAX_CELLS}")
     pe = PointEnumeration(rect, F)
-    G = evaluate([minor_polynomial(M, F, rect)
-                  for M in delta_monomial_set(rect, r)], pe)
+    G = evaluate(minor_rows(F, rect, r), pe)
     if linalg.rank(G, F) != params.k:
         raise AssertionError("minor evaluations unexpectedly dependent")
     if r >= 1 and (~G.any(axis=0)).any():
@@ -259,18 +250,22 @@ def build_affine_grassmann(ell, m, r, q):
 
 def build_reed_muller(r, delta, q):
     """RM(r, delta): evaluations of all reduced monomials of degree <= r
-    on F_q^delta (realized as the 1 x delta grid).  The generator is
+    on F_q^delta (the 1 x delta grid) by degree, then in lex order: point
+    j's digits reversed, as in ``dual.dual_basis``.  The generator is
     read-only, as build_affine_grassmann's is."""
     F = make_field(q)
     params = rm_theoretical_params(r, delta, q)
+    if params.n * params.k > DEFAULT_MAX_CELLS:
+        raise TooLarge("RM build exceeds the size cap")
     rect = Rectangle(1, delta)
     pe = PointEnumeration(rect, F)
-    mus = sorted((mu for mu in all_reduced_monomials(rect, q)
-                  if monomial_degree(mu) <= r),
-                 key=lambda mu: (monomial_degree(mu), mu))
-    if pe.n * len(mus) > DEFAULT_MAX_CELLS:
-        raise TooLarge("RM build exceeds the size cap")
-    G = evaluate([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
+    lex = pe.points[:, ::-1]
+    degree = lex.sum(axis=1)
+    order = np.argsort(degree, kind="stable")
+    keys = undigits(lex[order[degree[order] <= r]], q)
+    k = len(keys)
+    G = evaluate(TermRows(F, rect, k, keys, np.arange(k), np.arange(k),
+                          np.ones(k, dtype=np.uint8)), pe)
     if G.shape[0] != params.k:
         raise AssertionError("monomial count disagrees with the dimension formula")
     G.flags.writeable = False

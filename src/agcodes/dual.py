@@ -6,8 +6,8 @@ size >= 2, non-identity permutation).  Every monomial involved is fixed
 by its base-q key, so ``dual_basis`` holds the basis as arrays, a
 ``monomials.TermRows``: the keys of the non-forbidden monomials, in
 row-major lex order of their exponents, then a small term table of the
-binomials, both read off the term table of the minors.  No polynomial is
-made per row unless a row is read.  ``build_dual_code`` proves the basis
+binomials, both read off ``minors.minor_rows``.  No polynomial is made
+per row unless a row is read.  ``build_dual_code`` proves the basis
 symbolically, on keys, before it evaluates anything:
 
 * Orthogonality.  Over F_q, the sum of x^e over all x is -1 when e > 0
@@ -25,10 +25,9 @@ symbolically, on keys, before it evaluates anything:
 
 With n - k independent rows orthogonal to the code, the basis spans the
 dual.  All of this is exact; any nonzero inner product is a hard error,
-never a warning.  The proof, like ``codes.evaluate``, reads the basis as
-a term table (``monomials.term_arrays``): the arrays of the dual basis as
-they are held, or the terms of a list of polynomials.  It needs no H:
-``verify``'s ``dual-dim`` runs it.
+never a warning.  The proof reads the basis as ``codes.evaluate`` does,
+through ``monomials.term_table``, and needs no H: ``verify``'s
+``dual-dim`` runs it.
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ import numpy as np
 
 from . import linalg
 from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
-                    delta_monomial_set, evaluate, theoretical_params)
+                    evaluate, theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
 from .field import make_field, undigits
-from .minors import enumerate_minors, minor_polynomial, minor_terms
+from .minors import enumerate_minors, minor_rows, minor_terms
 from .monomials import (Rectangle, SparsePolynomial, TermRows, add_terms,
-                        full_product, monomial_div, term_arrays, term_table)
+                        full_product, monomial_div, term_table)
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,6 @@ def binomials(ell, m, r, q):
     return out
 
 
-def _minor_table(F, rect, r):
-    """The number of minors of size <= r and the term table of their
-    polynomials: term i is sign[i] times monomial nu[t[i]], the pos[i]-th
-    term of minor g[i], the identity permutation at pos 0."""
-    minors = [minor_polynomial(M, F, rect) for M in delta_monomial_set(rect, r)]
-    nu, _, g, t, sign, pos = term_table(minors, F.q, rect.delta)
-    return len(minors), nu, g, t, sign, pos
-
-
 def dual_basis(ell, m, r, q):
     """Non-forbidden monomials (row-major lex order) followed by binomials,
     the order of ``binomials``, as a ``monomials.TermRows``: a sequence of
@@ -126,20 +116,20 @@ def dual_basis(ell, m, r, q):
     F, rect = _params(ell, m, r, q)
     params = theoretical_params(ell, m, r, q)
     full = q ** rect.delta - 1  # the key of the full product
-    _, nu, _, t, sign, pos = _minor_table(F, rect, r)
+    minors = minor_rows(F, rect, r)
+    nu, sign, pos = minors.keys, minors.coefs, minors.pos  # term i is monomial i
     keys = undigits(PointEnumeration(rect, F).points[:, ::-1], q)  # lex order
     keys = keys[~np.isin(keys, full - nu)]
     count = len(keys)
     bino = np.flatnonzero(pos > 0)  # the non-identity terms, in order
     nb = len(bino)
     # binomial b's terms: its minor's identity term, then its own
-    used, inv = np.unique(np.c_[t[bino - pos[bino]], t[bino]].ravel(), return_inverse=True)
+    used, inv = np.unique(np.c_[bino - pos[bino], bino].ravel(), return_inverse=True)
     coefs = np.ones(count + 2 * nb, dtype=np.uint8)
     coefs[count + 1::2] = F.neg(sign[bino])
     basis = TermRows(F, rect, count + nb, np.r_[keys, full - nu[used]],
                      np.r_[np.arange(count), np.repeat(count + np.arange(nb), 2)],
-                     np.r_[np.arange(count), count + inv], coefs,
-                     np.r_[np.zeros(count, dtype=np.intp), np.tile([0, 1], nb)])
+                     np.r_[np.arange(count), count + inv], coefs)
     expected = params.n - params.k
     if len(basis) != expected:
         raise AssertionError(
@@ -149,10 +139,11 @@ def dual_basis(ell, m, r, q):
 
 def check_dual_basis(basis, ell, m, r, q):
     """Prove that the evaluations of the reduced polynomials ``basis`` (a
-    list, or the arrays of ``dual_basis``) are independent and orthogonal
-    to every minor of size <= r.
+    list, or a ``monomials.TermRows`` such as ``dual_basis``'s) are
+    independent and orthogonal to every minor of size <= r.
 
-    Works on keys alone (see the module docstring): a 0/1 table of chi
+    Works on keys alone (see the module docstring), from the arrays of
+    ``term_table(basis)`` and ``minors.minor_rows``: a 0/1 table of chi
     between each distinct basis monomial and each minor monomial is kept
     for the few monomials near full that meet a minor; times the minors'
     coefficient matrix it gives their inner products with the minors, and
@@ -165,9 +156,10 @@ def check_dual_basis(basis, ell, m, r, q):
     another field or rectangle.
     """
     F, rect = _params(ell, m, r, q)
-    keys, reduced, rows, mons, coefs, pos = term_arrays(basis, F, rect)
+    basis = term_table(basis, F, rect)
+    keys, rows, mons, coefs = basis.keys, basis.rows, basis.mons, basis.coefs
     full = q ** rect.delta - 1  # the key of the full product
-    if not reduced or keys.min(initial=0) < 0 or keys.max(initial=0) > full:
+    if not basis.reduced or keys.min(initial=0) < 0 or keys.max(initial=0) > full:
         raise AssertionError("dual basis has an unreduced exponent")
     # the pivot test and the rank below read each monomial as one key, once a row
     for ids in (keys, rows * len(keys) + mons):
@@ -175,9 +167,10 @@ def check_dual_basis(basis, ell, m, r, q):
         if (ids[1:] == ids[:-1]).any():
             raise AssertionError("dual basis repeats a monomial")
 
-    nminors, nu, g, t, sign, _ = _minor_table(F, rect, r)  # sign * nu[t] in minor g
-    coeff = np.zeros((len(nu), nminors), dtype=np.uint8)
-    coeff[t, g] = sign
+    minors = minor_rows(F, rect, r)
+    nu = minors.keys
+    coeff = np.zeros((len(nu), len(minors)), dtype=np.uint8)
+    coeff[minors.mons, minors.rows] = minors.coefs
 
     def meets(mu):  # chi between the monomials mu and the minor monomials
         mu = mu[:, None]
@@ -192,9 +185,9 @@ def check_dual_basis(basis, ell, m, r, q):
     where[hit] = np.arange(len(hit))
     meet = where[mons] >= 0  # the terms whose monomial meets a minor
     touched, row = np.unique(rows[meet], return_inverse=True)
-    gram = np.zeros((len(touched), nminors), dtype=np.uint8)
+    gram = np.zeros((len(touched), len(minors)), dtype=np.uint8)
     add_terms(F, linalg.matmul(chi, coeff, F), row, where[mons[meet]],
-              coefs[meet], pos[meet], gram)
+              coefs[meet], basis.pos[meet], gram)
     if gram.any():
         raise OrthogonalityViolation(
             "dual basis not orthogonal to the minors of the code's level")

@@ -1,12 +1,17 @@
-"""Minors of the generic matrix X and their signed Leibniz terms."""
+"""Minors of the generic matrix X and their signed Leibniz terms, one at
+a time or, for the level-r code and its dual, as one ``minor_rows``."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import SizeOutOfRange
-from .monomials import SparsePolynomial
+from .field import undigits
+from .monomials import SparsePolynomial, TermRows
 
 # i! term expansions get out of hand quickly; all supported experiments
 # have i <= 4.
@@ -87,3 +92,20 @@ def minor_polynomial(M, F, rect):
     """The determinant polynomial of the submatrix picked out by the minor."""
     return SparsePolynomial(F, rect,
                             {t.monomial: t.sign for t in minor_terms(M, F, rect)})
+
+
+@lru_cache(maxsize=None)
+def minor_rows(F, rect, r):
+    """The minors of size 0..r in enumeration order as a read-only
+    ``monomials.TermRows``, cached per field, rectangle and r: row g holds
+    minor g's signed terms, the identity first.  A term's monomial names
+    its minor's rows, columns and permutation, so no two terms share one:
+    term i is monomial i."""
+    terms = [minor_terms(M, F, rect) for i in range(r + 1) for M in enumerate_minors(rect, i)]
+    flat = [t for ts in terms for t in ts]
+    table = TermRows(F, rect, len(terms), undigits(np.array([t.monomial for t in flat]), F.q),
+                     np.repeat(np.arange(len(terms)), list(map(len, terms))),
+                     np.arange(len(flat)), np.array([t.sign for t in flat], dtype=np.uint8))
+    for a in (table.keys, table.rows, table.mons, table.coefs, table.starts, table.pos):
+        a.flags.writeable = False
+    return table

@@ -7,14 +7,14 @@ everywhere is row-major lexicographic on this tuple, matching the point
 enumeration used by the code builders.
 
 As an array a monomial is its base-q key, ``field.undigits`` of its
-exponents, and rows of polynomials are a term table: the keys of the
-distinct monomials and, per term, its row, monomial, coefficient and
-position in the row.  The array cores, ``codes.evaluate`` and
-``dual.check_dual_basis``, read nothing else; ``term_arrays`` hands them
-the table, and ``add_terms`` sums each row's scaled terms.  A
-``TermRows`` holds its table, so no polynomial is made or walked; a list
-of polynomials enters through ``term_table``, which walks its terms and
-folds each distinct monomial once with ``field.reduce_exponent``.
+exponents, and rows of polynomials have one array form, a ``TermRows``:
+the keys of the distinct monomials and, per term, its row, monomial,
+coefficient and position in the row.  ``term_table`` is the one way in:
+it returns a TermRows as it is and walks a list of polynomials once,
+folding each distinct monomial once with ``field.reduce_exponent``.  The
+array cores, ``codes.evaluate`` and ``dual.check_dual_basis``, read the
+TermRows's attributes alone, and ``add_terms`` sums each row's scaled
+terms.
 """
 
 from __future__ import annotations
@@ -233,48 +233,19 @@ def multiply_reduced(f, g):
 
 # ------------------------------------------------------------ terms as arrays
 
-def term_table(polys, q, delta):
-    """The terms of the polynomials polys, in row order, as arrays: the way
-    a list of polynomials enters the array cores (see term_arrays).
-
-    Returns (keys, reduced, rows, mons, coefs, pos): keys holds the base-q
-    keys of the distinct monomials in order of first use, each folded once
-    in Python ints when reduced is False (some exponent is outside
-    [0, q-1]).  Term i is coefs[i] times monomial mons[i], the pos[i]-th
-    term of row rows[i].  A negative exponent or a coefficient outside F_q*
-    raises ValueError.
-    """
-    index, rows, mons, coefs, pos = {}, [], [], [], []
-    for row, f in enumerate(polys):
-        for t, (mu, c) in enumerate(f.terms.items()):
-            if not 0 < c < q:
-                raise ValueError(f"coefficient {c} is not a nonzero element of F_{q}")
-            rows.append(row)
-            mons.append(index.setdefault(mu, len(index)))
-            coefs.append(c)
-            pos.append(t)
-    mus = list(index)
-    reduced = set().union(*mus) <= set(range(q))
-    if not reduced:  # fold every monomial once, in Python ints
-        mus = [tuple(reduce_exponent(e, q) for e in mu) for mu in mus]
-    keys = undigits(np.array(mus, dtype=np.uint8).reshape(len(mus), delta), q)
-    rows, mons, pos = (np.array(a, dtype=np.intp) for a in (rows, mons, pos))
-    return keys, reduced, rows, mons, np.array(coefs, dtype=np.uint8), pos
-
-
 class TermRows(Sequence):
-    """count rows of reduced polynomials over F on rect, held as the arrays
-    of a term table (see term_table): a sized, indexable sequence whose
-    item i is row i as a SparsePolynomial, formed when it is read, and
-    whose slices are lists.  The arrays are taken as given: distinct
-    reduced keys, rows ascending, coefficients in F_q*, and each row's
-    terms at positions 0, 1, ... in order (``dual.check_dual_basis``
-    checks the keys)."""
+    """count rows of polynomials over field on rect as a term table: the
+    base-q ``keys`` of the distinct monomials and, per term, its row
+    ``rows`` (ascending), monomial ``mons`` (an index into keys) and
+    coefficient ``coefs``; ``pos``, its place in its row, is derived.
+    ``reduced`` is False if some exponent was folded.  Item i is row i as a
+    SparsePolynomial, formed when read.  The arrays are taken as given."""
 
-    def __init__(self, field, rect, count, keys, rows, mons, coefs, pos):
-        self.field, self.rect, self._count = field, rect, count
-        self.table = (keys, True, rows, mons, coefs, pos)
-        self._starts = np.searchsorted(rows, np.arange(count + 1))  # row i's first term
+    def __init__(self, field, rect, count, keys, rows, mons, coefs, reduced=True):
+        self.field, self.rect, self._count, self.reduced = field, rect, count, reduced
+        self.keys, self.rows, self.mons, self.coefs = keys, rows, mons, coefs
+        self.starts = np.searchsorted(rows, np.arange(count + 1))  # row i's first term
+        self.pos = np.arange(len(rows)) - self.starts[rows]
 
     def __len__(self):
         return self._count
@@ -283,23 +254,41 @@ class TermRows(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(self._count))]
         i = range(self._count)[i]  # IndexError past either end
-        keys, _, _, mons, coefs, _ = self.table
-        lo, hi = self._starts[i], self._starts[i + 1]
-        exps = digits(keys[mons[lo:hi]], self.field.q, self.rect.delta).tolist()
+        lo, hi = self.starts[i], self.starts[i + 1]
+        exps = digits(self.keys[self.mons[lo:hi]], self.field.q, self.rect.delta).tolist()
         return SparsePolynomial(self.field, self.rect,
-                                dict(zip(map(tuple, exps), coefs[lo:hi].tolist())))
+                                dict(zip(map(tuple, exps), self.coefs[lo:hi].tolist())))
 
 
-def term_arrays(polys, F, rect):
-    """The term table (keys, reduced, rows, mons, coefs, pos) of polys over
-    F on rect: a TermRows's own arrays, or term_table's walk of a list of
-    polynomials.  A field or rectangle other than F's and rect raises
-    DimensionMismatch."""
-    held = isinstance(polys, TermRows)
-    for f in [polys] if held else polys:
-        if f.rect != rect or f.field.q != F.q:
+def term_table(polys, F, rect):
+    """The TermRows of polys over F on rect: a TermRows as it is, or a list
+    walked once, each distinct monomial keyed and, if need be, folded once
+    in order of first use.  Another field or rectangle raises
+    DimensionMismatch; a negative exponent or a coefficient outside F_q*,
+    ValueError."""
+    q = F.q
+    if isinstance(polys, TermRows):
+        if polys.rect != rect or polys.field.q != q:
             raise DimensionMismatch("polynomial does not match the field and rectangle")
-    return polys.table if held else term_table(polys, F.q, rect.delta)
+        return polys
+    index, rows, mons, coefs = {}, [], [], []
+    for row, f in enumerate(polys):
+        if f.rect != rect or f.field.q != q:
+            raise DimensionMismatch("polynomial does not match the field and rectangle")
+        for mu, c in f.terms.items():
+            if not 0 < c < q:
+                raise ValueError(f"coefficient {c} is not a nonzero element of F_{q}")
+            rows.append(row)
+            mons.append(index.setdefault(mu, len(index)))
+            coefs.append(c)
+    mus = list(index)
+    reduced = set().union(*mus) <= set(range(q))
+    if not reduced:  # fold every monomial once, in Python ints
+        mus = [tuple(reduce_exponent(e, q) for e in mu) for mu in mus]
+    keys = undigits(np.array(mus, dtype=np.uint8).reshape(len(mus), rect.delta), q)
+    return TermRows(F, rect, len(polys), keys,
+                    np.array(rows, dtype=np.intp), np.array(mons, dtype=np.intp),
+                    np.array(coefs, dtype=np.uint8), reduced)
 
 
 def add_terms(F, X, rows, mons, coefs, pos, out):

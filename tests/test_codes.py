@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from agcodes.dual import build_dual_code, dual_basis
 from agcodes.errors import (DimensionMismatch, NotPrimePower, OrderOutOfRange,
                             SizeOutOfRange, TooLarge, Unsupported)
 from agcodes.field import digits, make_field
-from agcodes.monomials import Rectangle, SparsePolynomial, reduce_polynomial
+from agcodes.monomials import (Rectangle, SparsePolynomial, all_reduced_monomials,
+                               monomial_degree, reduce_polynomial)
 
 
 class TestPointEnumeration:
@@ -365,6 +367,28 @@ class TestReedMuller:
             rm = build_reed_muller(r, delta, q)
             assert rm.k == rm_theoretical_params(r, delta, q).k
             assert linalg.rank(rm.generator, rm.field) == rm.k
+
+    @pytest.mark.parametrize("q,delta", [(2, 4), (3, 3), (4, 2)])
+    def test_rows_by_degree_then_lex(self, q, delta):
+        """At every order the generator is the evaluation of the reduced
+        monomials of degree <= r sorted by degree and then in row-major lex
+        order, taken through polynomials as the reference."""
+        F, rect = make_field(q), Rectangle(1, delta)
+        pe = PointEnumeration(rect, F)
+        for r in range(delta * (q - 1) + 1):
+            mus = sorted((mu for mu in all_reduced_monomials(rect, q)
+                          if monomial_degree(mu) <= r),
+                         key=lambda mu: (monomial_degree(mu), mu))
+            want = evaluate([SparsePolynomial.monomial(F, rect, mu) for mu in mus], pe)
+            assert np.array_equal(build_reed_muller(r, delta, q).generator, want)
+
+    def test_huge_delta_rejected_before_any_point(self):
+        """The size cap is read off the closed-form dimension, so no
+        monomial or point of the 2^40-point space is listed."""
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            build_reed_muller(1, 40, 2)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_top_order_is_whole_space(self):
         rm = build_reed_muller(4, 2, 3)

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from agcodes.codes import PointEnumeration, evaluate
 from agcodes.errors import SizeOutOfRange
 from agcodes.field import make_field
 from agcodes.minors import (MAX_EXPANSION_SIZE, Minor, enumerate_minors,
                             leading_principal_minor, minor_polynomial,
-                            minor_terms)
-from agcodes.monomials import Rectangle
+                            minor_rows, minor_terms)
+from agcodes.monomials import Rectangle, term_table
 
 
 def _det_by_elimination(A, F):
@@ -117,3 +118,30 @@ class TestLeibnizExpansion:
         for t in minor_terms(Minor((1, 2), (1, 3)), F, rect):
             assert sum(t.monomial) == 2
             assert all(e <= 1 for e in t.monomial)
+
+
+class TestMinorRows:
+    @pytest.mark.parametrize("ell,lp,r,q", [(1, 1, 1, 2), (2, 2, 0, 3), (2, 2, 2, 3),
+                                            (2, 3, 2, 4), (3, 3, 3, 2), (2, 4, 1, 5)])
+    def test_matches_the_minor_polynomials(self, ell, lp, r, q):
+        """minor_rows holds the minors of size <= r in enumeration order:
+        the table and the H that term_table and evaluate give for their
+        minor_polynomials, the reference route."""
+        F, rect = make_field(q), Rectangle(ell, lp)
+        polys = [minor_polynomial(M, F, rect)
+                 for i in range(r + 1) for M in enumerate_minors(rect, i)]
+        held, walked = minor_rows(F, rect, r), term_table(polys, F, rect)
+        assert list(held) == polys and held.reduced
+        for name in ("keys", "rows", "mons", "coefs", "pos", "starts"):
+            assert np.array_equal(getattr(held, name), getattr(walked, name)), name
+        pe = PointEnumeration(rect, F)
+        assert np.array_equal(evaluate(held, pe), evaluate(polys, pe))
+
+    def test_cached_and_read_only(self):
+        """Every caller gets the one cached table, so none may write it."""
+        F, rect = make_field(3), Rectangle(2, 3)
+        held = minor_rows(F, rect, 2)
+        assert minor_rows(F, rect, 2) is held
+        for a in (held.keys, held.rows, held.mons, held.coefs, held.starts, held.pos):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
