@@ -25,12 +25,20 @@ scan block holds its mask and one uint64 per nonzero.
 The lines are formatted in rounds cut from the cumulative weights, each
 of at most ``_BLOCK_TOKENS`` nonzero entries or one line, and each round
 is written in blocks of at most ``_BLOCK_CELLS`` padded cells or one line.
-Only the nonzero entries are formatted, and an index line's padding is a
-slice of one constant "0 0 ... 0" run.
-``_format`` is the one decimal formatter.  A one-digit token (the entries
-of H and of a generator over q <= 9) is one uint16, the digit and its
-separator; wider ones read their text from a fixed table of 0..9999, one
-table read per four digits.
+Only the nonzero entries are formatted: their positions from the keys,
+their values from H by one flat index.  ``_format`` is the one decimal
+formatter, and a round costs it one gather of records and at most one
+compress.  A one-digit token (the entries of H and of a generator over
+q <= 9) is one uint16, the digit and its separator.  A wider token is
+read as a whole record from a fixed table (``_RECORDS``; beyond four
+digits, two reads of ``_CODES``): its digits right-aligned after NUL
+filler, then its separator, which becomes a newline at a line's end.
+The filler is dropped only when the round's widths differ, and each
+line's byte offset is summed from the token widths of ``_WIDTHS``, not
+found by a scan of the text.  A block whose lines are all unpadded and
+nonempty, as every .qval block of an AGC dual is, is written as one
+slice of the round's text; the others join each line's text and its
+slice of one constant "0 0 ... 0" padding run.
 """
 
 from __future__ import annotations
@@ -46,63 +54,70 @@ _BLOCK_CELLS = 2 ** 16  # entries formatted (_write_rows), scanned, or padded pe
 _BLOCK_TOKENS = 2 ** 14  # nonzero entries formatted at a time (_write_lines)
 _KEYS_MIN, _KEYS_MAX = 2 ** 17, 2 ** 20  # bounds of the keys a writer holds (_key_cap)
 _MAX_DIGITS = 7  # the widest decimal entry the writers accept
-_GROUP = 10 ** 4  # values per table read
+_GROUP = 10 ** 4  # values in the record table
 
 
-def _digit_table():
-    """The text of 0.._GROUP - 1, right-aligned in 4 bytes after NUL filler,
-    as one uint32 code per value: byte k is the digit of place 10^(3-k),
-    each digit repeated place times and the run tiled."""
+def _record_table():
+    """The records of 0.._GROUP - 1 as a (_GROUP, 5) uint8 array, the
+    digits right-aligned after NUL filler and then a space, and the bytes
+    of each record that are not filler.  Byte k < 4 is the digit of place
+    10^(3-k), each digit repeated place times and the run tiled."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    text = np.empty((_GROUP, 4), dtype=np.uint8)
+    text = np.empty((_GROUP, 5), dtype=np.uint8)
+    widths = np.full(_GROUP, 5, dtype=np.uint8)
     for k, place in enumerate((1000, 100, 10, 1)):
         text[:, k] = np.tile(np.repeat(digit, place), _GROUP // (10 * place))
         if place > 1:
             text[:place, k] = 0  # NUL filler above the leading digit
-    return text.view(np.uint32).ravel()
+            widths[:place] -= 1
+    text[:, 4] = ord(" ")
+    return text, widths
 
 
-_DIGITS = _digit_table()
-_ZEROS = np.frombuffer(b"0000", dtype=np.uint32)[0]  # OR-ed over the filler
+_TEXT, _WIDTHS = _record_table()
+# the records of w bytes, of the values below 10^(w-1), one np.void each
+_RECORDS = {w: np.ascontiguousarray(_TEXT[:10 ** (w - 1), 5 - w:]).view(f"V{w}").ravel()
+            for w in (3, 4, 5)}
+_CODES = np.concatenate((_TEXT, np.zeros((_GROUP, 3), dtype=np.uint8)), axis=1
+                        ).view("<u8").ravel()  # the records as uint64
+_ZEROS = np.frombuffer(b"0000\0\0\0\0", dtype="<u8")[0]  # OR-ed over a record's filler
 
 
 def _format(v, ends):
     """The nonnegative integers v (flattened) in decimal, each followed by
-    a space or, at the indices ends, a newline.  One-digit values (element
-    codes over q <= 9) are one little-endian uint16 each, the digit and
-    then its separator; wider ones are the rows of a grid (_grid)."""
+    a space or, at the indices ends, a newline; and each token's width in
+    bytes.  A one-digit value (an element code over q <= 9) is one
+    little-endian uint16, the digit and then its separator.  A wider value
+    is read as a whole record, its digits right-aligned after NUL filler
+    and then its separator: up to four digits from _RECORDS, more from two
+    reads of _CODES.  Records of up to four digits that are all filled are
+    the text as they are, and the width is one int; otherwise the filler
+    is dropped, and the widths, an array, come from _WIDTHS."""
     v = np.ravel(v)
     top = int(v.max(initial=0))
     if top >= 10 ** _MAX_DIGITS:
         raise TooLarge(f"entry {top} has more than {_MAX_DIGITS} digits")
-    if top >= 10:
-        return _grid(v, ends, len(str(top)) + 1)
-    pairs = np.empty(v.size, dtype="<u2")
-    np.add(v, np.uint16(ord("0") | ord(" ") << 8), out=pairs, casting="unsafe")
-    pairs[ends] -= (ord(" ") - ord("\n")) << 8
-    return pairs.view(np.uint8)
-
-
-def _grid(v, ends, w):
-    """The tokens of _format as the rows of a uint8 grid w bytes wide, the
-    widest token's digits and its separator: digits right-aligned after
-    NUL filler, kept as they are when every token fills the grid and
-    without the filler otherwise.  The digits are read from _DIGITS, four
-    at a time."""
-    grid = np.empty((v.size, w), dtype=np.uint8)
-    grid[:, -1] = ord(" ")
-    grid[ends, -1] = ord("\n")
+    if top < 10:
+        pairs = np.empty(v.size, dtype="<u2")
+        np.add(v, np.uint16(ord("0") | ord(" ") << 8), out=pairs, casting="unsafe")
+        pairs[ends] -= (ord(" ") - ord("\n")) << 8
+        return pairs.view(np.uint8), 2
+    w = len(str(top)) + 1
     if w <= 5:
-        codes = _DIGITS[v].reshape(-1, 1)
-    else:  # up to 7 digits: a high group of up to 3, then 4 zero-filled ones
+        records = np.take(_RECORDS[w], v)
+        widths = w if int(v.min()) >= 10 ** (w - 2) else np.take(_WIDTHS, v)
+    else:  # five to seven digits: a high group of up to 3, then 4 zero-filled ones
         hi, lo = np.divmod(v, _GROUP)
         big = hi != 0
-        codes = np.empty((v.size, 2), dtype=np.uint32)
-        codes[:, 0] = _DIGITS[hi] * big
-        codes[:, 1] = _DIGITS[lo] | _ZEROS * big
-    text = codes.view(np.uint8)
-    grid[:, :-1] = text[:, text.shape[1] - w + 1:]
-    return grid.ravel() if grid[:, 0].all() else grid[grid != 0]
+        records = np.take(_CODES, lo) | _ZEROS * big
+        records <<= 24  # the low group, then its separator, in the last five bytes
+        records |= (np.take(_CODES, hi) >> 8 & 0xFFFFFF) * big
+        widths, w = np.where(big, np.take(_WIDTHS, hi) + 4, np.take(_WIDTHS, lo)), 8
+    grid = records.view(np.uint8).reshape(-1, w)
+    grid[ends, -1] = ord("\n")
+    if np.ndim(widths):
+        return grid.tobytes().replace(b"\0", b""), widths
+    return grid.ravel(), widths
 
 
 def _write_rows(fh, M):
@@ -117,7 +132,7 @@ def _write_rows(fh, M):
     step = max(1, _BLOCK_CELLS // cols)
     for start in range(0, rows, step):
         block = M[start:start + step]
-        fh.write(_format(block, np.arange(cols - 1, block.size, cols)))
+        fh.write(_format(block, np.arange(cols - 1, block.size, cols))[0])
 
 
 def _weights(H):
@@ -156,7 +171,8 @@ def _scan(H, keys, r0=0, c0=0):
     """Write into keys the key (c0 + j) << s | (r0 + i) of each nonzero
     H[i, j], in row-major order, from one pass over row blocks of at most
     _BLOCK_CELLS entries; s is half the key's bits.  Return the row weights
-    of H.  A block holds one uint64 per nonzero beside its mask."""
+    of H.  A block holds one uint64 per nonzero beside its mask, and one
+    key-wide product per nonzero while the columns are found."""
     h, w = H.shape
     shift = 4 * keys.itemsize
     step = max(1, _BLOCK_CELLS // max(w, 1))
@@ -168,11 +184,10 @@ def _scan(H, keys, r0=0, c0=0):
         ends[s:s + step] = pos + np.searchsorted(flat, row_ends[:min(step, h - s)])
         key = keys[pos:pos + flat.size]
         np.floor_divide(flat, w, out=key, casting="unsafe")  # the row in the block
-        flat %= w
-        flat += c0
+        flat -= key * w  # the column; numpy's % by a scalar costs about five of these
         flat <<= shift
         flat += key
-        flat += r0 + s
+        flat += (c0 << shift) + r0 + s
         key[...] = flat
         pos += flat.size
         del flat  # before the next block's is made
@@ -234,52 +249,62 @@ def _keyed(H):
     return col_wts, row_wts, runs()
 
 
-def _text(H, keys, heads, ends, columns, values):
+def _text(keys, heads, ends, columns, H=None):
     """The text of lines whose sorted keys line << s | position are keys
     and whose first keys have the indices heads (with the key count
-    appended): each line's nonzero entries (values=True) or their 1-based
-    positions, a newline after the tokens at the indices ends and a space
-    after the others; and the byte at which each line starts (with the
-    text's length appended)."""
+    appended): each line's nonzero entries, read from the C-contiguous H
+    by one flat index, or with no H their 1-based positions; a newline
+    after the tokens at the indices ends and a space after the others.
+    Also the byte at which each line starts (with the text's length
+    appended), summed from the token widths _format gives."""
     shift = 4 * keys.itemsize
     low = keys.dtype.type((1 << shift) - 1)
-    if not values:
+    if H is None:
         entries = (keys & low) + 1
-    elif columns:
-        entries = H[keys & low, keys >> shift]
+    else:  # the flat index i * n + j of each H[i, j]
+        flat = keys & low if columns else keys >> shift
+        flat *= H.shape[1]
+        flat += keys >> shift if columns else keys & low
+        entries = np.take(H.reshape(-1), flat)
+    text, widths = _format(entries, ends)
+    if np.ndim(widths):  # each line's length, over the lines that have tokens
+        lengths = np.zeros(len(heads), dtype=np.int64)
+        filled = np.flatnonzero(heads[1:] > heads[:-1])
+        lengths[filled + 1] = np.add.reduceat(widths, heads[filled], dtype=np.int64)
+        starts = np.cumsum(lengths)
     else:
-        entries = H[keys >> shift, keys & low]
-    text = _format(entries, ends)
-    sep = np.empty(len(text) + 1, dtype=bool)  # sep[i]: a token starts at byte i
-    sep[0] = True
-    np.less(text, ord("0"), out=sep[1:])
-    return text, np.flatnonzero(sep)[heads].tolist()
+        starts = heads * widths
+    return memoryview(text), starts.tolist()
 
 
-def _write_lines(fh, H, keys, weights, columns, width=0, values=False):
-    """Write the column (columns=True) or row lines of H whose sorted keys
+def _write_lines(fh, keys, weights, columns, width=0, H=None):
+    """Write the column (columns=True) or row lines whose sorted keys
     line << s | position are keys and whose weights are given, each as its
-    nonzero entries (values=True) or their 1-based positions, then
-    width - weight zeros; an empty line is a bare newline.  Each format
-    round takes at most _BLOCK_TOKENS nonzeros, and each write at most
-    _BLOCK_CELLS // width lines, or one line."""
+    nonzero entries in the C-contiguous H or, with no H, their 1-based
+    positions, then width - weight zeros; an empty line is a bare newline.
+    Each format round takes at most _BLOCK_TOKENS nonzeros, and each write
+    at most _BLOCK_CELLS // width lines, or one line.  A write whose lines
+    are all unpadded and nonempty is one slice of the round's text; the
+    others join each line's text and its slice of a constant padding run."""
     run = memoryview(b"0 " * (width - 1) + b"0\n")  # the longest padding; ends in a newline
     pad = np.maximum(width - weights, 0)
-    tails = np.maximum(2 * pad, weights == 0).tolist()  # padding, or an empty line's newline
+    tails = (len(run) - np.maximum(2 * pad, weights == 0)).tolist()  # where each tail starts in run
     lead = np.r_[0, np.cumsum(weights)]  # each line's first token, then the token count
     full = (pad == 0) & (weights > 0)  # lines whose last token ends in a newline
+    cut = np.r_[0, np.cumsum(~full)].tolist()  # the lines before each that are not full
     most = max(1, _BLOCK_CELLS // max(width, 1))  # lines per write
     for start, stop in _blocks(lead, _BLOCK_TOKENS, len(lead)):
         heads = lead[start:stop + 1] - lead[start]
-        text, bounds = _text(H, keys[lead[start]:lead[stop]], heads,
-                             heads[1:][full[start:stop]] - 1, columns, values)
+        text, bounds = _text(keys[lead[start]:lead[stop]], heads,
+                             heads[1:][full[start:stop]] - 1, columns, H)
         for first in range(0, stop - start, most):  # the round's lines [first, last) of one write
             last = min(first + most, stop - start)
-            parts = []
-            for lo, hi, tail in zip(bounds[first:last], bounds[first + 1:last + 1],
-                                    tails[start + first:start + last]):
-                parts += text[lo:hi], run[len(run) - tail:]
-            fh.write(b"".join(parts))
+            if cut[start + first] == cut[start + last]:  # every line full
+                fh.write(text[bounds[first]:bounds[last]])
+            else:
+                fh.write(b"".join([part for lo, hi, tail in zip(
+                    bounds[first:last], bounds[first + 1:last + 1], tails[start + first:])
+                    for part in (text[lo:hi], run[tail:])]))
 
 
 def _checked(H):
@@ -298,10 +323,12 @@ def _checked(H):
 def _write(H, path, qval_path):
     """Write H's alist file at path and its .qval values at qval_path,
     each unless None, from one keyed pass: each run of _keyed writes its
-    index lines, then its value lines."""
+    index lines, then its value lines, read from H by flat index (a
+    strided H is copied once for them)."""
     H = _checked(H)
     m, n = H.shape
     col_wts, row_wts, runs = _keyed(H)
+    values = None if qval_path is None else np.ascontiguousarray(H)
     width = {True: int(col_wts.max(initial=0)), False: int(row_wts.max(initial=0))}
     with contextlib.ExitStack() as files:
         fh, fq = (None if p is None else files.enter_context(open(p, "wb"))
@@ -313,9 +340,9 @@ def _write(H, path, qval_path):
         for columns, lines, keys in runs:
             wts = (col_wts if columns else row_wts)[lines]
             if fh is not None:
-                _write_lines(fh, H, keys, wts, columns, width=width[columns])
+                _write_lines(fh, keys, wts, columns, width=width[columns])
             if fq is not None:
-                _write_lines(fq, H, keys, wts, columns, values=True)
+                _write_lines(fq, keys, wts, columns, H=values)
 
 
 def write_alist(H, path, qval_path=None):

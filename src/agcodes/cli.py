@@ -8,6 +8,7 @@ Failures exit nonzero with a machine-parsable error record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -173,7 +174,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def _parser():
+    """The parser and its subparsers, built once per process: parse_args
+    fills a new namespace each call, so no option carries over."""
     parser = _ArgumentParser(
         prog="agcodes",
         description="Affine Grassmann codes: construction, duals, verification")

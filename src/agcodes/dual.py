@@ -111,10 +111,13 @@ def dual_basis(ell, m, r, q):
     of a minor with identity term nu gives the binomial
     full/nu - sgn(sigma) full/nu_sigma.  The total count equals n - k_r;
     evaluations are independent and orthogonal to every generator row of
-    the level-r code.
+    the level-r code.  TooLarge, before any point is formed, when the
+    points' digits (n x delta) exceed the builders' cell cap.
     """
     F, rect = _params(ell, m, r, q)
     params = theoretical_params(ell, m, r, q)
+    if params.n * rect.delta > DEFAULT_MAX_CELLS:  # the points' digits, before any is formed
+        raise TooLarge(f"n*delta = {params.n * rect.delta} exceeds cap {DEFAULT_MAX_CELLS}")
     full = q ** rect.delta - 1  # the key of the full product
     minors = minor_rows(F, rect, r)
     nu, sign, pos = minors.keys, minors.coefs, minors.pos  # term i is monomial i

@@ -11,9 +11,12 @@ Every elementwise operation is a table lookup: ``add``, ``sub`` and ``mul``
 read entry a * q + b of the flattened q x q table, and ``neg`` is
 ``sub(0, a)``.  On arrays the indices are computed as uint8 (below 256 for
 q <= 16) and looked up by ``bytes.translate`` in a 256-byte copy of the
-table, which makes no intp copy of the indices; scalars read the 2-D table
-directly, which is cheaper than a translate call.  This module is the only
-place that turns field elements into table indices.
+table, which makes no intp copy of the indices.  The operand with fewer
+entries is the one scaled by q, on its own shape, so an outer product
+broadcasts once; when it is b, the copy of the transposed table is read.
+Scalars read the 2-D table directly, which is cheaper than a translate
+call.  This module is the only place that turns field elements into table
+indices.
 
 ``FieldSpec.elements`` is the one gate for every array a caller passes: a
 wrong shape raises DimensionMismatch, an entry outside F_q ValueError.
@@ -131,19 +134,27 @@ class FieldSpec:
 
     def __post_init__(self):
         self._add, self._sub, self._mul = (
-            _byte_table(T) for T in (self.add_table, self.sub_table, self.mul_table))
+            (_byte_table(T), _byte_table(T.T))
+            for T in (self.add_table, self.sub_table, self.mul_table))
 
-    def _lookup(self, table, flat, a, b):
-        """table[a, b] elementwise, with numpy broadcasting."""
+    def _lookup(self, table, flats, a, b):
+        """table[a, b] elementwise, with numpy broadcasting.  flats are the
+        byte tables of table and of its transpose: the smaller operand is
+        scaled by q on its own shape (in the result, when it fills it), and
+        the one broadcast is the add."""
         if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
             return table[a, b]
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        sa, sb = np.shape(a), np.shape(b)
+        shape = np.broadcast_shapes(sa, sb)
+        flat, flat_t = flats
+        if math.prod(sb) < math.prod(sa):  # table[a, b] is table.T[b, a]
+            a, b, sa, flat = b, a, sb, flat_t
         # the indices are written into a bytearray, so translate reads them
         # without a copy and returns a writable result
         buf = bytearray(math.prod(shape))
         idx = np.frombuffer(buf, dtype=np.uint8).reshape(shape)
-        np.multiply(a, self.q, out=idx, casting="unsafe")
-        np.add(idx, b, out=idx, casting="unsafe")
+        scaled = np.multiply(a, self.q, out=idx if sa == shape else None, casting="unsafe")
+        np.add(scaled, b, out=idx, casting="unsafe")
         out = buf.translate(flat)
         return np.frombuffer(out, dtype=np.uint8).reshape(shape)
 

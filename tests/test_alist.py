@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from agcodes import alist
-from agcodes.alist import (_BLOCK_CELLS, _format, _grid, _write_rows, export_parity_alist,
+from agcodes.alist import (_BLOCK_CELLS, _TEXT, _format, _write_rows, export_parity_alist,
                            read_alist, write_alist, write_qval)
 from agcodes.codes import Code, build_affine_grassmann, write_generator
 from agcodes.dual import build_dual_code
@@ -177,20 +177,41 @@ def _random_entries(rng, shape, q, density):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_writers_match_reference(q, tmp_path):
+    """Every writer on edge shapes, and on shapes whose indices cross 9,
+    99, 999 and 9999 (records of every width, five-digit ones too); then
+    on a row of 2^16 + 1 columns, which takes uint64 keys."""
     rng = np.random.default_rng(q)
-    for shape in [(0, 5), (5, 0), (0, 0), (1, 1), (6, 9), (23, 40)]:
+    for shape in [(0, 5), (5, 0), (0, 0), (1, 1), (6, 9), (23, 40),
+                  (12, 11), (101, 3), (3, 1001), (2, 10_001)]:
         for density in (0.0, 0.1, 0.5, 1.0):
             H = _random_entries(rng, shape, q, density)
             if min(shape) > 2:
                 H[1] = 0     # a zero row
                 H[:, 2] = 0  # and a zero column
             _assert_same_bytes(H, q, tmp_path)
+    H = _random_entries(rng, (1, 2 ** 16 + 1), q, 0.5)
+    H[0, -1] = 1
+    assert next(alist._keyed(H)[2])[2].dtype == np.uint64
+    _assert_same_bytes(H, q, tmp_path)
 
 
 def test_writers_match_reference_wide(tmp_path):
     rng = np.random.default_rng(1)
     H = _random_entries(rng, (3, 10_007), 3, 0.3)  # indices up to 10007
     _assert_same_bytes(H, 3, tmp_path)
+
+
+def test_strided_matrix_writes_the_bytes_of_its_copy(tmp_path):
+    """The .qval values are read by flat index; a transposed, sliced or
+    reversed H gives the bytes of its contiguous copy."""
+    H = _random_entries(np.random.default_rng(5), (23, 40), 16, 0.4)
+    for view in (H.T, H[:, ::2], H[::-1], H[3:19, 5:31]):
+        assert not view.flags.c_contiguous
+        for write in (write_alist, write_qval):
+            write(view, tmp_path / "view")
+            write(np.ascontiguousarray(view), tmp_path / "copy")
+            assert (tmp_path / "view").read_bytes() == (tmp_path / "copy").read_bytes()
+        _assert_same_bytes(view, 16, tmp_path)
 
 
 def test_writers_match_reference_over_row_blocks(tmp_path):
@@ -418,6 +439,8 @@ def test_each_write_respects_both_bounds(monkeypatch):
 
 @pytest.mark.parametrize("top", [0, 1, 9, 10, 9999, 10 ** 4, 65536, 10 ** 6, 9_999_999])
 def test_format_matches_str(top):
+    """The text is str's, and the widths are each token's bytes, one int
+    only when every token has the same width."""
     rng = np.random.default_rng(top)
     edges = [t for k in range(8) for t in (10 ** k - 1, 10 ** k) if t <= top]
     for v in (rng.integers(0, top + 1, size=500), np.array(edges + [top]),
@@ -425,8 +448,12 @@ def test_format_matches_str(top):
         ends = np.flatnonzero(rng.random(len(v)) < 0.2)
         expected = "".join(str(x) + ("\n" if i in set(ends) else " ")
                            for i, x in enumerate(v.tolist()))
-        assert bytes(_format(v, ends)).decode() == expected
-        assert bytes(_format(v.reshape(-1, 1), ends)).decode() == expected
+        widths = [len(str(x)) + 1 for x in v.tolist()]
+        for arg in (v, v.reshape(-1, 1)):
+            text, got = _format(arg, ends)
+            assert bytes(text).decode() == expected
+            assert np.broadcast_to(got, len(v)).tolist() == widths
+            assert np.ndim(got) or len(set(widths)) == 1
     with pytest.raises(TooLarge):
         _format(np.array([5, 10 ** 7]), [])
 
@@ -434,12 +461,15 @@ def test_format_matches_str(top):
 @pytest.mark.parametrize("q", range(2, 10))
 def test_one_digit_format_matches_the_grid(q):
     """The one-digit branch (one uint16 per token) writes the bytes of the
-    grid route: with no newline, one at the first or the last token, one
-    after every token, and for no tokens at all."""
+    record table's two-byte records, as a grid with the newlines set: with
+    no newline, one at the first or the last token, one after every token,
+    and for no tokens at all."""
     v = np.random.default_rng(q).permutation(np.arange(300) % q).astype(np.uint8)
     for ends in ([], [0], [len(v) - 1], np.arange(len(v))):
-        assert bytes(_format(v, ends)) == bytes(_grid(v, ends, 2))
-    assert bytes(_format(v[:0], [])) == bytes(_grid(v[:0], [], 2)) == b""
+        grid = _TEXT[v, 3:].copy()
+        grid[ends, -1] = ord("\n")
+        assert bytes(_format(v, ends)[0]) == grid.tobytes()
+    assert bytes(_format(v[:0], [])[0]) == b""
 
 
 @pytest.mark.parametrize("q", [3, 4])

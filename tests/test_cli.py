@@ -104,6 +104,29 @@ class TestDual:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
         assert os.path.exists(out + ".alist.qval") == (q > 2)
 
+    @pytest.mark.parametrize("ell,m,r,q,pinned", [
+        (1, 3, 1, 16, {
+            "": "175f8113f5bf17d376325dc4d20186bc300082e63c0ebedf6f78bf7c456e121a",
+            ".alist": "2d9d1900f8f578004959462ac62a4a952e458edbb5bff688b360346ca7f00971",
+            ".alist.qval": "4a311e37f7ebf36d7c74a7c3bcafa7f41a930b692b2214b2feca4edf1b11ce3d",
+        }),
+        (2, 4, 1, 5, {
+            "": "5b0834e5ea66b427500baaee45b4a848fadcdae0adde49600c4456e435005b51",
+            ".alist": "f0e236e85362d022ca27a5d8be7f76c8f947595a40a16ba84b48cf3961d0c405",
+            ".alist.qval": "e7f0111ce8e2a30e9605f7160cfd5f151b30dfc2709b070ea88af87b73d7bab8",
+        }),
+    ], ids=["agc131-f16", "agc241-f5"])
+    def test_export_files_are_pinned(self, ell, m, r, q, pinned, tmp_path):
+        """The sha256 of the files of two duals no benchmark step writes:
+        over F_16, whose .qval and generator values have two digits, and
+        over F_5."""
+        out = str(tmp_path / "dual.txt")
+        assert cli.main(["dual", "--q", str(q), "--l", str(ell), "--m", str(m),
+                         "--r", str(r), "--out", out]) == 0
+        for suffix, digest in pinned.items():
+            with open(out + suffix, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
+
     @pytest.mark.parametrize("ell,m,r,q,text,record", [
         (3, 6, 2, 2, "523c52b6c05e2f99399174b642c8d06b5d6065d4ab4b50b0de2f2de441d53ea5",
          "ed59c01429f3adb6e1f3891eb0b1d6bef261a17d80f0cc75c5adc9b60ebba4d4"),
@@ -367,6 +390,28 @@ class TestFailurePaths:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "UsageError"
         assert not os.path.exists(out)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once per process.  report, dual --out, a usage
+    error and report again each give the record and exit code of a fresh
+    process, and the --out of one call does not carry over to the next."""
+    out = str(tmp_path / "d.txt")
+    calls = [["report", "--q", "2", "--l", "2", "--m", "4", "--r", "2"],
+             ["dual", "--q", "3", "--l", "1", "--m", "2", "--r", "1", "--out", out],
+             ["report", "--q", "2", "--l", "2", "--m", "4", "--r", "2", "--out", out],
+             ["report", "--q", "2", "--l", "2", "--m", "4", "--r", "2"],
+             ["dual", "--q", "3", "--l", "1", "--m", "2", "--r", "1"]]
+    for argv in calls:
+        fresh = run_cli(*argv)
+        for path in (out, out + ".alist", out + ".alist.qval"):
+            if os.path.exists(path):
+                os.remove(path)
+        assert cli.main(argv) == fresh.returncode, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), argv
+        assert os.path.exists(out) == ("--out" in argv and fresh.returncode == 0), argv
+    assert fresh.returncode == 0 and cli._parser.cache_info().currsize == 1
 
 
 class TestDeterminism:

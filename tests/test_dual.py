@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agcodes
 from agcodes import linalg
 from agcodes.codes import (PointEnumeration, build_affine_grassmann,
                            evaluate, theoretical_params)
@@ -106,6 +111,28 @@ class TestDualBasis:
         from agcodes.codes import build_reed_muller
         with pytest.raises(ValueError):
             build_dual_code(build_reed_muller(1, 2, 2))
+
+    def test_size_cap_comes_before_any_point(self):
+        """dual_basis(5, 10, 2, 2) has n = 2^25 points of 25 digits.  Under
+        a 2 GiB address-space limit it raises TooLarge at once, before it
+        forms any point; a subprocess keeps a regression from exhausting
+        the machine."""
+        code = ("import resource, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from agcodes.dual import dual_basis\n"
+                "from agcodes.errors import TooLarge\n"
+                "t = time.perf_counter()\n"
+                "try:\n"
+                "    dual_basis(5, 10, 2, 2)\n"
+                "except TooLarge:\n"
+                "    print(time.perf_counter() - t)\n")
+        src = str(Path(agcodes.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert res.returncode == 0 and res.stdout, res.stderr
+        assert float(res.stdout) < 1.0
 
 
 def _dense_verdict(basis, C):

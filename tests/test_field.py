@@ -139,6 +139,31 @@ def test_vectorized_ops_match_scalar():
             assert out.ravel().tolist() == [F.neg_table[int(u)] for u in np.ravel(a)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_lookup_scales_either_operand(q):
+    """add, sub, mul and neg read the 2-D tables whichever operand is the
+    smaller one scaled by q: a smaller a, a smaller b, equal shapes, 0-d
+    and empty operands, as uint8 and as int64."""
+    F = make_field(q)
+    rng = np.random.default_rng(q)
+    big = rng.integers(0, q, (6, 9)).astype(np.uint8)
+    col, row = big[:, :1].copy(), big[:1].copy()
+    x = np.array(int(rng.integers(0, q)))
+    empty = np.zeros((0, 9), dtype=np.uint8)
+    cases = [(col, big), (big, col), (row, big), (big, row), (big, big[::-1]),
+             (col, row), (row, col), (x, big), (big, x), (x, x), (empty, row), (row, empty),
+             (int(x), empty), (empty, int(x))]
+    for a, b in cases + [(np.asarray(a, np.int64), b) for a, b in cases[:6]] \
+            + [(a, np.asarray(b, np.int64)) for a, b in cases[:6]]:
+        A, B = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        for op, table in ((F.add, F.add_table), (F.sub, F.sub_table), (F.mul, F.mul_table)):
+            out = op(a, b)
+            assert out.dtype == np.uint8 and out.shape == A.shape
+            assert np.array_equal(out, table[A, B]), (op.__name__, np.shape(a), np.shape(b))
+    for a in (big, col.astype(np.int64), x, empty):
+        assert np.array_equal(F.neg(a), F.neg_table[a])
+
+
 def test_make_field_is_cached():
     assert make_field(4) is make_field(4)
 
