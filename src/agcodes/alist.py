@@ -6,27 +6,36 @@ the maximum column weight), and per-row 1-based column indices (zero-padded
 likewise).  For q > 2 a companion ".qval" file lists the nonzero entry
 values in the same traversal order, one line per column then one per row.
 
-One writer (``_write``) serves ``write_alist`` and ``write_qval``, and
-writes both files of a q > 2 export from one keyed pass.  It keys the
-nonzero H[i, j] as the integer ``j << s | i``: uint32
-with s = 16 when m and n are at most 2^16, uint64 with s = 32 otherwise.
-One pass over contiguous row blocks of H, each at most ``_BLOCK_CELLS``
-entries, writes every key and the row weights (``_scan``).  The keys are
-sorted once in place, and then they are the column lines in order; the
-column weights are where each column's keys start.  The same keys rotated
-in place to ``i << s | j`` and sorted again are the row lines.  A writer
-holds at most ``_key_cap(m, n)`` keys: one per 16 entries of H, but at
-least 2^17 and at most 2^20.  A denser H takes its weights from a pass over
-row blocks of its nonzero mask (``_weights``) and is keyed in runs of at
-most that many nonzeros: runs of columns scanned from column slices of H,
-then runs of rows, whose row-major keys need no sort.  Beside the keys, a
-scan block holds its mask and one uint64 per nonzero.
+The writers read H as a row-block source: anything with a shape whose
+slices H[rows] and H[rows, cols] are arrays, with a ``nonzero_bound``
+and a largest entry ``top``.  An array is wrapped as one (``_Held``), and
+``codes.EvaluatedRows`` evaluates each block when it is read, so a dual
+basis is written without its matrix ever being held.  One writer
+(``_write``) serves ``write_alist`` and ``write_qval``, and writes both
+files of a q > 2 export from one keyed pass.  It keys the nonzero H[i, j]
+as the integer ``(j << s | i) << v | H[i, j]``, with v = 0 unless the
+values are written and then the bits of the largest entry: uint32 with
+s = (32 - v) // 2 when m and n are at most 2^s, uint64 likewise otherwise.
+``KeyedRows`` keys each block of whole rows read through it in order
+(``_scan``, blocks of at most ``_BLOCK_CELLS`` entries), so the CLI's
+generator text, which reads every row block once, leaves the alist its
+keys and row weights.  The keys are sorted once in place, and then they
+are the column lines in order; the column weights are where each
+column's keys start.  The same keys rotated in place to
+``(i << s | j) << v | H[i, j]`` and sorted again are the row lines.  A
+writer holds at most ``_key_cap(m, n)`` keys: one per 16 entries of H,
+but at least 2^17 and at most 2^20.  When the nonzero bound is larger,
+the pass over the row blocks gives only the weights, and the lines are
+keyed in runs of at most that many nonzeros: runs of columns, each read
+from its own columns of H, then runs of rows, read from their own rows,
+whose row-major keys need no sort.  Beside the keys, a scan block holds
+its mask and one uint64 per nonzero.
 
 The lines are formatted in rounds cut from the cumulative weights, each
 of at most ``_BLOCK_TOKENS`` nonzero entries or one line, and each round
 is written in blocks of at most ``_BLOCK_CELLS`` padded cells or one line.
-Only the nonzero entries are formatted: their positions from the keys,
-their values from H by one flat index.  ``_format`` is the one decimal
+Only the nonzero entries are formatted, their positions and their
+values both read from the keys.  ``_format`` is the one decimal
 formatter, and a round costs it one gather of records and at most one
 compress.  A one-digit token (the entries of H and of a generator over
 q <= 9) is one uint16, the digit and its separator.  A wider token is
@@ -121,10 +130,10 @@ def _format(v, ends):
 
 
 def _write_rows(fh, M):
-    """Write each row of the nonnegative integer matrix M as a line of its
-    entries in decimal, separated by single spaces; with no columns, each
-    row is a bare newline.  fh is a binary file."""
-    M = np.asarray(M)
+    """Write each row of the nonnegative integer matrix M, an array or a
+    row-block source, as a line of its entries in decimal, separated by
+    single spaces, reading M a block of rows at a time; with no columns,
+    each row is a bare newline.  fh is a binary file."""
     rows, cols = M.shape
     if not cols:
         fh.write(b"\n" * rows)
@@ -133,20 +142,6 @@ def _write_rows(fh, M):
     for start in range(0, rows, step):
         block = M[start:start + step]
         fh.write(_format(block, np.arange(cols - 1, block.size, cols))[0])
-
-
-def _weights(H):
-    """The column and row weights of H (int64), from one pass over row
-    blocks of its nonzero mask, each reduced along both axes."""
-    m, n = H.shape
-    col_wts = np.zeros(n, dtype=np.int64)
-    row_wts = np.zeros(m, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for start in range(0, m, step):
-        mask = H[start:start + step] != 0
-        row_wts[start:start + step] = mask.sum(axis=1, dtype=np.uint32)
-        col_wts += mask.sum(axis=0, dtype=np.uint32)
-    return col_wts, row_wts
 
 
 def _blocks(lead, tokens, most):
@@ -167,105 +162,206 @@ def _key_cap(m, n):
     return min(max(m * n // 16, _KEYS_MIN), _KEYS_MAX)
 
 
-def _scan(H, keys, r0=0, c0=0):
-    """Write into keys the key (c0 + j) << s | (r0 + i) of each nonzero
-    H[i, j], in row-major order, from one pass over row blocks of at most
-    _BLOCK_CELLS entries; s is half the key's bits.  Return the row weights
-    of H.  A block holds one uint64 per nonzero beside its mask, and one
-    key-wide product per nonzero while the columns are found."""
-    h, w = H.shape
-    shift = 4 * keys.itemsize
-    step = max(1, _BLOCK_CELLS // max(w, 1))
-    row_ends = w * np.arange(1, step + 1, dtype=np.uint64)  # a block's row ends, flat
-    ends = np.empty(h, dtype=np.int64)  # each row's end in keys
-    pos = 0
-    for s in range(0, h, step):
-        flat = np.flatnonzero(H[s:s + step] != 0).view(np.uint64)
-        ends[s:s + step] = pos + np.searchsorted(flat, row_ends[:min(step, h - s)])
-        key = keys[pos:pos + flat.size]
-        np.floor_divide(flat, w, out=key, casting="unsafe")  # the row in the block
-        flat -= key * w  # the column; numpy's % by a scalar costs about five of these
-        flat <<= shift
-        flat += key
-        flat += (c0 << shift) + r0 + s
-        key[...] = flat
-        pos += flat.size
-        del flat  # before the next block's is made
-    return np.diff(ends, prepend=0)
+def _layout(m, n, vbits):
+    """The key dtype and the shift s of a key (line << s | position) << vbits
+    | value of an m x n matrix: uint32 with s = (32 - vbits) // 2 when every
+    line and position is below 2^s, else uint64 likewise.  TooLarge if
+    neither fits."""
+    for dtype in (np.uint32, np.uint64):
+        shift = (8 * np.dtype(dtype).itemsize - vbits) // 2
+        if max(m, n) <= 1 << shift:
+            return dtype, shift
+    raise TooLarge(f"indices up to {max(m, n)} and values of {vbits} bits "
+                   "do not fit a 64-bit key")
 
 
-def _rotate(keys):
-    """Swap the halves of every key in place: line << s | position becomes
-    position << s | line."""
-    shift = 4 * keys.itemsize
+def _scan(block, keys, r0, c0, shift, vbits):
+    """Write into keys, from its start and in row-major order, the key of
+    each nonzero block[i, j]: ((c0 + j) << shift | (r0 + i)) << vbits,
+    ORed with the entry when vbits > 0.  Return the row weights of block.
+    Beside its mask, a block holds one uint64 per nonzero, and one
+    key-wide product per nonzero while the columns are found, then one
+    key-wide copy of the entries when vbits > 0."""
+    h, w = block.shape
+    flat = np.flatnonzero(block != 0)
+    key = keys[:flat.size]
+    if vbits:  # the entries, for the low bits
+        values = block.take(flat)
+    flat = flat.view(np.uint64)
+    weights = np.diff(np.searchsorted(flat, w * np.arange(h + 1, dtype=np.uint64)))
+    np.floor_divide(flat, w, out=key, casting="unsafe")  # the row in the block
+    flat -= key * w  # the column; numpy's % by a scalar costs about five of these
+    flat <<= shift
+    flat += key
+    flat += (c0 << shift) + r0
+    flat <<= vbits
+    key[...] = flat
+    if vbits:
+        key |= values.astype(key.dtype)
+    return weights
+
+
+def _rotate(keys, shift, vbits):
+    """Swap line and position in every key in place, keeping the value:
+    (line << s | position) << vbits | value becomes
+    (position << s | line) << vbits | value, that is the key plus
+    (position - line) << vbits times 2^s - 1, in the key's wrapping
+    arithmetic."""
     for s in range(0, keys.size, _BLOCK_CELLS):
         k = keys[s:s + _BLOCK_CELLS]
-        high = k >> shift
-        k <<= shift
-        k |= high
+        line = k >> (shift + vbits)
+        step = k & (((1 << shift) - 1) << vbits)  # position << vbits
+        step -= line << vbits
+        step *= (1 << shift) - 1
+        k += step
 
 
-def _keyed(H):
-    """The column and row weights of H, and the runs (columns, lines, keys)
-    of its lines: columns=True, then False for the rows; lines a slice of
-    consecutive lines; keys the sorted keys line << s | position of their
-    nonzeros.  The runs cover each line once, in order, and hold at most
-    _key_cap keys (or one line).  When H has no more nonzeros than that,
-    one scan keys all of them and gives the row weights, and the column
-    weights are where each column's keys start; otherwise _weights gives
-    the weights and each run is scanned on its own."""
-    m, n = H.shape
-    dtype = np.uint32 if max(m, n) <= 1 << 16 else np.uint64
-    cap = _key_cap(m, n)
-    total = np.count_nonzero(H)
-    if total <= cap:
-        keys = np.empty(total, dtype=dtype)
-        row_wts = _scan(H, keys)
+class _Held:
+    """An array as a row-block source: its slices, its count of nonzeros
+    and its largest entry."""
+
+    def __init__(self, H):
+        self.H, self.shape = H, H.shape
+
+    def __getitem__(self, key):
+        return self.H[key]
+
+    @property
+    def nonzero_bound(self):
+        return int(np.count_nonzero(self.H))
+
+    @property
+    def top(self):
+        """The largest entry, for keys that carry the entries: ValueError on
+        a negative one, which no key holds."""
+        if self.H.min(initial=0) < 0:
+            raise ValueError("a .qval entry must not be negative")
+        return int(self.H.max(initial=0))
+
+
+def _source(H):
+    """H as a row-block source, before any file is opened: an object with
+    a nonzero_bound (such as ``codes.EvaluatedRows``) as it is, anything
+    else as an array, DimensionMismatch unless 2-D (the writers take no
+    field); TooLarge if an index has more than _MAX_DIGITS digits."""
+    if not hasattr(H, "nonzero_bound"):
+        H = np.asarray(H)
+        if H.ndim != 2:
+            raise DimensionMismatch(f"H must be 2-D, not of shape {H.shape}")
+        H = _Held(H)
+    if max(H.shape) >= 10 ** _MAX_DIGITS:
+        raise TooLarge(f"a {H.shape[0]} x {H.shape[1]} matrix has indices "
+                       f"of more than {_MAX_DIGITS} digits")
+    return H
+
+
+class KeyedRows:
+    """A row-block source read through: each block of whole rows read from
+    it in order from row 0, as ``_write_rows`` reads a generator, is keyed
+    on its way, so the text and the alist of a matrix that is never held
+    cost one evaluation of each block.  ``finish`` reads the rows not yet
+    read.  The keys (see ``_scan``) carry the entries in their low bits
+    when values is true, and they are kept only when the source's
+    nonzero_bound is at most _key_cap; otherwise the blocks give only the
+    weights, and ``_keyed`` reads runs of the source again."""
+
+    def __init__(self, H, values=False):
+        self.src = _source(H)
+        self.shape = m, n = self.src.shape
+        self.field = getattr(self.src, "field", None)
+        self.values = values
+        self.vbits = self.src.top.bit_length() if values else 0
+        self.dtype, self.shift = _layout(m, n, self.vbits)
+        bound = self.src.nonzero_bound
+        self.keys = np.empty(bound, dtype=self.dtype) if bound <= _key_cap(m, n) else None
+        self.col_wts = np.zeros(n, dtype=np.int64) if self.keys is None else None
+        self.row_wts = np.zeros(m, dtype=np.int64)
+        self.count = self.read = 0  # keys written, rows read in order
+
+    def __getitem__(self, key):
+        block = self.src[key]
+        if isinstance(key, slice) and key.step in (None, 1) and (key.start or 0) == self.read:
+            rows = slice(self.read, self.read + len(block))
+            if self.keys is None:
+                mask = block != 0
+                self.row_wts[rows] = mask.sum(axis=1)
+                self.col_wts += mask.sum(axis=0)
+            else:
+                self.row_wts[rows] = _scan(block, self.keys[self.count:], self.read, 0,
+                                           self.shift, self.vbits)
+                self.count += int(self.row_wts[rows].sum())
+            self.read = rows.stop
+        return block
+
+    def finish(self):
+        m, n = self.shape
+        step = max(1, _BLOCK_CELLS // max(n, 1))
+        for start in range(self.read, m, step):
+            self[start:start + step]
+
+
+def _keyed(H, values=False):
+    """The column and row weights of H, an array, a row-block source or a
+    KeyedRows, and the runs (columns, lines, keys) of its lines:
+    columns=True, then False for the rows; lines a slice of consecutive
+    lines; keys the sorted keys of their nonzeros, (line << s | position)
+    << vbits | value.  The runs cover each line once, in order, and hold at
+    most _key_cap keys (or one line).  When KeyedRows kept its keys, one
+    sort gives the column lines, and the column weights are where each
+    column's keys start; otherwise each run is keyed from its own window
+    of the source, a run of columns or of rows, read a block of rows at a
+    time."""
+    rows = H if isinstance(H, KeyedRows) else KeyedRows(H, values)
+    rows.finish()
+    (m, n), shift, vbits = rows.shape, rows.shift, rows.vbits
+    if rows.keys is not None:
+        keys = rows.keys[:rows.count]
         keys.sort()
-        starts = np.searchsorted(keys, np.arange(n, dtype=dtype) << (4 * keys.itemsize))
-        col_wts = np.diff(starts, append=total)
+        starts = np.searchsorted(keys, np.arange(n, dtype=keys.dtype) << (shift + vbits))
+        col_wts = np.diff(starts, append=keys.size)
 
         def runs():
             yield True, slice(0, n), keys
-            _rotate(keys)
+            _rotate(keys, shift, vbits)
             keys.sort()
             yield False, slice(0, m), keys
     else:
-        col_wts, row_wts = _weights(H)
-        buf = np.empty(max(cap, int(col_wts.max()), int(row_wts.max())), dtype=dtype)
+        col_wts, cap = rows.col_wts, _key_cap(m, n)
+        buf = np.empty(max(cap, int(col_wts.max(initial=0)), int(rows.row_wts.max(initial=0))),
+                       dtype=rows.dtype)
 
         def runs():  # each run's keys are a prefix of buf, valid until the next run
-            for columns, wts in ((True, col_wts), (False, row_wts)):
+            for columns, wts in ((True, col_wts), (False, rows.row_wts)):
                 lead = np.r_[0, np.cumsum(wts)]
                 for lo, hi in _blocks(lead, cap, len(wts)):
                     keys = buf[:lead[hi] - lead[lo]]
+                    r0, r1, c0, c1 = (0, m, lo, hi) if columns else (lo, hi, 0, n)
+                    step = max(1, _BLOCK_CELLS // max(c1 - c0, 1))
+                    pos = 0
+                    for s in range(r0, r1, step):
+                        block = rows.src[s:min(s + step, r1), c0:c1]
+                        pos += int(_scan(block, keys[pos:], s, c0, shift, vbits).sum())
                     if columns:
-                        _scan(H[:, lo:hi], keys, c0=lo)
                         keys.sort()
                     else:
-                        _scan(H[lo:hi], keys, r0=lo)
-                        _rotate(keys)  # row-major order is already row order
+                        _rotate(keys, shift, vbits)  # row-major order is already row order
                     yield columns, slice(lo, hi), keys
-    return col_wts, row_wts, runs()
+    return col_wts, rows.row_wts, runs()
 
 
-def _text(keys, heads, ends, columns, H=None):
-    """The text of lines whose sorted keys line << s | position are keys
-    and whose first keys have the indices heads (with the key count
-    appended): each line's nonzero entries, read from the C-contiguous H
-    by one flat index, or with no H their 1-based positions; a newline
-    after the tokens at the indices ends and a space after the others.
-    Also the byte at which each line starts (with the text's length
-    appended), summed from the token widths _format gives."""
-    shift = 4 * keys.itemsize
-    low = keys.dtype.type((1 << shift) - 1)
-    if H is None:
-        entries = (keys & low) + 1
-    else:  # the flat index i * n + j of each H[i, j]
-        flat = keys & low if columns else keys >> shift
-        flat *= H.shape[1]
-        flat += keys >> shift if columns else keys & low
-        entries = np.take(H.reshape(-1), flat)
+def _text(keys, heads, ends, shift, vbits, values):
+    """The text of lines whose sorted keys (line << s | position) << vbits
+    | value are keys and whose first keys have the indices heads (with the
+    key count appended): each line's values, or with values false the
+    1-based positions of its nonzeros; a newline after the tokens at the
+    indices ends and a space after the others.  Also the byte at which
+    each line starts (with the text's length appended), summed from the
+    token widths _format gives."""
+    if values:
+        entries = keys & ((1 << vbits) - 1)
+    else:
+        entries = (keys >> vbits if vbits else keys) & ((1 << shift) - 1)
+        entries += 1
     text, widths = _format(entries, ends)
     if np.ndim(widths):  # each line's length, over the lines that have tokens
         lengths = np.zeros(len(heads), dtype=np.int64)
@@ -277,15 +373,15 @@ def _text(keys, heads, ends, columns, H=None):
     return memoryview(text), starts.tolist()
 
 
-def _write_lines(fh, keys, weights, columns, width=0, H=None):
-    """Write the column (columns=True) or row lines whose sorted keys
-    line << s | position are keys and whose weights are given, each as its
-    nonzero entries in the C-contiguous H or, with no H, their 1-based
-    positions, then width - weight zeros; an empty line is a bare newline.
-    Each format round takes at most _BLOCK_TOKENS nonzeros, and each write
-    at most _BLOCK_CELLS // width lines, or one line.  A write whose lines
-    are all unpadded and nonempty is one slice of the round's text; the
-    others join each line's text and its slice of a constant padding run."""
+def _write_lines(fh, keys, weights, layout, width=0, values=False):
+    """Write the lines whose sorted keys are keys, laid out as layout =
+    (shift, vbits), and whose weights are given, each as its nonzero
+    entries (values true) or their 1-based positions, then width - weight
+    zeros; an empty line is a bare newline.  Each format round takes at
+    most _BLOCK_TOKENS nonzeros, and each write at most
+    _BLOCK_CELLS // width lines, or one line.  A write whose lines are all
+    unpadded and nonempty is one slice of the round's text; the others
+    join each line's text and its slice of a constant padding run."""
     run = memoryview(b"0 " * (width - 1) + b"0\n")  # the longest padding; ends in a newline
     pad = np.maximum(width - weights, 0)
     tails = (len(run) - np.maximum(2 * pad, weights == 0)).tolist()  # where each tail starts in run
@@ -296,7 +392,7 @@ def _write_lines(fh, keys, weights, columns, width=0, H=None):
     for start, stop in _blocks(lead, _BLOCK_TOKENS, len(lead)):
         heads = lead[start:stop + 1] - lead[start]
         text, bounds = _text(keys[lead[start]:lead[stop]], heads,
-                             heads[1:][full[start:stop]] - 1, columns, H)
+                             heads[1:][full[start:stop]] - 1, *layout, values)
         for first in range(0, stop - start, most):  # the round's lines [first, last) of one write
             last = min(first + most, stop - start)
             if cut[start + first] == cut[start + last]:  # every line full
@@ -307,28 +403,18 @@ def _write_lines(fh, keys, weights, columns, width=0, H=None):
                     for part in (text[lo:hi], run[tail:])]))
 
 
-def _checked(H):
-    """H as an array, before any file is opened: DimensionMismatch unless
-    2-D (the writers take no field), or TooLarge if an index of H has
-    more than _MAX_DIGITS digits."""
-    H = np.asarray(H)
-    if H.ndim != 2:
-        raise DimensionMismatch(f"H must be 2-D, not of shape {H.shape}")
-    if max(H.shape) >= 10 ** _MAX_DIGITS:
-        raise TooLarge(f"a {H.shape[0]} x {H.shape[1]} matrix has indices "
-                       f"of more than {_MAX_DIGITS} digits")
-    return H
-
-
 def _write(H, path, qval_path):
     """Write H's alist file at path and its .qval values at qval_path,
-    each unless None, from one keyed pass: each run of _keyed writes its
-    index lines, then its value lines, read from H by flat index (a
-    strided H is copied once for them)."""
-    H = _checked(H)
-    m, n = H.shape
-    col_wts, row_wts, runs = _keyed(H)
-    values = None if qval_path is None else np.ascontiguousarray(H)
+    each unless None, from one keyed pass (``_keyed``): each run writes
+    its index lines, then its value lines.  H is an array, a row-block
+    source, or a KeyedRows, which must carry the values for a .qval."""
+    values = qval_path is not None
+    rows = H if isinstance(H, KeyedRows) else KeyedRows(H, values)
+    if values and not rows.values:
+        raise ValueError("a .qval needs rows keyed with their values")
+    col_wts, row_wts, runs = _keyed(rows)
+    m, n = rows.shape
+    layout = rows.shift, rows.vbits
     width = {True: int(col_wts.max(initial=0)), False: int(row_wts.max(initial=0))}
     with contextlib.ExitStack() as files:
         fh, fq = (None if p is None else files.enter_context(open(p, "wb"))
@@ -340,15 +426,15 @@ def _write(H, path, qval_path):
         for columns, lines, keys in runs:
             wts = (col_wts if columns else row_wts)[lines]
             if fh is not None:
-                _write_lines(fh, keys, wts, columns, width=width[columns])
+                _write_lines(fh, keys, wts, layout, width=width[columns])
             if fq is not None:
-                _write_lines(fq, keys, wts, columns, H=values)
+                _write_lines(fq, keys, wts, layout, values=True)
 
 
 def write_alist(H, path, qval_path=None):
-    """Write the m x n matrix H (nonzero pattern only) to an alist file
-    and, when qval_path is given, write_qval's file there from the same
-    keyed pass."""
+    """Write the m x n matrix H (nonzero pattern only), an array or a
+    row-block source, to an alist file and, when qval_path is given,
+    write_qval's file there from the same keyed pass."""
     _write(H, path, qval_path)
 
 
@@ -360,9 +446,12 @@ def write_qval(H, path):
 
 def export_parity_alist(H, path, q):
     """Write H as alist; for q > 2 also write the .qval companion, H keyed
-    once for both.  An entry outside F_q raises ValueError before any file
-    is opened."""
-    H = make_field(q).elements(H, (None, None))
+    once for both.  H is an array, whose entries outside F_q raise
+    ValueError before any file is opened, or a row-block source of
+    elements of F_q (``codes.EvaluatedRows``, or a KeyedRows around one,
+    keyed with its values when q > 2)."""
+    if not hasattr(H, "nonzero_bound") and not isinstance(H, KeyedRows):
+        H = make_field(q).elements(H, (None, None))
     write_alist(H, path, str(path) + ".qval" if q > 2 else None)
 
 

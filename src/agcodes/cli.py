@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import analysis, dual as dual_mod, transforms
-from .alist import export_parity_alist
+from .alist import KeyedRows, export_parity_alist
 from .codes import (PointEnumeration, build_affine_grassmann,
                     theoretical_params, write_generator)
 from .errors import AGCError, SizeOutOfRange, TooLarge, UsageError
@@ -69,12 +69,14 @@ def _build(args):
 def _dual(args):
     _check_cap(args)
     C = build_affine_grassmann(args.l, args.m, args.r, args.q)
-    D = dual_mod.build_dual_code(C)  # exact orthogonality verified inside
+    H = dual_mod.dual_rows(C)  # proved here; no row is evaluated unless written
+    k, n = H.shape
     record = {"schema": 1, "q": args.q, "l": args.l, "m": args.m,
-              "r": args.r, "n": D.n, "k": D.k}
+              "r": args.r, "n": n, "k": k}
     if args.out is not None:
-        write_generator(D, args.out)
-        export_parity_alist(D.generator, args.out + ".alist", args.q)
+        H = KeyedRows(H, values=args.q > 2)
+        write_generator(H, args.out)  # evaluates each row block once, and H keys it
+        export_parity_alist(H, args.out + ".alist", args.q)
     _emit(record)
     return 0
 
@@ -82,9 +84,9 @@ def _dual(args):
 def _export_alist(args):
     _check_cap(args)
     C = build_affine_grassmann(args.l, args.m, args.r, args.q)
-    D = dual_mod.build_dual_code(C)
-    export_parity_alist(D.generator, args.out, args.q)
-    _emit({"schema": 1, "written": args.out, "n": D.n, "rows": D.k})
+    H = dual_mod.dual_rows(C)
+    export_parity_alist(H, args.out, args.q)
+    _emit({"schema": 1, "written": args.out, "n": H.shape[1], "rows": H.shape[0]})
     return 0
 
 
@@ -93,8 +95,9 @@ def _verify(args):
         raise SizeOutOfRange(f"--seed must be nonnegative, got {args.seed}")
     _check_cap(args)
     q, ell, m = args.q, args.l, args.m
+    params = [theoretical_params(ell, m, r, q) for r in range(ell + 1)]
     rng = np.random.default_rng(args.seed)
-    checks = []
+    checks, built = [], {}
 
     def check(name, fn):
         t0 = time.perf_counter()
@@ -109,32 +112,44 @@ def _verify(args):
             entry["error"] = err
         checks.append(entry)
 
+    def code(r):  # built once, in the first check that needs it; a failure is kept
+        if r not in built:
+            try:
+                built[r] = build_affine_grassmann(ell, m, r, q)
+            except Exception as exc:
+                built[r] = exc
+        if isinstance(built[r], Exception):
+            raise built[r]
+        return built[r]
+
     def dual_dim(r, p):  # the symbolic proof alone: no H is evaluated
         basis = dual_mod.dual_basis(ell, m, r, q)
         dual_mod.check_dual_basis(basis, ell, m, r, q)
         return len(basis) == p.n - p.k
 
-    # each check does its own work, so one that cannot run (TooLarge, say)
-    # fails with its error and the others still report
-    for r in range(ell + 1):
-        C = build_affine_grassmann(ell, m, r, q)
-        params = theoretical_params(ell, m, r, q)
-        check(f"params-r{r}", lambda C=C, p=params: C.n == p.n and C.k == p.k)
-        if r >= 1:
-            check(f"dual-dim-r{r}", lambda r=r, p=params: dual_dim(r, p))
-        so = dual_mod.self_orthogonality_check(ell, m, r, q, code=C)
-        check(f"self-orth-r{r}",
-              lambda so=so: so["selfOrthogonal"] == so["expectedByTheorem"])
-        expected_d = 3 if q > 2 else (4 if m - ell > 1 else None)
-        if args.deep and r >= 1 and expected_d is not None:
-            check(f"dual-min-weight-r{r}", lambda C=C, e=expected_d:
-                  analysis.low_weight_dual_search(C, w_max=e).min_distance == e)
+    def self_orth(r):
+        so = dual_mod.self_orthogonality_check(ell, m, r, q, code=code(r))
+        return so["selfOrthogonal"] == so["expectedByTheorem"]
 
-    # a random affine map must induce an automorphism of the top-level
-    # code, the r = l code of the last pass
-    T = transforms.random_transform(C.rect, C.field, rng)
-    perm = transforms.induced_permutation(T, PointEnumeration(C.rect, C.field))
-    check("automorphism-sample", lambda: transforms.is_automorphism(C, perm))
+    def automorphism():  # a random affine map must induce one of the r = l code
+        C = code(ell)
+        T = transforms.random_transform(C.rect, C.field, rng)
+        perm = transforms.induced_permutation(T, PointEnumeration(C.rect, C.field))
+        return transforms.is_automorphism(C, perm)
+
+    # each check does its own work inside its clock, so one that cannot run
+    # (TooLarge, say) fails with its error and the others still report
+    expected_d = 3 if q > 2 else (4 if m - ell > 1 else None)
+    for r, p in enumerate(params):
+        check(f"params-r{r}", lambda r=r, p=p: (code(r).n, code(r).k) == (p.n, p.k))
+        if r >= 1:
+            check(f"dual-dim-r{r}", lambda r=r, p=p: dual_dim(r, p))
+        check(f"self-orth-r{r}", lambda r=r: self_orth(r))
+        if args.deep and r >= 1 and expected_d is not None:
+            check(f"dual-min-weight-r{r}", lambda r=r:
+                  analysis.low_weight_dual_search(code(r), w_max=expected_d).min_distance
+                  == expected_d)
+    check("automorphism-sample", automorphism)
 
     ok = all(c["pass"] for c in checks)
     _emit({"schema": 1, "q": q, "l": ell, "m": m,

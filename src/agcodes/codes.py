@@ -7,12 +7,14 @@ generator matrix in the package is reproducible bit for bit from this
 convention.
 
 Evaluation is one numpy kernel for every q: ``evaluate`` writes the
-evaluations of rows of polynomials into one preallocated matrix, a block
-of rows at a time, from their ``monomials.TermRows``: each term's vector
-is the outer product of two rows of one cached table W, the values of
-every monomial in ceil(delta/2) variables at every point of
-F_q^ceil(delta/2), and ``monomials.add_terms`` sums each row's scaled
-terms.  Every builder calls it once, on rows held as arrays.
+evaluations of rows of polynomials, or of a block of their rows and a run
+of their columns, into one preallocated matrix, a block of rows at a
+time, from their ``monomials.TermRows``: each term's vector is the outer
+product of two rows of one cached table W, the values of every monomial
+in ceil(delta/2) variables at every point of F_q^ceil(delta/2), and
+``monomials.add_terms`` sums each row's scaled terms.  Every builder
+calls it once, on rows held as arrays.  ``EvaluatedRows`` is the same
+matrix never held: each slice of it is one call of ``evaluate``.
 """
 
 from __future__ import annotations
@@ -75,33 +77,70 @@ class PointEnumeration:
         return int(undigits(M.reshape(-1), self.field.q))
 
 
-def evaluate(polys, pe):
+def evaluate(polys, pe, rows=slice(None), cols=slice(None)):
     """The (len(polys), n) matrix whose row j is Ev(polys[j]), coordinate i
-    being polys[j](P_i).  polys is a list of polynomials or a
-    ``monomials.TermRows`` (see ``monomials.term_table``).  One polynomial
-    f is ``evaluate([f], pe)[0]``.
+    being polys[j](P_i), or its block [rows, cols] for slices of step 1.
+    polys is a list of polynomials or a ``monomials.TermRows`` (see
+    ``monomials.term_table``).  One polynomial f is ``evaluate([f], pe)[0]``.
 
     Rows are filled in blocks of about ``_BLOCK_CELLS`` entries.  A term
     with key hi * q^h + lo, h = delta // 2, has at point i_hi * q^h + i_lo
-    the value W[hi, i_hi] * W[lo, i_lo]: one field lookup per block.  A
-    field or rectangle other than pe's raises DimensionMismatch, and a
-    negative exponent or a coefficient outside F_q* ValueError.
+    the value W[hi, i_hi] * W[lo, i_lo]: one field lookup per block, over
+    the values i_hi that the columns span.  A field or rectangle other
+    than pe's raises DimensionMismatch, and a negative exponent or a
+    coefficient outside F_q* ValueError.
     """
     F, n, delta = pe.field, pe.n, pe.rect.delta
     q = F.q
     t = term_table(polys, F, pe.rect)
+    (r0, r1, rstep), (c0, c1, cstep) = rows.indices(len(t)), cols.indices(n)
+    if rstep != 1 or cstep != 1:
+        raise ValueError("evaluate reads slices of step 1 only")
+    r1, c1 = max(r0, r1), max(c0, c1)
     low = q ** (delta // 2)
-    hi, lo = np.divmod(t.keys[t.mons], low)  # one entry per term
+    h0, h1 = c0 // low, -(-c1 // low)  # the high digits of the columns
+    width, skip = (h1 - h0) * low, c0 - h0 * low
+    first = t.starts[r0]
+    hi, lo = np.divmod(t.keys[t.mons[first:t.starts[r1]]], low)  # one entry per term
     W = _monomial_values(q, delta - delta // 2)
-    H = np.zeros((len(t), n), dtype=np.uint8)
-    step = max(1, _BLOCK_CELLS // n)
-    starts = range(0, len(t), step)
-    cuts = t.starts[[*starts, len(t)]]
+    H = np.zeros((r1 - r0, c1 - c0), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    starts = range(r0, r1, step)
+    cuts = t.starts[[*starts, r1]] - first
     for start, a, b in zip(starts, cuts, cuts[1:]):
-        V = F.mul(W[hi[a:b], :, None], W[lo[a:b], None, :low]).reshape(b - a, n)
-        add_terms(F, V, t.rows[a:b] - start, np.arange(b - a), t.coefs[a:b], t.pos[a:b],
-                  H[start:start + step])
+        V = F.mul(W[hi[a:b], h0:h1, None], W[lo[a:b], None, :low]).reshape(b - a, width)
+        terms = slice(first + a, first + b)
+        add_terms(F, V[:, skip:skip + c1 - c0], t.rows[terms] - start, np.arange(b - a),
+                  t.coefs[terms], t.pos[terms], H[start - r0:start - r0 + step])
     return H
+
+
+class EvaluatedRows:
+    """The matrix ``evaluate(polys, pe)``, never held: E[rows] or
+    E[rows, cols], with slices of step 1, evaluates that block.  Like an
+    ndarray it has a shape, so the writers read it a block of rows, or a
+    run of columns, at a time.  Every entry lies in F_q, and at most
+    ``nonzero_bound`` entries are nonzero: a term c mu is nonzero exactly
+    at the points whose slots are nonzero where mu's exponents are, and a
+    row is nonzero only where one of its terms is."""
+
+    def __init__(self, polys, pe):
+        if not isinstance(polys, TermRows):  # walk a list once; evaluate checks a TermRows
+            polys = term_table(polys, pe.field, pe.rect)
+        self.polys, self.pe, self.field = polys, pe, pe.field
+        self.shape = (len(polys), pe.n)
+        self.top = pe.field.q - 1  # the largest entry
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        return evaluate(self.polys, self.pe, rows, cols)
+
+    @property
+    def nonzero_bound(self):
+        t, q, delta = self.polys, self.field.q, self.pe.rect.delta
+        used = np.count_nonzero(digits(t.keys, q, delta), axis=1)  # each monomial's variables
+        weights = (q - 1) ** used * q ** (delta - used)
+        return int(weights[t.mons].sum())
 
 
 @dataclass(eq=False)
@@ -163,10 +202,15 @@ class Code:
 
 
 def write_generator(code, path):
-    """Plain-text export: first line 'q n k', then k rows of element codes."""
+    """Plain-text export: first line 'q n k', then k rows of element codes.
+    code is a Code, or a row-block source with a field, such as
+    EvaluatedRows or an ``alist.KeyedRows`` around one, read a block of
+    rows at a time."""
+    G = code.generator if isinstance(code, Code) else code
+    k, n = G.shape
     with open(path, "wb") as fh:
-        fh.write(f"{code.field.q} {code.n} {code.k}\n".encode())
-        _write_rows(fh, code.generator)
+        fh.write(f"{code.field.q} {n} {k}\n".encode())
+        _write_rows(fh, G)
 
 
 def gaussian_binomial(a, b, q):

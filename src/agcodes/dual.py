@@ -7,8 +7,10 @@ by its base-q key, so ``dual_basis`` holds the basis as arrays, a
 ``monomials.TermRows``: the keys of the non-forbidden monomials, in
 row-major lex order of their exponents, then a small term table of the
 binomials, both read off ``minors.minor_rows``.  No polynomial is made
-per row unless a row is read.  ``build_dual_code`` proves the basis
-symbolically, on keys, before it evaluates anything:
+per row unless a row is read.  ``dual_rows`` proves the basis
+symbolically, on keys, and returns it as ``codes.EvaluatedRows``, which
+evaluates a block of rows or a run of columns only when the writers read
+it; ``build_dual_code`` evaluates the whole of it once:
 
 * Orthogonality.  Over F_q, the sum of x^e over all x is -1 when e > 0
   and (q-1) | e, and 0 otherwise.  So <Ev f, Ev g> is the sum of
@@ -27,7 +29,8 @@ With n - k independent rows orthogonal to the code, the basis spans the
 dual.  All of this is exact; any nonzero inner product is a hard error,
 never a warning.  The proof reads the basis as ``codes.evaluate`` does,
 through ``monomials.term_table``, and needs no H: ``verify``'s
-``dual-dim`` runs it.
+``dual-dim`` runs it, and ``dual`` and ``export-alist`` run it before any
+file is opened.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, PointEnumeration,
-                    evaluate, theoretical_params)
+from .codes import (_BLOCK_CELLS, DEFAULT_MAX_CELLS, Code, EvaluatedRows,
+                    PointEnumeration, evaluate, theoretical_params)
 from .errors import (InvalidWitnessParams, OrthogonalityViolation,
                      SizeOutOfRange, TooLarge)
 from .field import make_field, undigits
@@ -212,31 +215,37 @@ def check_dual_basis(basis, ell, m, r, q):
             raise AssertionError("dual basis evaluations unexpectedly dependent")
 
 
-def build_dual_code(C):
-    """Evaluate the explicit dual basis of an affine Grassmann code.
+def dual_rows(C):
+    """The explicit dual basis of an affine Grassmann code, proved, as
+    ``codes.EvaluatedRows``: no row of H is evaluated until it is read.
 
     ``dual_basis`` gives the basis as arrays, and ``check_dual_basis``
     proves on those arrays that its evaluations are orthogonal to every
     minor of the code's level, the polynomials the generator rows
     evaluate, and independent, so with n - k rows they span the dual
     exactly.  The theorem admits no slack, so any nonzero inner product
-    raises.  ``evaluate`` then writes H once from the same arrays; no
-    polynomial is made per row.  A dual of more than ``DEFAULT_MAX_CELLS``
-    entries raises TooLarge before any basis is built.
+    raises.  A dual of more than ``DEFAULT_MAX_CELLS`` entries raises
+    TooLarge before any basis is built.
     """
     meta = C.meta
     if meta.get("kind") != "AGC":
-        raise ValueError("build_dual_code needs a code built by build_affine_grassmann")
+        raise ValueError("the dual needs a code built by build_affine_grassmann")
     ell, m, r, q = meta["ell"], meta["m"], meta["r"], meta["q"]
     if C.n * (C.n - C.k) > DEFAULT_MAX_CELLS:
         raise TooLarge(f"n*(n-k) = {C.n * (C.n - C.k)} exceeds cap {DEFAULT_MAX_CELLS}")
-    F = C.field
     basis = dual_basis(ell, m, r, q)
     check_dual_basis(basis, ell, m, r, q)
-    H = evaluate(basis, PointEnumeration(C.rect, F))
-    return Code(field=F, generator=H, rect=C.rect,
-                meta={"kind": "DUAL", "dual_of": C,
-                      "ell": ell, "m": m, "r": r, "q": q})
+    return EvaluatedRows(basis, PointEnumeration(C.rect, C.field))
+
+
+def build_dual_code(C):
+    """The dual of an affine Grassmann code as a Code whose generator is
+    the matrix of ``dual_rows``, proved there and then evaluated by one
+    call of ``evaluate``; no polynomial is made per row."""
+    H, meta = dual_rows(C), C.meta
+    return Code(field=C.field, generator=evaluate(H.polys, H.pe), rect=C.rect,
+                meta={"kind": "DUAL", "dual_of": C, "ell": meta["ell"],
+                      "m": meta["m"], "r": meta["r"], "q": meta["q"]})
 
 
 def dual_min_weight_witness(ell, m, r, q, choice):

@@ -10,7 +10,7 @@ from agcodes import alist
 from agcodes.alist import (_BLOCK_CELLS, _TEXT, _format, _write_rows, export_parity_alist,
                            read_alist, write_alist, write_qval)
 from agcodes.codes import Code, build_affine_grassmann, write_generator
-from agcodes.dual import build_dual_code
+from agcodes.dual import build_dual_code, dual_rows
 from agcodes.errors import DimensionMismatch, TooLarge
 from agcodes.field import make_field
 
@@ -530,3 +530,81 @@ def test_dense_export_memory_does_not_follow_the_nonzeros(tmp_path):
     H = _random_entries(rng, (2048, 2048), 16, 1.0)
     peak = _traced_peak(export_parity_alist, H, tmp_path / "dense.alist", 16)
     assert peak < H.nbytes // 2, peak
+
+
+# ------------------------------------------------- row-block sources
+# An EvaluatedRows source is written from its row blocks, or from runs of
+# its own columns and rows past the key cap, to the bytes of its matrix.
+
+def _dual_rows(ell, m, r, q):
+    C = build_affine_grassmann(ell, m, r, q)
+    return dual_rows(C), build_dual_code(C).generator
+
+
+@pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 2), (3, 2, 4, 2), (16, 1, 2, 1)])
+def test_evaluated_rows_write_the_bytes_of_their_matrix(q, ell, m, r, tmp_path, monkeypatch):
+    """With runs of one line, of a few lines and one run, and row blocks
+    of 1, 64 and 2^16 cells, writing the rows unevaluated gives the bytes
+    of the held matrix, through KeyedRows after the generator text too."""
+    rows, H = _dual_rows(ell, m, r, q)
+    for cells in (1, 64, 2 ** 16):
+        monkeypatch.setattr(alist, "_BLOCK_CELLS", cells)
+        for cap in (1, 7, 2 ** 20):
+            _set_key_cap(monkeypatch, cap)
+            export_parity_alist(H, tmp_path / "held", q)
+            export_parity_alist(rows, tmp_path / "rows", q)
+            keyed = alist.KeyedRows(rows, values=q > 2)
+            write_generator(keyed, tmp_path / "gen")
+            export_parity_alist(keyed, tmp_path / "keyed", q)
+            for suffix in ("", ".qval") if q > 2 else ("",):
+                want = (tmp_path / f"held{suffix}").read_bytes()
+                for name in ("rows", "keyed"):
+                    assert (tmp_path / f"{name}{suffix}").read_bytes() == want, (cells, cap)
+            code = Code(field=make_field(q), generator=H)
+            write_generator(code, tmp_path / "held.gen")
+            assert (tmp_path / "gen").read_bytes() == (tmp_path / "held.gen").read_bytes()
+
+
+def test_each_row_block_is_evaluated_once(tmp_path, monkeypatch):
+    """The generator text and the alist share one evaluation of each row
+    block when the keys fit the cap; past it, each run of columns and of
+    rows evaluates only its own window, and the bytes are the same."""
+    from agcodes import codes
+    rows, H = _dual_rows(3, 6, 2, 2)
+    calls, real = [], codes.evaluate
+    monkeypatch.setattr(codes, "evaluate", lambda polys, pe, r, c: calls.append(
+        (r.indices(len(polys))[:2], c.indices(pe.n)[:2])) or real(polys, pe, r, c))
+    step = alist._BLOCK_CELLS // rows.shape[1]
+    blocks = [((s, min(s + step, H.shape[0])), (0, H.shape[1]))
+              for s in range(0, H.shape[0], step)]
+    keyed = alist.KeyedRows(rows)
+    write_generator(keyed, tmp_path / "gen")
+    export_parity_alist(keyed, tmp_path / "a", 2)
+    assert calls == blocks
+    calls.clear()
+    _set_key_cap(monkeypatch, 5000)
+    export_parity_alist(rows, tmp_path / "b", 2)
+    assert calls[:len(blocks)] == blocks  # the weights
+    windows = calls[len(blocks):]
+    whole = ((0, H.shape[0]), (0, H.shape[1]))
+    assert len(windows) > 2 and whole not in windows
+    cells = sum((r[1] - r[0]) * (c[1] - c[0]) for r, c in windows)
+    assert cells == 2 * H.size  # each run reads its own lines only, once
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_values_a_key_cannot_hold_raise_before_any_file(tmp_path):
+    """A key holds a line, a position and the value bits of a .qval:
+    uint64 holds 20-bit indices with 24-bit values, and no more, and no
+    negative value."""
+    assert alist._layout(2 ** 20, 1, 24) == (np.uint64, 20)
+    assert alist._layout(2 ** 14, 3, 4) == (np.uint32, 14)
+    assert alist._layout(2 ** 14 + 1, 3, 4) == (np.uint64, 30)
+    H = np.zeros((1, 2 ** 20 + 1), dtype=np.int32)
+    H[0, -1] = 2 ** 23
+    write_alist(H, tmp_path / "fine.alist")  # no values: 32-bit indices
+    with pytest.raises(TooLarge):
+        write_qval(H, tmp_path / "wide.qval")
+    with pytest.raises(ValueError, match="negative"):  # its key would wrap
+        write_qval(np.array([[-1, 2], [0, 3]]), tmp_path / "negative.qval")
+    assert [p.name for p in tmp_path.iterdir()] == ["fine.alist"]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import agcodes
 from agcodes import analysis, cli, dual
 from agcodes.alist import read_alist
-from agcodes.errors import OrthogonalityViolation
+from agcodes.errors import OrthogonalityViolation, TooLarge
 
 
 def run_cli(*args, env_extra=None):
@@ -149,6 +150,68 @@ class TestDual:
             with open(out + suffix, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
 
+    # the sha256 of the files of AGC(2,4;2)/F4, as test_dual_files_are_pinned pins them
+    F4_ARGS = ["--q", "4", "--l", "2", "--m", "4", "--r", "2"]
+    F4_TEXT = "18db2c098b1f4bb2d561df707f89e813bb64080343472be4ddecc39b1ccb596a"
+    F4_ALIST = "2632dac879c2c1833903f7b86d8cc73a5edcfa8dbc27a5a98004c34e10ceab8f"
+    F4_QVAL = "7b2df175220436f3545417a31ef91cbc60dd3306e9aa912423d00cae5542aa7c"
+
+    def test_commands_build_no_dual_code(self, monkeypatch, tmp_path, capsys):
+        """dual, dual --out and export-alist read the proved basis by row
+        blocks and never call build_dual_code: with it patched to raise,
+        they exit 0 with the same records and bytes."""
+        def no_h(C):
+            raise AssertionError("H was built")
+
+        monkeypatch.setattr(dual, "build_dual_code", no_h)
+        out, alist_out = str(tmp_path / "dual.txt"), str(tmp_path / "h.alist")
+        record = {"schema": 1, "q": 4, "l": 2, "m": 4, "r": 2, "n": 256, "k": 250}
+        for argv, want in [(["dual", *self.F4_ARGS], record),
+                           (["dual", *self.F4_ARGS, "--out", out], record),
+                           (["export-alist", *self.F4_ARGS, "--out", alist_out],
+                            {"schema": 1, "written": alist_out, "n": 256, "rows": 250})]:
+            assert cli.main(argv) == 0, argv
+            assert json.loads(capsys.readouterr().out) == want
+        for path, digest in [(out, self.F4_TEXT), (out + ".alist", self.F4_ALIST),
+                             (out + ".alist.qval", self.F4_QVAL),
+                             (alist_out, self.F4_ALIST), (alist_out + ".qval", self.F4_QVAL)]:
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, path
+
+    @pytest.mark.parametrize("command", ["dual", "dual-out", "export-alist"])
+    def test_refuted_proof_leaves_no_file(self, command, monkeypatch, tmp_path, capsys):
+        """The basis is proved before any file is opened: a refuted proof
+        exits 2 with its error record and writes nothing."""
+        def refuted(*args):
+            raise OrthogonalityViolation("refuted")
+
+        monkeypatch.setattr(dual, "check_dual_basis", refuted)
+        out = str(tmp_path / "h.out")
+        argv = [command.split("-out")[0], *self.F4_ARGS]
+        argv += [] if command == "dual" else ["--out", out]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"schema": 1, "error": "OrthogonalityViolation",
+                                            "message": "refuted"}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["dual", "export-alist"])
+    def test_export_memory_holds_no_dual_matrix(self, command, tmp_path, capsys):
+        """AGC(3,7;2)/F2: H would be 4065 x 4096, 15.9 MiB, and the whole
+        command, the proof and every file written, stays below 6 MiB of
+        traced allocations."""
+        argv = [command, "--q", "2", "--l", "3", "--m", "7", "--r", "2",
+                "--out", str(tmp_path / "dual.txt")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 6 * 2 ** 20, peak
+
 
 class TestExportAlist:
     def test_export(self, tmp_path):
@@ -225,6 +288,47 @@ class TestVerify:
             failed = c["name"].startswith("dual-dim-r")
             assert c["pass"] is not failed
             assert c.get("error", "").startswith("OrthogonalityViolation: ") is failed
+
+    def test_build_that_cannot_run_fails_its_checks_alone(self, monkeypatch, capsys):
+        """Each level's code is built inside the first check that needs
+        it: a build that raises at r = 2 fails params-r2, self-orth-r2,
+        dual-min-weight-r2 and the automorphism sample (of the r = l
+        code) with its error, and every other check, dual-dim-r2
+        included, still runs and passes."""
+        argv = ["verify", "--deep", "--q", "2", "--l", "2", "--m", "4"]
+        assert cli.main(argv) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        real = cli.build_affine_grassmann
+
+        def build(ell, m, r, q):
+            if r == 2:
+                raise TooLarge("no level-2 code")
+            return real(ell, m, r, q)
+
+        monkeypatch.setattr(cli, "build_affine_grassmann", build)
+        assert cli.main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == names
+        failing = {"params-r2", "self-orth-r2", "dual-min-weight-r2", "automorphism-sample"}
+        for c in checks:
+            assert c["pass"] is (c["name"] not in failing), c
+            assert (c.get("error") == "TooLarge: no level-2 code") is (c["name"] in failing)
+
+    def test_self_orthogonality_is_timed_in_its_check(self, monkeypatch, capsys):
+        """G G^T is taken inside self-orth-r*'s clock: with 50 ms added to
+        each product, every self-orth-r* reports at least 0.05 s."""
+        real = dual.self_orthogonality_check
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dual, "self_orthogonality_check", slow)
+        assert cli.main(["verify", "--q", "2", "--l", "2", "--m", "4"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        timed = [c for c in rec["checks"] if c["name"].startswith("self-orth-r")]
+        assert [c["name"] for c in timed] == ["self-orth-r0", "self-orth-r1", "self-orth-r2"]
+        assert all(c["seconds"] >= 0.05 for c in timed), timed
 
     def test_exception_case_flagged_and_passes(self):
         res = run_cli("verify", "--q", "2", "--l", "1", "--m", "2")

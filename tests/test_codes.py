@@ -232,6 +232,61 @@ class TestEvaluateRows:
         assert np.array_equal(H, np.array([evaluate([f], pe)[0] for f in basis]))
 
 
+class TestEvaluatedRows:
+    """A block of rows and a run of columns of evaluate's matrix, directly
+    or through EvaluatedRows, are the slices of the whole matrix."""
+
+    @pytest.mark.parametrize("cells", [1, 37, _BLOCK_CELLS])
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 2), (3, 2, 4, 2), (4, 1, 3, 1),
+                                           (2, 1, 4, 1)])
+    def test_windows_are_slices_of_the_matrix(self, q, ell, m, r, cells, monkeypatch):
+        """Windows that start and end inside a run of the high point digit,
+        span several runs, are empty or reach past either end, with blocks
+        of 1, 37 and 2^16 cells; delta odd (1 x 3) too."""
+        basis = dual_basis(ell, m, r, q)
+        pe = PointEnumeration(Rectangle(ell, m - ell), make_field(q))
+        H = evaluate(basis, pe)
+        monkeypatch.setattr(codes, "_BLOCK_CELLS", cells)
+        E = codes.EvaluatedRows(basis, pe)
+        assert E.shape == H.shape
+        k, n = H.shape
+        rng = np.random.default_rng(cells + q)
+        bounds = [(0, k, 0, n), (0, 0, 0, n), (3, 3, 5, 5), (k - 1, k + 9, n - 1, n + 9),
+                  (-2, None, None, 3)]
+        for _ in range(6):
+            rows, cols = np.sort(rng.integers(0, k + 1, 2)), np.sort(rng.integers(0, n + 1, 2))
+            bounds.append((*rows.tolist(), *cols.tolist()))
+        for r0, r1, c0, c1 in bounds:
+            rows, cols = slice(r0, r1), slice(c0, c1)
+            want = H[rows, cols]
+            got = evaluate(basis, pe, rows, cols)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (rows, cols)
+            assert np.array_equal(E[rows, cols], want) and np.array_equal(E[rows], H[rows])
+
+    def test_slices_of_other_steps_are_refused(self):
+        pe = PointEnumeration(Rectangle(1, 2), make_field(3))
+        basis = dual_basis(1, 3, 1, 3)
+        for rows, cols in [(slice(None, None, 2), slice(None)),
+                           (slice(None), slice(None, None, -1))]:
+            with pytest.raises(ValueError, match="step 1"):
+                evaluate(basis, pe, rows, cols)
+
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 3, 6, 2), (3, 2, 4, 2), (4, 2, 4, 1), (16, 1, 2, 1)])
+    def test_nonzero_bound(self, q, ell, m, r):
+        """The bound is the sum over the terms of their monomials' weights:
+        exact for the monomial rows, an upper bound for the binomials."""
+        basis = dual_basis(ell, m, r, q)
+        pe = PointEnumeration(Rectangle(ell, m - ell), make_field(q))
+        H = evaluate(basis, pe)
+        E = codes.EvaluatedRows(basis, pe)
+        one = np.bincount(basis.rows, minlength=len(basis)) == 1
+        exact = codes.EvaluatedRows([basis[i] for i in np.flatnonzero(one)], pe)
+        assert exact.nonzero_bound == np.count_nonzero(H[one])
+        assert np.count_nonzero(H) <= E.nonzero_bound
+        assert E.nonzero_bound - np.count_nonzero(H) <= 2 * pe.n * int((~one).sum())
+        assert E.top == q - 1
+
+
 class TestGaussianBinomial:
     def test_small_values(self):
         assert gaussian_binomial(2, 1, 2) == 3
