@@ -10,7 +10,12 @@ negated combinations -h of the other rows: low + h vanishes exactly
 where the codes of low and -h agree, so its weight is the popcount of
 the OR over the planes of low XOR -h (for q = 2, of low XOR h).  The
 combinations are built by doubling with field lookups, and the weights
-are histogrammed.
+are histogrammed.  Weights are constant on classes of messages, so the
+kernel meets one message of each: for q > 2 the table meets the zero -h
+and one -h of each class of q - 1 nonzero multiples (_leaders), and the
+others are never built.  Over F_2, when a generator row is all ones, the
+kernel runs on the other rows, and outside it their words c fold with
+c + 1, of weight n - wt(c).
 
 The dual search counts weights <= 4 on two routes over one sorted key of
 the nonzero columns D, each scaled so its first nonzero digit is 1
@@ -73,13 +78,15 @@ class WeightReport:
 
 # ---------------------------------------------------------- full enumeration
 
-def _combinations(F, M):
+def _combinations(F, M, classes=False):
     """The q^r combinations of the r rows of M, the one of message i (the
     coefficients digits(i, q, r)) at row i, as consecutive uint8 blocks
     of q^a rows and at most _BLOCK_CELLS cells (one row when a row alone
     is larger).  The combinations of the first a rows are built once, by
     doubling with field lookups; each block adds to them one combination
-    of the other rows."""
+    of the other rows.  With classes, only the messages _leaders(q, r)
+    are combined, in the same order: the blocks of the others are never
+    built."""
     q, (r, n) = F.q, M.shape
     a = 0
     while a < r and q ** (a + 1) * n <= _BLOCK_CELLS:
@@ -88,12 +95,21 @@ def _combinations(F, M):
     base = np.zeros((1, n), dtype=np.uint8)
     for row in M[:a]:  # row t q^j + i is row i plus t M_j
         base = F.add(F.mul(scale, row)[:, None], base).reshape(q * len(base), n)
-    for coeffs in digits(np.arange(q ** (r - a)), q, r - a).tolist():
+    outers, first = ((_leaders(q, r - a), base[_leaders(q, a)]) if classes
+                     else (np.arange(q ** (r - a)), base))
+    for coeffs in digits(outers, q, r - a).tolist():
         outer = np.zeros(n, dtype=np.uint8)
         for t, row in zip(coeffs, M[a:]):
             if t:
                 outer = F.add(outer, F.mul(t, row))
-        yield F.add(base, outer)
+        yield F.add(base if any(coeffs) else first, outer)
+
+
+def _leaders(q, r):
+    """The messages i < q^r whose coefficients digits(i, q, r) are zero or
+    have last nonzero coefficient 1, ascending: i = 0 and q^j <= i < 2 q^j.
+    They are one of each class {t x : t in F_q*} of messages x."""
+    return np.concatenate([[0]] + [np.arange(q ** j, 2 * q ** j) for j in range(r)])
 
 
 def _planes(X, b):
@@ -112,12 +128,14 @@ def _codes(P, n):
     return X
 
 
-def _enumerate(C, keep_weight=-1):
-    """Weight distribution of the codewords of all q^k - 1 nonzero messages.
+def _enumerate(F, G, keep_weight=-1):
+    """Weight distribution of the codewords of all q^k messages of the
+    (k, n) rows G, the zero message included.
 
-    Returns (A, words): A[w] counts the nonzero messages whose codeword has
-    weight w, and words is the (m, n) uint8 matrix of those of weight
-    keep_weight, in message order (None by default).
+    Returns (A, words): A[w] counts the messages whose codeword has
+    weight w, and words is the (m, n) uint8 matrix of the codewords of
+    weight keep_weight of the nonzero messages, in message order (None by
+    default).
 
     Meet in the middle, one kernel for every q: each word is held as
     b = ceil(log2 q) bit-planes of its element codes (_planes), 64
@@ -129,13 +147,18 @@ def _enumerate(C, keep_weight=-1):
     integer adds.  lo is ceil(k / 2), so both sides cost about the same
     to build, or less if the table would pass _BLOCK_CELLS bytes; the -h
     are compared in batches of about _BLOCK_CELLS bytes of words, so the
-    number of numpy calls follows the work, not the table's size.  Every combination is built by field
-    lookups in blocks of at most _BLOCK_CELLS cells (_combinations); no
-    float product is taken.
+    number of numpy calls follows the work, not the table's size.  Every
+    combination is built by field lookups in blocks of at most
+    _BLOCK_CELLS cells (_combinations); no float product is taken.
+
+    Without keep_weight and for q > 2, only one h of each class
+    {t h : t in F_q*} is met (_leaders), with the zero h: the messages
+    (low, t h) are the multiples by t of (low / t, h), and low / t runs
+    over the table as low does, so the distribution met with each
+    nonzero h counts q - 1 times.
     """
-    F = C.field
-    G = F.elements(C.generator)
     q, (k, n) = F.q, G.shape
+    classes = keep_weight < 0 and q > 2
     b = (q - 1).bit_length()
     nwords = linalg.pack_rows(G[:0]).shape[1]  # uint64 words of one packed word
     words_cap = _BLOCK_CELLS // 8  # uint64 words in _BLOCK_CELLS bytes
@@ -153,7 +176,7 @@ def _enumerate(C, keep_weight=-1):
     wide = np.uint16 if n < 2 ** 16 else np.uint32  # holds a weight <= n
     A = np.zeros(n + 1, dtype=np.int64)
     words = [np.zeros((0, n), dtype=np.uint8)]
-    for block in _combinations(F, F.neg(G[lo:])):
+    for block in _combinations(F, F.neg(G[lo:]), classes):
         planes = _planes(block, b)[..., None]
         for start in range(0, len(block), step):
             h = planes[start:start + step]
@@ -168,7 +191,9 @@ def _enumerate(C, keep_weight=-1):
                 hi, li = np.nonzero(w == keep_weight)
                 if len(hi):  # low - (-h)
                     words.append(F.sub(_codes(low[:, :, li], n), block[start + hi]))
-    A[0] -= 1  # the zero message
+    if classes:  # the zero h once, the others once for each of their q - 1 multiples
+        alone = np.bitwise_count(np.bitwise_or.reduce(low)).sum(axis=0, dtype=wide)
+        A = (q - 1) * A - (q - 2) * np.bincount(alone, minlength=n + 1)
     if keep_weight < 0:
         return A, None
     return A, np.concatenate(words)[1 if keep_weight == 0 else 0:]
@@ -180,13 +205,29 @@ def min_distance_exhaustive(C):
     ``weight_counts`` is {w: A_w} over the weights that occur among the
     codewords of the q^k - 1 nonzero messages, so its values sum to
     ``enumerated``; weight 0 appears only when the rows are dependent.
+
+    Weights are constant on classes of messages, so _enumerate meets one
+    message of each.  Over F_q, q > 2, a class is the q - 1 nonzero
+    multiples of a message (see _enumerate).  Over F_2, when a row of G
+    is the all-ones word, a class is {x, x + e} for the unit message e of
+    that row: its codewords are c and c + 1, of weights w and n - w.  So
+    the q^(k-1) messages A' of the other rows, zero included, give
+    A_w = A'_w + A'_(n-w), exactly, whatever the other rows are.
     """
-    total = C.field.q ** C.k - 1
+    F = C.field
+    total = F.q ** C.k - 1
     if total > DEFAULT_ENUM_CAP:
         raise TooLarge(
             f"{total} codewords exceed the cap {DEFAULT_ENUM_CAP}; "
             "use low_weight_dual_search for dual codes")
-    A, _ = _enumerate(C)
+    G = F.elements(C.generator)
+    ones = np.flatnonzero(G.all(axis=1)) if F.q == 2 else ()
+    if len(ones):
+        A = _enumerate(F, np.delete(G, ones[0], axis=0))[0]
+        A = A + A[::-1]
+    else:
+        A = _enumerate(F, G)[0]
+    A[0] -= 1  # the zero message
     counts = {w: int(a) for w, a in enumerate(A.tolist()) if a}
     d = min(counts, default=None)
     return WeightReport(min_distance=d, min_weight_count=counts.get(d, 0),
@@ -259,21 +300,23 @@ def _ranges(lo, hi):
 
 def _words(F, lead, supports, coeffs):
     """The (m, n) uint8 matrix of the words given as m ascending rows of
-    column indices and the coefficients on the normalized columns there:
-    rescaled to the original columns by 1 / lead, scaled so each word's
-    first entry is 1, and sorted by support, then coefficients."""
+    column indices and the coefficients on the normalized columns there
+    (not read over F_2, where every lead and coefficient is 1): rescaled to
+    the original columns by 1 / lead, scaled so each word's first entry
+    is 1, and sorted by support, then coefficients."""
     n = len(lead)
     key = np.zeros(len(supports), dtype=np.int64)  # (nq)^w < 2^61: (q-1) n^2 <= 2^26 at w >= 3
     for col in supports.T:
         key = key * n + col
-    if F.q > 2:  # over F_2 every lead and coefficient is 1
+    if F.q > 2:
         coeffs = F.mul(coeffs, F.inv_table[lead[supports]])
         coeffs = F.mul(coeffs, F.inv_table[coeffs[:, :1]])
         for col in coeffs.T:
             key = key * F.q + col
     by_key = np.argsort(key)
     words = np.zeros((len(supports), n), dtype=np.uint8)
-    np.put(words, supports[by_key] + n * np.arange(len(supports))[:, None], coeffs[by_key])
+    np.put(words, supports[by_key] + n * np.arange(len(supports))[:, None],
+           1 if F.q == 2 else coeffs[by_key])
     return words
 
 
@@ -337,24 +380,27 @@ def _pair_words(F, n, w_max, pair_keys, by_key, leads, first, last):
     by first column; an entry's partners are the tail of its run from the
     first entry whose first column c is above its b, each giving
     u D_a + v D_b - u' D_c - v' D_d.  So each word is formed once, from
-    the match that splits off its lowest two columns.
+    the match that splits off its lowest two columns.  Over F_2 every
+    coefficient is 1, and None stands for them.
     """
     q, total = F.q, len(pair_keys)
     row = np.arange(n + 1)
     row = row * (2 * n - row - 1) // 2  # row[a]: the index of the pair (a, a + 1)
 
-    def entries(e):  # a, b and (u, v) of the entries e
+    def entries(e):  # a, b and (u, v) of the entries e (None over F_2)
         p, t = np.divmod(e, q - 1)
         pair_a = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), np.diff(row))
         a = pair_a[p].astype(np.intp)
-        u = F.inv_table[leads[e]] if q > 2 else np.ones(len(e), dtype=np.uint8)
+        if q == 2:
+            return a, p - row[a] + a + 1, None
+        u = F.inv_table[leads[e]]
         return a, p - row[a] + a + 1, np.c_[u, F.mul(u, (t + 1).astype(np.uint8))]
 
     if w_max == 3:  # the entries in the run of each column c
         c, pos = _ranges(first, last)
         a, b, coef = entries(by_key[pos])
         keep = c > b
-        return (np.c_[a, b, c][keep],
+        return (np.c_[a, b, c][keep], None if q == 2 else
                 np.c_[coef, np.full(len(c), F.neg(1), dtype=np.uint8)][keep])
     starts, sizes = _groups(pair_keys)
     run = np.repeat(np.arange(len(starts)) * total, sizes)
@@ -363,7 +409,8 @@ def _pair_words(F, n, w_max, pair_keys, by_key, leads, first, last):
     # the partners of an entry: the tail of its run from the first entry on column b + 1
     i, j = _ranges(np.searchsorted(slot, run + (q - 1) * row[b + 1]),
                    np.repeat(starts + sizes, sizes))
-    return np.c_[a[i], b[i], a[j], b[j]], np.c_[coef[i], F.neg(coef[j])]
+    return (np.c_[a[i], b[i], a[j], b[j]],
+            None if q == 2 else np.c_[coef[i], F.neg(coef[j])])
 
 
 def _orbit_classes(C):
@@ -587,7 +634,7 @@ def min_weight_codewords(C, d):
         return np.zeros((0, C.n), dtype=np.uint8)
     total = C.field.q ** C.k - 1
     if total <= DEFAULT_ENUM_CAP:
-        words = _enumerate(C, keep_weight=d)[1]
+        words = _enumerate(C.field, C.field.elements(C.generator), keep_weight=d)[1]
         if d and C.field.q > 2 and len(words):  # for q = 2 every word is its class
             lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
             words = words[lead == 1]
@@ -638,7 +685,9 @@ def span_generation_test(C, words):
     their rank is rank G, or for a dual from ``build_dual_code`` n - rank
     of the primal's (short) generator.
     """
-    if np.shape(words) == (0,):  # [] is no words
+    if not isinstance(words, np.ndarray):  # ragged rows raise DimensionMismatch here
+        words = C.field.elements(words)
+    if words.shape == (0,):  # [] is no words
         words = np.zeros((0, C.n), dtype=np.uint8)
     M = C.field.elements(words, (None, C.n))
     primal = C.meta.get("dual_of")

@@ -7,19 +7,24 @@ identity and code 1 the multiplicative identity.  The representation is
 deterministic for every supported q, which makes all downstream matrices
 reproducible bit for bit.
 
-Every elementwise operation is a table lookup: ``add``, ``sub`` and ``mul``
-read entry a * q + b of the flattened q x q table, and ``neg`` is
-``sub(0, a)``.  On arrays the indices are computed as uint8 (below 256 for
-q <= 16) and looked up by ``bytes.translate`` in a 256-byte copy of the
-table, which makes no intp copy of the indices.  The operand with fewer
-entries is the one scaled by q, on its own shape, so an outer product
-broadcasts once; when it is b, the copy of the transposed table is read.
-Scalars read the 2-D table directly, which is cheaper than a translate
-call.  This module is the only place that turns field elements into table
-indices.
+Every elementwise operation reads a q x q table: ``add``, ``sub`` and
+``mul`` read entry a * q + b of the flattened table, and ``neg`` is
+``sub(0, a)``.  On arrays the operations that are bit operations on the
+codes take one numpy pass instead: over characteristic 2 the codes are
+bit vectors of coefficients, so ``add`` and ``sub`` are XOR, and over F_2
+``mul`` is AND.  Every other array operation computes its indices as uint8
+(below 256 for q <= 16) and looks them up by ``bytes.translate`` in a
+256-byte copy of the table, which makes no intp copy of the indices.  The
+operand with fewer entries is the one scaled by q, on its own shape, so an
+outer product broadcasts once; when it is b, the copy of the transposed
+table is read.  Either way the result is a new writable uint8 array of the
+broadcast shape.  Scalars read the 2-D table directly, which is cheaper
+than a ufunc or a translate call.  This module is the only place that
+turns field elements into table indices.
 
 ``FieldSpec.elements`` is the one gate for every array a caller passes: a
-wrong shape raises DimensionMismatch, an entry outside F_q ValueError.
+wrong or ragged shape raises DimensionMismatch, an entry outside F_q
+ValueError.
 """
 
 from __future__ import annotations
@@ -133,20 +138,26 @@ class FieldSpec:
     pow_table: np.ndarray  # pow_table[x, e] = x^e for 0 <= e <= q-1
 
     def __post_init__(self):
+        xor = np.bitwise_xor if self.p == 2 else None
         self._add, self._sub, self._mul = (
-            (_byte_table(T), _byte_table(T.T))
-            for T in (self.add_table, self.sub_table, self.mul_table))
+            (_byte_table(T), _byte_table(T.T), bits) for T, bits in (
+                (self.add_table, xor), (self.sub_table, xor),
+                (self.mul_table, np.bitwise_and if self.q == 2 else None)))
 
-    def _lookup(self, table, flats, a, b):
-        """table[a, b] elementwise, with numpy broadcasting.  flats are the
-        byte tables of table and of its transpose: the smaller operand is
-        scaled by q on its own shape (in the result, when it fills it), and
-        the one broadcast is the add."""
+    def _lookup(self, table, ops, a, b):
+        """table[a, b] elementwise, with numpy broadcasting.  ops are the
+        byte tables of table and of its transpose and the ufunc on the codes
+        that equals the table, or None: the ufunc writes the result in one
+        pass; otherwise the smaller operand is scaled by q on its own shape
+        (in the result, when it fills it), and the one broadcast is the
+        add."""
         if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
             return table[a, b]
         sa, sb = np.shape(a), np.shape(b)
         shape = np.broadcast_shapes(sa, sb)
-        flat, flat_t = flats
+        flat, flat_t, bits = ops
+        if bits is not None:
+            return bits(a, b, out=np.empty(shape, dtype=np.uint8), casting="unsafe")
         if math.prod(sb) < math.prod(sa):  # table[a, b] is table.T[b, a]
             a, b, sa, flat = b, a, sb, flat_t
         # the indices are written into a bytearray, so translate reads them
@@ -160,13 +171,16 @@ class FieldSpec:
 
     def elements(self, M, shape=None):
         """M as a uint8 array of element codes.  shape, if given, is the
-        tuple of M's axis lengths, None for any length: a wrong number of
-        axes or a wrong length raises DimensionMismatch before any entry
-        is read.  An entry that is not an integer (2.5, say, which the cast
-        would read as 2) or lies outside [0, q-1], which a table lookup
-        would silently read as another entry, raises ValueError.  Integral
-        floats, as np.eye gives, are accepted."""
-        M = np.asarray(M)
+        tuple of M's axis lengths, None for any length: ragged rows, a
+        wrong number of axes or a wrong length raise DimensionMismatch
+        before any entry is read.  An entry that is not an integer (2.5,
+        say, which the cast would read as 2) or lies outside [0, q-1],
+        which a table lookup would silently read as another entry, raises
+        ValueError.  Integral floats, as np.eye gives, are accepted."""
+        try:
+            M = np.asarray(M)
+        except ValueError as err:  # rows of unequal lengths
+            raise DimensionMismatch(f"a ragged array is not a matrix: {err}") from err
         if shape is not None and (M.ndim != len(shape) or any(
                 want not in (None, have) for have, want in zip(M.shape, shape))):
             raise DimensionMismatch(f"an array of shape {M.shape} where {shape} is "

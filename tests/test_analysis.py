@@ -110,6 +110,22 @@ def small_generators(draw):
     return Code(field=F, generator=np.array(cols, dtype=np.uint8).T)
 
 
+@st.composite
+def generators_with_all_ones_row(draw):
+    """Random generators with the all-ones row at a random position, and
+    perhaps a duplicate of it and a zero row, over q = 2 (drawn more
+    often) and q > 2; n crosses one 64-coordinate word."""
+    q = draw(st.sampled_from([2, 2, 2, 3, 4, 5, 7, 8, 9, 16]))
+    k = draw(st.integers(0, {2: 6, 3: 5, 4: 4, 5: 3}.get(q, 2)))
+    n = draw(st.integers(0, 70))
+    rows = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(0, q, (k, n))
+    extra = [np.ones(n)] + draw(st.lists(st.sampled_from([np.ones(n), np.zeros(n)]),
+                                         max_size=2))
+    for row in extra:
+        rows = np.insert(rows, draw(st.integers(0, len(rows))), row, axis=0)
+    return Code(field=make_field(q), generator=rows.astype(np.uint8))
+
+
 class TestExhaustiveEnumeration:
     @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 1), (2, 2, 4, 2),
                                            (3, 1, 2, 1), (3, 2, 4, 1),
@@ -140,6 +156,58 @@ class TestExhaustiveEnumeration:
             listed &= _first_nonzero(words) == 1
         assert sorted(w.tobytes() for w in got) == \
             sorted(w.tobytes() for w in words[listed])
+
+    @settings(max_examples=80, deadline=None)
+    @given(generators_with_all_ones_row())
+    def test_classes_match_brute_force(self, C):
+        """The fold of the all-ones row over F_2 and the scalar classes over
+        q > 2 are exact on messages, with dependent, duplicate and zero
+        rows."""
+        weights = np.count_nonzero(_brute_force_words(C), axis=1).tolist()
+        rep = analysis.min_distance_exhaustive(C)
+        assert rep.weight_counts == Counter(weights)
+        assert (rep.min_distance, rep.min_weight_count) == \
+            (min(weights), weights.count(min(weights)))
+        assert (rep.method, rep.enumerated) == ("full-enumeration", len(weights))
+
+    @pytest.mark.parametrize("q,ell,m,r", [(2, 2, 4, 2), (2, 2, 4, 1), (2, 3, 6, 2),
+                                           (3, 2, 5, 2), (4, 2, 4, 2), (9, 2, 4, 1)])
+    def test_one_message_per_class(self, q, ell, m, r, monkeypatch):
+        """The enumeration meets one message of each class.  Over F_2 the
+        all-ones row 0 of an AGC generator is left out, so the table rows
+        times the -h met are 2^(k-1), half of the messages.  Over q > 2 the
+        table meets the zero -h and one of each class of q - 1 nonzero
+        multiples: 1 + (q^(k-lo) - 1) / (q - 1) of the q^(k-lo)."""
+        C = build_affine_grassmann(ell, m, r, q)
+        rows, combinations = [], analysis._combinations
+
+        def counting(F, M, classes=False):
+            out = list(combinations(F, M, classes))
+            rows.append(sum(map(len, out)))
+            return iter(out)
+        monkeypatch.setattr(analysis, "_combinations", counting)
+        rep = analysis.min_distance_exhaustive(C)
+        assert rep.enumerated == sum(rep.weight_counts.values()) == q ** C.k - 1
+        low, met = rows  # the table of the first rows, then the -h side
+        if q == 2:
+            assert low * met == 2 ** (C.k - 1)
+        else:
+            assert (q - 1) * (met - 1) == q ** C.k // low - 1
+
+    def test_large_q_within_budget(self):
+        """AGC(2,4;1)/F9 (k = 5, n = 6561) walks the table against one -h
+        of each scalar class: best of 3 within 0.12 s."""
+        C = build_affine_grassmann(2, 4, 1, 9)
+        elapsed = math.inf
+        for _ in range(3):  # best of 3: one run is at the mercy of scheduler noise
+            t0 = time.perf_counter()
+            rep = analysis.min_distance_exhaustive(C)
+            elapsed = min(elapsed, time.perf_counter() - t0)
+        # level 1 is first-order RM(1, 4): the min-weight words are the
+        # q (q^4 - 1) nonconstant affine functions vanishing on a hyperplane
+        assert (rep.min_distance, rep.min_weight_count) == \
+            (theoretical_params(2, 4, 1, 9).d, 9 * (9 ** 4 - 1))
+        assert elapsed < 0.12, f"{elapsed:.3f} s"
 
     def test_no_rows(self):
         C = Code(field=make_field(3), generator=np.zeros((0, 5), dtype=np.uint8))
@@ -204,8 +272,8 @@ class TestExhaustiveEnumeration:
         b, nwords = (q - 1).bit_length(), -(-n // 64)
         blocks, combinations = [], analysis._combinations
 
-        def counting(F, M):
-            out = list(combinations(F, M))
+        def counting(F, M, classes=False):
+            out = list(combinations(F, M, classes))
             blocks.append(len(out))
             return iter(out)
         monkeypatch.setattr(analysis, "_combinations", counting)

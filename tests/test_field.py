@@ -164,6 +164,37 @@ def test_lookup_scales_either_operand(q):
         assert np.array_equal(F.neg(a), F.neg_table[a])
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_characteristic_two_bit_operations(q):
+    """Over characteristic 2 the codes are bit vectors of coefficients, so
+    add and sub on arrays are XOR, and over F_2 mul is AND.  Every pair
+    (a, b) against the tables, with broadcast, 0-d, empty and int64
+    operands: each result is a new writable uint8 array of the broadcast
+    shape."""
+    F = make_field(q)
+    col = np.arange(q, dtype=np.uint8)[:, None]
+    row = col.T.copy()
+    assert np.array_equal(F.add_table, col ^ row) and np.array_equal(F.sub_table, col ^ row)
+    if q == 2:
+        assert np.array_equal(F.mul_table, col & row)
+    x = np.array(q - 1)
+    cases = [(col, row), (row, col), (col.astype(np.int64), row), (col, row.astype(np.int64)),
+             (col.astype(np.int64), row.astype(np.int64)), (x, row), (col, x), (x, x),
+             (int(x), col), (row, 1), (np.zeros((0, q), np.uint8), row),
+             (col, np.zeros((q, 0), np.int64)), (0, np.zeros(0, np.uint8))]
+    for a, b in cases:
+        A, B = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        for op, table in ((F.add, F.add_table), (F.sub, F.sub_table), (F.mul, F.mul_table)):
+            out = op(a, b)
+            assert out.dtype == np.uint8 and out.shape == A.shape and out.flags.writeable
+            assert not any(np.shares_memory(out, v) for v in (a, b) if isinstance(v, np.ndarray))
+            assert np.array_equal(out, table[A, B]), (op.__name__, np.shape(a), np.shape(b))
+    for a in (col, row.astype(np.int64), x, np.zeros((2, 0), np.uint8)):
+        out = F.neg(a)
+        assert out.dtype == np.uint8 and out.flags.writeable
+        assert np.array_equal(out, F.neg_table[a]) and np.array_equal(out, a)
+
+
 def test_make_field_is_cached():
     assert make_field(4) is make_field(4)
 
@@ -321,6 +352,10 @@ _NOT_A_MATRIX = {
         _C3, _C3.generator[0])),
     "span_generation_test: length": (DimensionMismatch, lambda: analysis.span_generation_test(
         _C3, _C3.generator[:, :2])),
+    "Code: ragged": (DimensionMismatch, lambda: Code(_F3, [[1, 2], [1]])),
+    "span_generation_test: ragged": (DimensionMismatch, lambda: analysis.span_generation_test(
+        _C3, [[0, 1, 1], [1]])),
+    "rank: ragged": (DimensionMismatch, lambda: linalg.rank([[1, 2], [1]], _F3)),
     "rank: 1-D": (DimensionMismatch, lambda: linalg.rank([1, 0, 2], _F3)),
     "rank: 3-D": (DimensionMismatch, lambda: linalg.rank(_I2[None], _F3)),
     "rank over F_2: 1-D": (DimensionMismatch, lambda: linalg.rank([1, 0], make_field(2))),
