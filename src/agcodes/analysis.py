@@ -25,10 +25,13 @@ that build_affine_grassmann or build_reed_muller made, still unchanged,
 the orbit route uses the automorphism group (translations, and the maps
 P -> B P A^{-1} on each rank class): B_3 and B_4 follow from lookups of
 D_0 + t D_a and D_0 + t D_a + v D_b among the column keys (_find) at one
-point a of each class (see _orbit_counts).  Every other generator takes
-one sort-merge kernel (_pair_search): the pair keys are sorted once and
-the column keys looked up among them, and the runs of equal pair keys
-give B_4 and list the words.
+point a of each class (see _orbit_counts).  Over F_2 such a code lists
+its weight-4 words as affine planes (_plane_words): a 2-dimensional
+subspace V of the points whose four column keys XOR to 0 at 0 gives a
+word on each of its n / 4 cosets.  Every other generator takes one
+sort-merge kernel (_pair_search): the pair keys are sorted once and the
+column keys looked up among them, and the runs of equal pair keys give
+B_4 and list the words.
 
 The span test ranks a word matrix M and checks its membership with one
 certificate (_spanning_rows): rows S of M and a kernel basis K of S with
@@ -135,7 +138,9 @@ def _enumerate(F, G, keep_weight=-1):
     Returns (A, words): A[w] counts the messages whose codeword has
     weight w, and words is the (m, n) uint8 matrix of the codewords of
     weight keep_weight of the nonzero messages, in message order (None by
-    default).
+    default); for q > 2 and keep_weight > 0, only those whose first
+    nonzero entry is 1, one of each projective class, are formed
+    (_lead_one).
 
     Meet in the middle, one kernel for every q: each word is held as
     b = ceil(log2 q) bit-planes of its element codes (_planes), 64
@@ -159,6 +164,7 @@ def _enumerate(F, G, keep_weight=-1):
     """
     q, (k, n) = F.q, G.shape
     classes = keep_weight < 0 and q > 2
+    lead_one = keep_weight > 0 and q > 2
     b = (q - 1).bit_length()
     nwords = linalg.pack_rows(G[:0]).shape[1]  # uint64 words of one packed word
     words_cap = _BLOCK_CELLS // 8  # uint64 words in _BLOCK_CELLS bytes
@@ -189,6 +195,8 @@ def _enumerate(F, G, keep_weight=-1):
             A += np.bincount(w.ravel(), minlength=n + 1)
             if keep_weight >= 0:
                 hi, li = np.nonzero(w == keep_weight)
+                if lead_one and len(hi):
+                    hi, li = _lead_one(F, diff, low, h, hi, li)
                 if len(hi):  # low - (-h)
                     words.append(F.sub(_codes(low[:, :, li], n), block[start + hi]))
     if classes:  # the zero h once, the others once for each of their q - 1 multiples
@@ -197,6 +205,23 @@ def _enumerate(F, G, keep_weight=-1):
     if keep_weight < 0:
         return A, None
     return A, np.concatenate(words)[1 if keep_weight == 0 else 0:]
+
+
+def _lead_one(F, diff, low, h, hi, li):
+    """The hits (hi, li) of _enumerate whose word low[li] - h[hi] (h a
+    batch of -h) has first nonzero entry 1.  That entry is where the codes
+    of low and -h first differ, the lowest set bit of diff[hi, :, li], so
+    it is read from the bit-planes there and no word is formed."""
+    d = diff[hi, :, li]  # (hits, words)
+    word = (d != 0).argmax(axis=1)
+    bits = d[np.arange(len(d)), word]
+    bit = np.bitwise_count((bits & (~bits + np.uint64(1))) - np.uint64(1))
+    low_code = h_code = np.zeros(len(d), dtype=np.uint8)
+    for j in range(len(low)):
+        low_code = low_code | ((low[j, word, li] >> bit) & 1).astype(np.uint8) << j
+        h_code = h_code | ((h[hi, j, word, 0] >> bit) & 1).astype(np.uint8) << j
+    keep = F.sub(low_code, h_code) == 1
+    return hi[keep], li[keep]
 
 
 def min_distance_exhaustive(C):
@@ -482,6 +507,57 @@ def _orbit_counts(F, S, keys, index, classes, w_max):
     return total(hits3, 2, 3), total(hits4, 6, 4) if w_max >= 4 else 0, lookups
 
 
+def _plane_words(G, keys, listed):
+    """The supports of the weight-4 dual words of an F_2 code that
+    _orbit_classes admits, from its generator G and integer column keys,
+    as _words takes them (None for the coefficients); ``listed`` is their
+    number as the orbit route counts it.
+
+    Such a code contains RM(1, delta), so the four points of a weight-4
+    dual word sum to 0: the word is an affine plane p + V, V = {0, a, x,
+    a ^ x} a 2-dimensional subspace of F_2^delta, a point being its column
+    index (MacWilliams and Sloane, ch. 13).  The translations p -> p ^ u
+    fix the code, so when keys[0] ^ keys[a] ^ keys[x] ^ keys[a ^ x] = 0
+    every coset of V is a word.  Each V is met once, by its reduced basis
+    (top(a) < top(x), bit top(a) of x clear), in blocks of about
+    _BLOCK_CELLS pairs (a, x).  Each coset is listed from its point p with
+    bits top(a) and top(x) clear, as p < p ^ a < p ^ x < p ^ a ^ x.
+
+    Both facts are checked first, by one rank: G's rows, the affine
+    functions and G moved by each unit translation span G's row space.
+    Every listed word is then checked against the keys and their number
+    against ``listed``.  A failure raises AssertionError, as _orbit_counts
+    does when the group does not fix the code.
+    """
+    n = len(keys)
+    delta = n.bit_length() - 1
+    points = np.arange(n)
+    affine = np.vstack([np.ones(n, dtype=np.uint8), points >> np.arange(delta)[:, None] & 1])
+    moved = [G[:, points ^ (1 << i)] for i in range(delta)]
+    if linalg._gf2_rank(np.vstack([G, affine, *moved]).astype(np.uint8)) != linalg._gf2_rank(G):
+        raise AssertionError("the translations or the affine functions leave the code: "
+                             "the group does not fix it")
+    top = np.repeat(np.arange(-1, delta), np.r_[1, 1 << np.arange(delta)])  # top[p]: p's top bit
+    shifted = keys ^ keys[0]
+    bases = [np.zeros((0, 2), dtype=np.intp)]
+    for ta in range(delta - 1):
+        x = points[2 << ta:]
+        x = x[x & (1 << ta) == 0]
+        step = max(1, _BLOCK_CELLS // len(x))
+        for lo in range(1 << ta, 2 << ta, step):
+            a = points[lo:min(lo + step, 2 << ta), None]
+            i, j = np.nonzero(shifted[a] ^ shifted[x] == shifted[a ^ x])
+            bases.append(np.c_[a[i, 0], x[j]])
+    a, x = (v[:, None] for v in np.concatenate(bases).T)
+    p = points[:n // 4]
+    for t in (top[a], top[x]):  # a zero bit at t, the lower position first
+        p = (p >> t << (t + 1)) | (p & ((1 << t) - 1))
+    supports = np.stack([p, p ^ a, p ^ x, p ^ a ^ x], axis=-1).reshape(-1, 4)
+    if len(supports) != listed or reduce(np.bitwise_xor, keys[supports.T]).any():
+        raise AssertionError("plane words do not match the code: the group does not fix it")
+    return supports, None
+
+
 def low_weight_dual_search(C, w_max=4):
     """Count the dual codewords of weight 1..w_max as column dependencies
     of C's generator matrix.  w_max must be an int in 1..4 (not a bool or
@@ -528,7 +604,9 @@ def _report(counts, method, enumerated):
 
 def _search(C, w_max, collect):
     """low_weight_dual_search, with the words of weight w_max as the
-    matrix dual_codewords_of_weight returns (None without collect)."""
+    matrix dual_codewords_of_weight returns (None without collect).  The
+    orbit route lists only F_2 words of weight 4 (_plane_words); every
+    other listing takes the kernel."""
     if (isinstance(w_max, bool) or not isinstance(w_max, (int, np.integer))
             or not 1 <= w_max <= 4):
         raise WMaxUnsupported(f"w_max must be an int in 1..4, got {w_max!r}")
@@ -546,7 +624,11 @@ def _search(C, w_max, collect):
     proportional = int((sizes * (sizes - 1) // 2).sum())
     if collect and z and w_max >= 2:
         raise Unsupported("collect lists no words through zero columns")
-    classes = None if collect else _orbit_classes(C)
+    classes = _orbit_classes(C)
+    planes = (collect and w_max == 4 and q == 2 and classes is not None
+              and keys.dtype.kind == "i")
+    if collect and not planes:  # the orbit route lists no other words
+        classes = None
 
     b = [1, 0] + [0] * (w_max - 1)  # B'_0 .. B'_{w_max}
     if w_max >= 2:
@@ -591,7 +673,7 @@ def _search(C, w_max, collect):
         i, j = _ranges(np.arange(n1) + 1, np.repeat(starts + sizes, sizes))
         found = np.c_[order[i], order[j]], np.tile([1, F.neg(1)], (len(i), 1))
     else:
-        found = read()
+        found = _plane_words(G, keys, listed) if planes else read()
     return report, _words(F, lead, *found)
 
 
@@ -605,7 +687,11 @@ def dual_codewords_of_weight(C_primal, w):
     Each word is read off one match of the support search: a zero column
     (w = 1), two columns of one projective class (w = 2), or a pair entry
     whose key equals a column's key (w = 3) or another entry's (w = 4);
-    see _pair_words.  A generator with a zero column raises Unsupported
+    see _pair_words.  Over F_2 at w = 4, a code that the orbit route
+    admits, with integer column keys, lists its words as the cosets of
+    the 2-dimensional subspaces whose keys XOR to 0 at point 0
+    (_plane_words), with no pair search; the words and their order are
+    the kernel's.  A generator with a zero column raises Unsupported
     for w >= 2, and one with proportional columns (a single projective
     class, or more) for w >= 3.  Words of more than MAX_WORD_CELLS cells
     in all raise TooLarge, once the search has counted them and before
@@ -634,11 +720,7 @@ def min_weight_codewords(C, d):
         return np.zeros((0, C.n), dtype=np.uint8)
     total = C.field.q ** C.k - 1
     if total <= DEFAULT_ENUM_CAP:
-        words = _enumerate(C.field, C.field.elements(C.generator), keep_weight=d)[1]
-        if d and C.field.q > 2 and len(words):  # for q = 2 every word is its class
-            lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
-            words = words[lead == 1]
-        return words
+        return _enumerate(C.field, C.field.elements(C.generator), keep_weight=d)[1]
     primal = C.meta.get("dual_of")
     if primal is not None and d <= 4:
         return dual_codewords_of_weight(primal, d)

@@ -6,7 +6,10 @@ one loop for every q on the field's table lookups.  Products over F_2
 are XORs on packed bits (the Method of Four Russians on bytes,
 _matmul_gf2): A's rows packed eight entries to a byte select, for each
 byte position, one row of a 256-row table of the XOR sums of eight of
-B's rows, packed into uint64 words.  Products over an odd prime field
+B's rows, packed into uint64 words.  When few of A's packed bytes are
+nonzero (_GF2_SPARSE_BYTES), as in the syndromes of low-weight words,
+only the table rows that its nonzero bytes select are gathered and XORed
+per row (_xor_nonzero_bytes).  Products over an odd prime field
 are numpy's integer products in int64, reduced mod p, with A cast one
 row block of about 2^20 entries at a time; entries below p <= 13 keep
 every sum far below 2^63.  Over an extension field F_{p^t} the product
@@ -40,6 +43,11 @@ _MATMUL_BLOCK_CELLS = 2 ** 20  # entries of A cast to int64 at a time (odd p)
 # uint64 words of one row block of a packed GF(2) product, and of one group
 # of byte tables; a group holds at least one table (256 packed rows of B)
 _GF2_BLOCK_WORDS = 2 ** 13
+# Share of A's packed bytes at or below which a GF(2) product gathers the
+# table rows of its nonzero bytes only, when the byte tables of all its
+# positions fit in _GF2_SPARSE_WORDS uint64 words
+_GF2_SPARSE_BYTES = 1 / 16
+_GF2_SPARSE_WORDS = 2 ** 16
 _STRIP_ROWS = 2048  # rows _packed_columns reads at a time
 
 
@@ -201,18 +209,49 @@ def nullspace(M, F):
     return basis
 
 
+def _byte_tables(Bw):
+    """The (g, 256, w) uint64 byte tables of the (g, 8, w) packed rows Bw of
+    B: entry v of table j is the XOR of the rows 8j + b of B over the set
+    bits b of v, built by doubling."""
+    T = np.zeros((len(Bw), 256, Bw.shape[2]), dtype=np.uint64)
+    for b in range(8):  # entries 2^b..2^(b+1)-1: entries 0..2^b-1 XOR row 8j + b
+        np.bitwise_xor(T[:, :1 << b], Bw[:, b, None], out=T[:, 1 << b:2 << b])
+    return T
+
+
+def _xor_nonzero_bytes(Ab, T):
+    """The packed product of _matmul_gf2 from A's packed bytes Ab and the
+    byte tables T of all its positions, reading only A's nonzero bytes:
+    they are found in row-major order, the table row each selects is
+    gathered, and each row's run of them is XORed (reduceat)."""
+    rows, width = Ab.shape
+    acc = np.zeros((rows, T.shape[2]), dtype=np.uint64)
+    flat = np.flatnonzero(Ab.ravel() != 0)
+    row = flat // width
+    picked = T.reshape(256 * len(T), T.shape[2])[(flat - row * width) << 8 | Ab.ravel()[flat]]
+    edge = np.ones(len(row), dtype=bool)  # where each row's run starts
+    edge[1:] = row[1:] != row[:-1]
+    first = np.flatnonzero(edge)
+    acc[row[first]] = np.bitwise_xor.reduceat(picked, first, axis=0)
+    return acc
+
+
 def _matmul_gf2(A, B):
     """A B over F_2 for 0/1 matrices, exact and without floats.
 
     A's rows are packed eight entries to a byte and B's rows into uint64
     words (pack_rows).  For each byte position g, a table of the 256 XOR
-    sums of B's rows 8g..8g+7 is built by doubling, and row i of the
+    sums of B's rows 8g..8g+7 is built (_byte_tables), and row i of the
     product is the XOR over g of the table row that byte g of A's row i
-    selects.  The tables are built one group of byte positions at a time,
-    and each group is applied to the packed product (an eighth of the
-    uint8 result) in row blocks; a group's tables and a row block are
-    each about _GF2_BLOCK_WORDS words.  The packed product is then
-    unpacked to the uint8 (rows, cols) result (unpack_rows).
+    selects.  When at most _GF2_SPARSE_BYTES of A's packed bytes are
+    nonzero, as in the syndromes of low-weight words, and the tables of
+    all byte positions fit in _GF2_SPARSE_WORDS words, only the nonzero
+    bytes are read (_xor_nonzero_bytes).  Otherwise the tables are built
+    one group of byte positions at a time, and each group is applied to
+    the packed product (an eighth of the uint8 result) in row blocks; a
+    group's tables and a row block are each about _GF2_BLOCK_WORDS words.
+    The packed product is then unpacked to the uint8 (rows, cols) result
+    (unpack_rows).
     """
     (rows, inner), cols = A.shape, B.shape[1]
     nbytes = -(-inner // 8)
@@ -221,15 +260,15 @@ def _matmul_gf2(A, B):
     Bw = np.zeros((8 * nbytes, w), dtype=np.uint64)
     Bw[:inner] = pack_rows(B)
     Bw = Bw.reshape(nbytes, 8, w)
+    if (256 * nbytes * w <= _GF2_SPARSE_WORDS
+            and np.count_nonzero(Ab) <= _GF2_SPARSE_BYTES * Ab.size):
+        return unpack_rows(_xor_nonzero_bytes(Ab, _byte_tables(Bw)), cols)
     acc = np.zeros((rows, w), dtype=np.uint64)
     block = max(1, _GF2_BLOCK_WORDS // max(1, w))
     group = max(1, _GF2_BLOCK_WORDS // (256 * max(1, w)))
     tmp = np.empty((min(block, rows), w), dtype=np.uint64)
     for g0 in range(0, nbytes, group):
-        T = np.zeros((min(group, nbytes - g0), 256, w), dtype=np.uint64)
-        for b in range(8):  # entries 2^b..2^(b+1)-1: entries 0..2^b-1 XOR row 8g + b
-            np.bitwise_xor(T[:, :1 << b], Bw[g0:g0 + group, b, None],
-                           out=T[:, 1 << b:2 << b])
+        T = _byte_tables(Bw[g0:g0 + group])
         for top in range(0, rows, block):
             a, t = acc[top:top + block], tmp[:min(block, rows - top)]
             for g in range(len(T)):

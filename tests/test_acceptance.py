@@ -117,6 +117,7 @@ def test_criterion_04_weight4_counts_equal(acceptance_log, big_codes, macwilliam
 
 def test_criterion_05_span_tests(acceptance_log, big_codes):
     C2, _, D2, D3 = big_codes
+    t0 = time.perf_counter()
     C = build_affine_grassmann(2, 4, 2, 2)
     D = build_dual_code(C)
     mw = analysis.min_weight_codewords(C, 6)
@@ -125,6 +126,7 @@ def test_criterion_05_span_tests(acceptance_log, big_codes):
     res_small = analysis.span_generation_test(D, w4_small)
     w4_big = analysis.dual_codewords_of_weight(C2, 4)
     res_big = analysis.span_generation_test(D2, w4_big)
+    elapsed = time.perf_counter() - t0
     ok = (res_primal == {"rank": 6, "generates": True}
           and res_small == {"rank": 10, "generates": True}
           and res_big["rank"] == 492 == D3.k
@@ -132,7 +134,7 @@ def test_criterion_05_span_tests(acceptance_log, big_codes):
           and not res_big["generates"])
     _record(acceptance_log, 5, ok,
             "min-weight spans: rank 6 (primal), 10 (small dual), "
-            "492 = dim AGC(3,6;3)^perp < 493 (big dual)")
+            f"492 = dim AGC(3,6;3)^perp < 493 (big dual) ({elapsed:.2f}s)")
 
 
 def test_criterion_06_dual_basis_grid(acceptance_log):

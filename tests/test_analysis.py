@@ -1,5 +1,6 @@
 """Weight analysis: enumeration, support search, spans, counterexample."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -673,6 +674,31 @@ def _build(spec):
     return build_affine_grassmann(*args) if kind == "AGC" else build_reed_muller(*args)
 
 
+# Every F_2 AGC and RM code of length n <= 512 at every level r >= 1.
+_F2_CODES = ([("AGC", ell, m, r, 2) for ell, m in [(1, m) for m in range(2, 11)]
+              + [(2, 4), (2, 5), (2, 6), (3, 6)] for r in range(1, ell + 1)]
+             + [("RM", r, delta, 2) for delta in range(1, 10) for r in range(1, delta + 1)])
+
+
+def _listed(C, w):
+    """dual_codewords_of_weight(C, w), or the type of the refusal."""
+    try:
+        return analysis.dual_codewords_of_weight(C, w)
+    except (TooLarge, Unsupported) as err:
+        return type(err)
+
+
+def _plane_calls(monkeypatch):
+    """Count the calls of analysis._plane_words."""
+    calls, real = [], analysis._plane_words
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(analysis, "_plane_words", counting)
+    return calls
+
+
 class TestOrbitRoute:
     @pytest.mark.parametrize("spec", _ORBIT_CODES, ids=lambda s: "-".join(map(str, s)))
     def test_counts_match_the_kernel(self, spec):
@@ -762,6 +788,113 @@ class TestOrbitRoute:
             assert _kernel(C, 4).weight_counts[4] == 68992
             assert analysis.low_weight_dual_search(C, 4).weight_counts[4] == 68992
 
+    @pytest.mark.parametrize("spec", _F2_CODES, ids=lambda s: "-".join(map(str, s)))
+    def test_plane_words_match_the_kernel(self, spec, monkeypatch):
+        """An F_2 code at r >= 1 with integer column keys lists its weight-4
+        words as affine planes, and they are the kernel's words on a plain
+        copy byte for byte, or both refuse alike: TooLarge past
+        MAX_WORD_CELLS, Unsupported on byte keys (k > 63).  Past 2^24
+        cells (the 690,880 words of RM(1, 8)) the supports that the shared
+        _words receives are compared, sorted, in place of the matrix."""
+        C = _build(spec)
+        copy = Code(C.field, np.array(C.generator))
+        calls = _plane_calls(monkeypatch)
+        if analysis.low_weight_dual_search(C, 4).weight_counts[4] * C.n > 2 ** 24:
+            monkeypatch.setattr(analysis, "_words", lambda F, lead, supports, coeffs:
+                                supports[np.lexsort(supports.T[::-1])])
+        planes = _listed(C, 4)
+        assert len(calls) == isinstance(planes, np.ndarray) == (C.k <= 63 and planes is not TooLarge)
+        kernel = _listed(copy, 4)
+        assert len(calls) <= 1  # the copy takes the kernel
+        if isinstance(planes, np.ndarray):
+            assert isinstance(kernel, np.ndarray) and planes.dtype == kernel.dtype
+            assert np.array_equal(planes, kernel)
+        else:
+            assert planes is kernel
+
+    def test_plane_route_needs_no_pair_search(self, monkeypatch):
+        """The built codes list their weight-4 words with _pair_search
+        replaced by a function that raises; the words are the kernel's on
+        a plain copy, and the 68,992 of criterion 4 at n = 512."""
+        codes = [build_affine_grassmann(3, 6, 2, 2), build_affine_grassmann(2, 5, 2, 2),
+                 build_reed_muller(1, 5, 2)]
+        expected = [analysis.dual_codewords_of_weight(Code(C.field, np.array(C.generator)), 4)
+                    for C in codes]
+
+        def forbidden(*args):
+            raise AssertionError("_pair_search called")
+        monkeypatch.setattr(analysis, "_pair_search", forbidden)
+        for C, words in zip(codes, expected):
+            assert np.array_equal(analysis.dual_codewords_of_weight(C, 4), words)
+        assert len(expected[0]) == 68992
+        with pytest.raises(AssertionError, match="_pair_search"):
+            analysis.dual_codewords_of_weight(Code(codes[0].field, np.array(codes[0].generator)), 4)
+
+    def test_mutant_the_translations_do_not_fix_raises(self):
+        """A generator with one column changed to a new nonzero column, held
+        read-only with the built code's meta, shape and rect, passes the
+        admission of _orbit_classes, but the translations no longer fix it:
+        listing its weight-4 words raises AssertionError (the orbit counts
+        or the plane check) and returns no words, for every column."""
+        for ell, m, r in [(2, 4, 2), (2, 5, 2)]:
+            C = build_affine_grassmann(ell, m, r, 2)
+            present = set(undigits(C.generator.T, 2).tolist())
+            spare = next(v for v in range(1, 2 ** C.k) if v not in present)
+            for c in range(C.n):
+                G = np.array(C.generator)
+                G[:, c] = (spare >> np.arange(C.k)) & 1
+                G.flags.writeable = False
+                mutant = Code(C.field, G, meta=dict(C.meta), rect=C.rect)
+                assert analysis._orbit_classes(mutant) is not None
+                with pytest.raises(AssertionError, match="group does not fix"):
+                    analysis.dual_codewords_of_weight(mutant, 4)
+
+    def test_plane_check_refuses_what_does_not_match(self):
+        """_plane_words checks, by one rank, that the unit translations
+        and the affine functions keep G's row space, then every listed
+        word against the keys and their number against the orbit count:
+        a generator one translation does not fix, a key changed at one
+        point, or a count off by one, raises AssertionError."""
+        C = build_affine_grassmann(2, 5, 2, 2)
+        G, keys = C.generator, undigits(C.generator.T, 2)
+        count = analysis.low_weight_dual_search(C, 4).weight_counts[4]
+        supports, coeffs = analysis._plane_words(G, keys, count)
+        assert coeffs is None and supports.shape == (count, 4)
+        assert (np.diff(supports, axis=1) > 0).all()
+        for wrong in (count - 1, count + 1):
+            with pytest.raises(AssertionError, match="plane words"):
+                analysis._plane_words(G, keys, wrong)
+        for point in (0, 5, C.n - 1):
+            changed = keys.copy()
+            changed[point] ^= 1 << (C.k - 1)
+            with pytest.raises(AssertionError, match="plane words"):
+                analysis._plane_words(G, changed, count)
+        moved = np.array(G)
+        moved[:, [0, 1]] = moved[:, [1, 0]]  # the map swapping points 0 and 1 alone
+        with pytest.raises(AssertionError, match="translations"):
+            analysis._plane_words(moved, keys, count)
+
+    def test_permuted_and_changed_f2_copies_list_on_the_kernel(self, monkeypatch):
+        """Over F_2, a column-permuted copy with the built code's meta and a
+        changed generator list their weight-4 words on the kernel, never as
+        planes: the permuted words are the built code's, permuted."""
+        C = build_affine_grassmann(2, 5, 2, 2)
+        words = analysis.dual_codewords_of_weight(C, 4)
+        calls = _plane_calls(monkeypatch)
+        perm = np.random.default_rng(1).permutation(C.n)
+        for G in (C.generator[:, perm], np.ascontiguousarray(C.generator[:, perm])):
+            P = Code(C.field, G, meta=dict(C.meta), rect=C.rect)
+            listed = analysis.dual_codewords_of_weight(P, 4)
+            assert sorted(x.tobytes() for x in listed) == \
+                sorted(x.tobytes() for x in words[:, perm])
+        changed = build_affine_grassmann(2, 5, 2, 2)
+        changed.generator.flags.writeable = True
+        changed.generator[-1, 0] = 1
+        listed = analysis.dual_codewords_of_weight(changed, 4)
+        assert not linalg.matmul(changed.generator, listed.T, C.field).any()
+        assert len(listed) == analysis.low_weight_dual_search(changed, 4).weight_counts[4]
+        assert calls == []
+
     @pytest.mark.parametrize("meta", [{"kind": "AGC", "ell": 2, "m": 4, "r": 2, "q": 2},
                                       {"kind": "AGC", "ell": 2, "m": 4, "r": 0, "q": 3},
                                       {"kind": "AGC", "ell": 2, "m": 4, "r": 1, "q": 3}],
@@ -819,6 +952,26 @@ class TestMinWeightWords:
             words = analysis.min_weight_codewords(code, d)
             assert isinstance(words, np.ndarray) and words.dtype == np.uint8
             assert words.shape == (m, code.n) and words.flags.c_contiguous
+
+    def test_large_q_forms_only_the_words_it_keeps(self):
+        """AGC(2,4;1)/F9 has 59,040 words of weight 5832 (387 MB), one in
+        q - 1 = 8 of them with first entry 1.  min_weight_codewords reads
+        each hit's first entry from the bit-planes and forms only those
+        7,380: the traced peak stays under 160 MiB (forming every multiple
+        first peaked at about 740 MiB), and the words, in message order,
+        have the digest of that route."""
+        C = build_affine_grassmann(2, 4, 1, 9)
+        tracemalloc.start()
+        try:
+            words = analysis.min_weight_codewords(C, 5832)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (7380, 6561) and (_first_nonzero(words) == 1).all()
+        assert (np.count_nonzero(words, axis=1) == 5832).all()
+        assert hashlib.sha256(words.tobytes()).hexdigest() == \
+            "1ec13d6a676e529e0dd7851c26ec8a4974c745d67b0ac340a479095923d5740e"
+        assert peak < 160 * 2 ** 20, f"{peak / 2 ** 20:.0f} MiB"
 
     @pytest.mark.parametrize("q,ell,m,r,d", [(3, 1, 2, 1, 3), (3, 1, 3, 1, 3),
                                              (3, 1, 3, 1, 4), (2, 2, 4, 2, 4)])

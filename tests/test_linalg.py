@@ -4,6 +4,8 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcodes import linalg
 from agcodes.codes import Code
@@ -115,6 +117,99 @@ def test_matmul_gf2_over_small_blocks(block_words, monkeypatch):
         A = _random_matrix(rng, rows, inner, 2)
         B = _random_matrix(rng, inner, cols, 2)
         assert np.array_equal(linalg._matmul_gf2(A, B), _gf2_reference(A, B))
+
+
+@st.composite
+def _sparse_or_dense(draw, q=2):
+    """A (rows, inner) and a (inner, cols) matrix over F_q.  A's rows hold
+    0 to 6 nonzero entries, so its packed bytes fall on both sides of
+    _GF2_SPARSE_BYTES, some rows are all zero, or A is uniform; the shapes
+    cross a byte (inner % 8), a uint64 word (cols > 64) and 0."""
+    rows, inner, cols = draw(st.integers(0, 40)), draw(st.integers(0, 150)), draw(st.integers(0, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    per_row = draw(st.sampled_from([0, 1, 2, 4, 6, None]))
+    if per_row is None:
+        A = _random_matrix(rng, rows, inner, q)
+    else:
+        A = np.zeros((rows, inner), dtype=np.uint8)
+        if inner:
+            at = rng.integers(0, inner, (rows, per_row))
+            A[np.arange(rows)[:, None], at] = rng.integers(1, q, at.shape)
+        A[rng.random(rows) < 0.3] = 0
+    return A, _random_matrix(rng, inner, cols, q)
+
+
+def _zero_byte_calls(mp):
+    """Count the calls of linalg._xor_nonzero_bytes under the MonkeyPatch mp."""
+    calls, real = [], linalg._xor_nonzero_bytes
+
+    def counting(Ab, T):
+        calls.append(Ab.shape)
+        return real(Ab, T)
+    mp.setattr(linalg, "_xor_nonzero_bytes", counting)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_or_dense())
+def test_zero_byte_product_against_reference(AB):
+    """The GF(2) product equals the integer product mod 2 on the path its
+    share of nonzero packed bytes selects, and on each path forced: the
+    zero-byte reader at shares 0 (for an all-zero A) and 1, the
+    byte-table loop at -1 (for an A with entries)."""
+    A, B = AB
+    expected = _gf2_reference(A, B)
+    Ab = linalg.pack_rows(A).view(np.uint8)
+    sparse = np.count_nonzero(Ab) <= linalg._GF2_SPARSE_BYTES * Ab.size
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _zero_byte_calls(mp)
+        for share in (None, 0, 1, -1):
+            if share is not None:
+                mp.setattr(linalg, "_GF2_SPARSE_BYTES", share)
+            calls.clear()
+            C = linalg._matmul_gf2(A, B)
+            assert C.dtype == np.uint8 and C.shape == expected.shape
+            assert np.array_equal(C, expected)
+            read = {None: sparse, 0: not Ab.any(), 1: True, -1: not Ab.size}[share]
+            assert len(calls) == read
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 8, 16]).flatmap(
+    lambda q: st.tuples(st.just(q), _sparse_or_dense(q))))
+def test_zero_byte_product_over_extension_fields(case):
+    """Over F_{2^t}, _matmul takes the GF(2) product of A's digits, which
+    reads only the nonzero bytes of a sparse A; both paths give the
+    field's product."""
+    q, (A, B) = case
+    F = make_field(q)
+    expected = _field_matmul_reference(A, B, F)
+    with pytest.MonkeyPatch.context() as mp:
+        for share in (1, -1):
+            mp.setattr(linalg, "_GF2_SPARSE_BYTES", share)
+            C = linalg._matmul(A, B, F)
+            assert C.dtype == np.uint8 and C.tolist() == expected
+
+
+def test_zero_byte_product_edges(monkeypatch):
+    """An empty A, no inner entries, an all-zero A and words of weight 4
+    read only nonzero bytes; byte tables past _GF2_SPARSE_WORDS, or a
+    dense A, take the byte-table loop."""
+    calls = _zero_byte_calls(monkeypatch)
+    rng = np.random.default_rng(7)
+    words = np.zeros((300, 512), dtype=np.uint8)
+    words[np.arange(300)[:, None], rng.integers(0, 512, (300, 4))] = 1
+    cases = [((0, 70), (70, 9), 1), ((5, 0), (0, 130), 1), ((6, 77), (77, 65), 1),
+             (words, (512, 20), 1), (words, (512, 513), 0),
+             ((40, 90), (90, 3), 0)]
+    for a, b, read in cases:
+        A = a if isinstance(a, np.ndarray) else np.zeros(a, dtype=np.uint8)
+        if not isinstance(a, np.ndarray) and read == 0:
+            A = _random_matrix(rng, *a, 2)
+        B = _random_matrix(rng, *b, 2)
+        calls.clear()
+        assert np.array_equal(linalg._matmul_gf2(A, B), _gf2_reference(A, B))
+        assert len(calls) == read, (A.shape, B.shape)
 
 
 def test_characteristic_two_products_use_no_floats(monkeypatch):
